@@ -114,25 +114,40 @@ def _hop_distances(graph: ContactConnectionGraph, present: set[int],
     return dist
 
 
+def _layers(graph: ContactConnectionGraph, present: set[int],
+            root: int) -> dict[float, list[int]]:
+    """Non-root present nodes grouped by hop distance, each group sorted."""
+    layers: dict[float, list[int]] = {}
+    for pid, d in _hop_distances(graph, present, root).items():
+        if pid != root:
+            layers.setdefault(d, []).append(pid)
+    for group in layers.values():
+        group.sort()
+    return layers
+
+
 def ccgi_init(graph: ContactConnectionGraph,
               rng: np.random.Generator) -> np.ndarray:
     """Graph-guided initial sequence; the result is always stable.
 
-    Repeatedly: recompute hop distances from the root over the remaining
-    graph, pick a random node at maximum distance, and remove it if it is a
-    fixing part - otherwise remove a random fixing neighbor that fastens it
-    (the node itself when it has none).  The root is removed last.  Nodes cut
+    Repeatedly: take hop distances from the root over the remaining graph,
+    pick a random node at maximum distance, and remove it if it is a fixing
+    part - otherwise remove a random fixing neighbor that fastens it (the
+    node itself when it has none).  The root is removed last.  Nodes cut
     off from the root (possible only on adversarial inputs) count as being
     at maximum distance.
+
+    Removing a node at the maximum distance changes no other node's
+    distance, since no shortest path runs through it; the distances are
+    recomputed only after a fixer nearer to the root was removed.
     """
     present = set(graph.nodes)
     root = graph.root
     removal: list[int] = []
+    layers = _layers(graph, present, root)
     while len(present) > 1:
-        dist = _hop_distances(graph, present, root)
-        far = max(v for k, v in dist.items() if k != root)
-        candidates = sorted(k for k, v in dist.items()
-                            if k != root and v == far)
+        far = max(layers)
+        candidates = layers[far]
         picked = candidates[rng.integers(len(candidates))]
         if picked not in graph.fixing:
             fixers = sorted(nb for nb in graph.neighbors[picked]
@@ -142,6 +157,12 @@ def ccgi_init(graph: ContactConnectionGraph,
                 picked = fixers[rng.integers(len(fixers))]
         removal.append(picked)
         present.remove(picked)
+        if picked in candidates:
+            candidates.remove(picked)
+            if not candidates:
+                del layers[far]
+        else:
+            layers = _layers(graph, present, root)
     removal.append(root)
     return np.array(removal[::-1], dtype=np.int64)
 

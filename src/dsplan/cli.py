@@ -67,7 +67,9 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--selection", choices=("reference-line", "crowding"),
                    default=None)
     p.add_argument("--mating", choices=("tournament", "random"), default=None)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true",
+                   help="recorded in the saved config only; every "
+                        "population is evaluated in one batch either way")
 
 
 def build_parser() -> _Parser:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -347,6 +348,17 @@ def _part_to_json(p: Part) -> dict:
     return out
 
 
+def _com_from_json(part_id, value) -> tuple[float, float, float]:
+    try:
+        com = tuple(float(c) for c in value)
+    except (TypeError, ValueError):
+        com = ()
+    if len(com) != 3 or not all(math.isfinite(c) for c in com):
+        raise SchemaError(f"part {part_id}: com must be three finite "
+                          f"numbers, got {value!r}")
+    return com
+
+
 def _part_from_json(obj: dict) -> Part:
     try:
         labels = obj["labels"]
@@ -357,7 +369,7 @@ def _part_from_json(obj: dict) -> Part:
             priority=bool(labels.get("priority", False)),
             base=bool(labels.get("base", False)),
             ignore=bool(labels.get("ignore", False)),
-            com=tuple(float(c) for c in obj["com"]),
+            com=_com_from_json(obj["id"], obj["com"]),
             eef=obj.get("eef"),
             size=(float(obj["size"]) if obj.get("size") is not None else None),
         )

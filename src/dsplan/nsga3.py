@@ -1,16 +1,17 @@
 """Many-objective GA: non-dominated sorting, reference-line niching, the
 four permutation operators, and the outer iteration / generation loops.
 
-The population works on index permutations (positions into part_order);
-part ids appear only at the API boundary.  All randomness flows through one
-explicitly seeded generator on the sequential path, so a fixed seed gives a
-bitwise-identical result with or without parallel evaluation.
+The population is a ``(P, n)`` array of index permutations (positions into
+part_order); part ids appear only at the API boundary.  Each population is
+scored by one ``Evaluator.evaluate_batch`` call.  All randomness flows
+through one explicitly seeded generator, so a fixed seed gives a
+bitwise-identical result.  ``GaConfig.parallel`` selects no code path; it is
+kept because the serialized config in ``plan_result.json`` records it.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -42,6 +43,7 @@ class GaConfig:
     selection: str = "reference-line"
     mating: str = "tournament"
     adaptive_normalize: bool = False
+    # recorded in the serialized config only; evaluation is always batched
     parallel: bool = False
 
     def __post_init__(self):
@@ -240,7 +242,12 @@ def crossover(a: np.ndarray, b: np.ndarray,
 def _ox(keeper: np.ndarray, filler: np.ndarray, i: int, j: int) -> np.ndarray:
     child = np.empty_like(keeper)
     child[i:j] = keeper[i:j]
-    rest = filler[~np.isin(filler, keeper[i:j])]
+    # chromosomes hold non-negative ids, so a mask over 0..max marks the
+    # kept window
+    kept = np.zeros(max(keeper.max(initial=0), filler.max(initial=0)) + 1,
+                    dtype=bool)
+    kept[keeper[i:j]] = True
+    rest = filler[~kept[filler]]
     child[:i] = rest[:i]
     child[j:] = rest[i:]
     return child
@@ -400,12 +407,6 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     init = make_initializer(config.init, dataset.catalog, dataset.matrices)
     mask = config.objective_mask()
     refs = das_dennis_points(int(mask.sum()), config.divisions)
-    pool_executor = ThreadPoolExecutor() if config.parallel else None
-
-    def evaluate_all(perms: list[np.ndarray]) -> list[Evaluation]:
-        if pool_executor is not None:
-            return list(pool_executor.map(evaluator.evaluate_idx, perms))
-        return [evaluator.evaluate_idx(p) for p in perms]
 
     def masked(evals: list[Evaluation]) -> np.ndarray:
         arr = np.array([e.objectives for e in evals], dtype=np.float64)
@@ -429,45 +430,41 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     history: list[HistoryRow] = []
     iteration_bests: list[IterationBest] = []
 
-    try:
-        for iteration in range(1, config.iterations + 1):
-            pop = [evaluator.to_indices(init(rng))
-                   for _ in range(config.pop_size)]
-            evals = evaluate_all(pop)
-            iter_champ = _Champion(mask)
-            for perm, ev in zip(pop, evals):
+    for iteration in range(1, config.iterations + 1):
+        pop = np.array([evaluator.to_indices(init(rng))
+                        for _ in range(config.pop_size)])
+        evals = evaluator.evaluate_batch(pop)
+        iter_champ = _Champion(mask)
+        for perm, ev in zip(pop, evals):
+            iter_champ.offer(perm, ev)
+            global_champ.offer(perm, ev)
+        history.append(stats_row(iteration, 0, evals, global_champ))
+
+        for generation in range(1, config.generations + 1):
+            offspring = _make_offspring(pop, evals, config, mask, refs, rng)
+            off_evals = evaluator.evaluate_batch(offspring)
+            for perm, ev in zip(offspring, off_evals):
                 iter_champ.offer(perm, ev)
                 global_champ.offer(perm, ev)
-            history.append(stats_row(iteration, 0, evals, global_champ))
+            pool = np.concatenate((pop, offspring))
+            pool_evals = evals + off_evals
+            fronts = non_dominated_sort(masked(pool_evals))
+            if config.selection == "crowding":
+                keep = crowding_select(masked(pool_evals), fronts,
+                                       config.pop_size)
+            else:
+                keep = niche_select(masked(pool_evals), fronts, refs,
+                                    config.pop_size, rng,
+                                    config.adaptive_normalize)
+            pop = pool[keep]
+            evals = [pool_evals[i] for i in keep]
+            history.append(stats_row(iteration, generation, evals,
+                                     global_champ))
 
-            for generation in range(1, config.generations + 1):
-                offspring = _make_offspring(pop, evals, config, mask, refs, rng)
-                off_evals = evaluate_all(offspring)
-                for perm, ev in zip(offspring, off_evals):
-                    iter_champ.offer(perm, ev)
-                    global_champ.offer(perm, ev)
-                pool = pop + offspring
-                pool_evals = evals + off_evals
-                fronts = non_dominated_sort(masked(pool_evals))
-                if config.selection == "crowding":
-                    keep = crowding_select(masked(pool_evals), fronts,
-                                           config.pop_size)
-                else:
-                    keep = niche_select(masked(pool_evals), fronts, refs,
-                                        config.pop_size, rng,
-                                        config.adaptive_normalize)
-                pop = [pool[i] for i in keep]
-                evals = [pool_evals[i] for i in keep]
-                history.append(stats_row(iteration, generation, evals,
-                                         global_champ))
-
-            iteration_bests.append(IterationBest(
-                iteration=iteration,
-                sequence=evaluator.to_ids(iter_champ.perm),
-                evaluation=iter_champ.evaluation))
-    finally:
-        if pool_executor is not None:
-            pool_executor.shutdown()
+        iteration_bests.append(IterationBest(
+            iteration=iteration,
+            sequence=evaluator.to_ids(iter_champ.perm),
+            evaluation=iter_champ.evaluation))
 
     best_ids = evaluator.to_ids(global_champ.perm)
     labels = tuple(dataset.catalog.by_id(pid).task_label for pid in best_ids)
@@ -520,4 +517,4 @@ def _make_offspring(pop, evals, config: GaConfig, mask: np.ndarray,
             if rng.random() < config.break_join_rate:
                 child = break_and_join(child, rng)
             offspring.append(child)
-    return offspring[:config.pop_size]
+    return np.array(offspring[:config.pop_size])

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintFlags, ConstraintTables, check_idx
+from .constraints import (
+    ConstraintFlags,
+    ConstraintTables,
+    TermKernel,
+    check_idx,
+)
 from .model import (
     Dataset,
     PartCatalog,
@@ -46,15 +51,14 @@ class Evaluation:
         return float(sum(self.objectives))
 
 
-def _positions(perm: np.ndarray) -> np.ndarray:
-    """1-based storage position of each part index (position 1 = removed last)."""
-    pos = np.empty(len(perm), dtype=np.int64)
-    pos[perm] = np.arange(1, len(perm) + 1)
-    return pos
-
-
 class Evaluator:
-    """Precomputed tables for repeated sequence evaluation on one dataset."""
+    """Precomputed tables for repeated sequence evaluation on one dataset.
+
+    ``evaluate_batch`` scores a whole population: one ``TermKernel`` matmul
+    gives every constraint term and the accumulated constraint degree of
+    ``f_d``, and the other objectives are gathers over the ``(P, n)``
+    index array.  The single-sequence methods are a batch of one.
+    """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
         catalog, matrices, motions = dataset
@@ -63,7 +67,8 @@ class Evaluator:
         self.tables = ConstraintTables(matrices, catalog, motions)
         self.n = self.tables.n
         order = matrices.part_order
-        self.constraint_degree = matrices.constraint_degree.astype(np.int64)
+        self.kernel = TermKernel(self.tables, mode,
+                                 extra={"degree": _degree_rows(matrices)})
 
         labels = [catalog.by_id(pid).task_label for pid in order]
         uniq = {t: c for c, t in enumerate(sorted(set(labels)))}
@@ -96,67 +101,85 @@ class Evaluator:
 
     def objectives_idx(self, perm: np.ndarray) -> tuple[float, float, float, float]:
         """The four objective values assuming the sequence is available."""
+        perms = np.asarray(perm, dtype=np.int64)[None]
+        degree = self.kernel.counts(perms)["degree"]
+        return tuple(self._objectives(perms, degree)[0].tolist())
+
+    def _objectives(self, perms: np.ndarray,
+                    degree: np.ndarray) -> np.ndarray:
+        """``(P, 4)`` objective values of ``perms`` assuming availability;
+        ``degree`` is the kernel's ``(n, 1, P)`` accumulated degree."""
         n = self.n
+        out = np.zeros((len(perms), 4), dtype=np.float64)
         if n < 2:
-            return (0.0, 0.0, 0.0, 0.0)
-        grid = self.constraint_degree[np.ix_(perm, perm)]
-        acc = grid.cumsum(axis=0)
-        ks = np.arange(1, n)
-        peak = int(acc[ks - 1, ks].max())
-        f_d = peak / (12.0 * (n - 1))
+            return out
+        # the part at position 1 counts 0, so the max over all parts is the
+        # peak over positions 2..n
+        out[:, 0] = degree[:, 0].max(axis=0).astype(np.float64) / (
+            12.0 * (n - 1))
 
-        codes = self.task_codes[perm]
-        changes = int(np.count_nonzero(codes[1:] != codes[:-1]))
-        travel = float(np.sqrt(
-            ((self.coms[perm[1:]] - self.coms[perm[:-1]]) ** 2).sum(-1)).sum())
+        codes = self.task_codes[perms]
+        changes = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
+        steps = self.coms[perms[:, 1:]] - self.coms[perms[:, :-1]]
+        travel = np.sqrt((steps ** 2).sum(-1)).sum(axis=1)
         dist_term = travel / (n * self.d_max) if self.d_max > 0 else 0.0
-        f_e = (changes / (n - 1) + dist_term) / 2.0
+        out[:, 1] = (changes / (n - 1) + dist_term) / 2.0
 
-        if len(self.priority_idx) == 0:
-            f_p = 0.0
-        else:
-            pos = _positions(perm)
-            r = float(pos[self.priority_idx].sum())
-            f_p = 1.0 - r / self.r_max
+        pos = _positions(perms)
+        if len(self.priority_idx):
+            r = pos[:, self.priority_idx].sum(axis=1).astype(np.float64)
+            out[:, 2] = 1.0 - r / self.r_max
+        if len(self.manual_idx) >= 2:
+            mpos = pos[:, self.manual_idx]
+            out[:, 3] = (mpos.max(axis=1) - mpos.min(axis=1)) / (n - 1)
+        return out
 
-        if len(self.manual_idx) < 2:
-            f_a = 0.0
-        else:
-            pos = _positions(perm)
-            mpos = pos[self.manual_idx]
-            f_a = float(mpos.max() - mpos.min()) / (n - 1)
-        return (f_d, f_e, f_p, f_a)
+    def evaluate_batch(self, perms: np.ndarray) -> list[Evaluation]:
+        """Evaluations of every row of the index permutations ``perms``."""
+        perms = np.asarray(perms, dtype=np.int64)
+        counts = self.kernel.counts(perms)
+        terms = self.kernel.terms_at(perms, counts)
+        feasible = terms["order"].all(axis=1) & terms["motion"].all(axis=1)
+        stable = terms["stability"].all(axis=1)
+        objectives = self._objectives(perms, counts["degree"]).tolist()
+        return [Evaluation(bool(f), bool(s), True, tuple(v)) if f and s
+                else Evaluation(bool(f), bool(s), False, PENALTY)
+                for f, s, v in zip(feasible, stable, objectives)]
 
     def evaluate_idx(self, perm: np.ndarray) -> Evaluation:
-        flags = self.flags_idx(perm)
-        feasible = flags.order_feasible and flags.motion_feasible
-        if not flags.available:
-            return Evaluation(feasible, flags.stable, False, PENALTY)
-        return Evaluation(feasible, flags.stable, True,
-                          self.objectives_idx(perm))
+        return self.evaluate_batch(np.asarray(perm, dtype=np.int64)[None])[0]
 
     def evaluate(self, seq) -> Evaluation:
         seq = validate_sequence(seq, self.dataset.catalog)
         return self.evaluate_idx(self.to_indices(seq))
 
 
-def _single_eval(seq, matrices: RelationMatrices):
-    tables = ConstraintTables(matrices)
-    return tables.to_indices(seq), tables
+def _positions(perms: np.ndarray) -> np.ndarray:
+    """1-based storage position of each part index (position 1 = removed
+    last), per row of ``perms``."""
+    pos = np.empty_like(perms)
+    np.put_along_axis(pos, perms, np.arange(1, perms.shape[1] + 1), axis=1)
+    return pos
+
+
+def _degree_rows(matrices: RelationMatrices) -> np.ndarray:
+    """Kernel rows of f_d: part b below part a adds its degree ``x_cs[b, a]``."""
+    return matrices.constraint_degree.T[:, None, :]
 
 
 def difficulty(seq, matrices: RelationMatrices, available: bool = True) -> float:
     """Worst accumulated constraint degree over the sequence, normalized."""
     if not available:
         return 1.0
-    perm, _ = _single_eval(seq, matrices)
-    n = len(perm)
+    tables = ConstraintTables(matrices)
+    perms = tables.to_indices(seq)[None]
+    n = perms.shape[1]
     if n < 2:
         return 0.0
-    grid = matrices.constraint_degree.astype(np.int64)[np.ix_(perm, perm)]
-    acc = grid.cumsum(axis=0)
-    ks = np.arange(1, n)
-    return float(acc[ks - 1, ks].max()) / (12.0 * (n - 1))
+    kernel = TermKernel(tables, "as-written", (),
+                        {"degree": _degree_rows(matrices)})
+    peak = kernel.counts(perms)["degree"].max()
+    return float(peak) / (12.0 * (n - 1))
 
 
 def _catalog_positions(seq, catalog: PartCatalog):

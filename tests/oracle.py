@@ -32,52 +32,62 @@ def extract(dataset):
     }
 
 
-def order_ok(perm, tab, mode):
-    n = len(perm)
-    for k in range(1, n):
+def order_terms(perm, tab, mode):
+    """Per-position interference terms; position 1 is vacuously true."""
+    terms = [True]
+    for k in range(1, len(perm)):
         if mode == "as-written":
-            for i in range(k):
-                if not any(tab["x_if"][j][perm[i]][perm[k]]
-                           for j in range(6)):
-                    return False
+            ok = all(any(tab["x_if"][j][perm[i]][perm[k]] for j in range(6))
+                     for i in range(k))
         else:
-            found = False
-            for j in range(6):
-                if all(tab["x_if"][j][perm[i]][perm[k]] for i in range(k)):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
+            ok = any(all(tab["x_if"][j][perm[i]][perm[k]] for i in range(k))
+                     for j in range(6))
+        terms.append(ok)
+    return terms
+
+
+def motion_terms(perm, tab, mode):
+    """Per-position motion terms; manual parts are exempt."""
+    terms = [True]
+    for k in range(1, len(perm)):
+        rows = tab["rows"][perm[k]]
+        if tab["manual"][perm[k]]:
+            ok = True
+        elif mode == "as-written":
+            ok = all(any(row[perm[i]] for row in rows) for i in range(k))
+        else:
+            ok = any(all(row[perm[i]] for i in range(k)) for row in rows)
+        terms.append(ok)
+    return terms
+
+
+def stability_terms(perm, tab):
+    """Per-position connection terms: some contact with a part below."""
+    return [True] + [sum(tab["x_ct"][perm[i]][perm[k]] for i in range(k)) > 0
+                     for k in range(1, len(perm))]
+
+
+def order_ok(perm, tab, mode):
+    return all(order_terms(perm, tab, mode))
 
 
 def motion_ok(perm, tab, mode):
-    n = len(perm)
-    for k in range(1, n):
-        if tab["manual"][perm[k]]:
-            continue
-        rows = tab["rows"][perm[k]]
-        if mode == "as-written":
-            for i in range(k):
-                if not any(row[perm[i]] for row in rows):
-                    return False
-        else:
-            found = False
-            for row in rows:
-                if all(row[perm[i]] for i in range(k)):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
+    return all(motion_terms(perm, tab, mode))
 
 
 def stable_ok(perm, tab):
-    n = len(perm)
-    for k in range(1, n):
-        if sum(tab["x_ct"][perm[i]][perm[k]] for i in range(k)) == 0:
-            return False
-    return True
+    return all(stability_terms(perm, tab))
+
+
+def first_violation(perm, tab, mode):
+    """(criterion, 1-based position) of the first failing term of the first
+    failing criterion, checked in the order order/motion/stability."""
+    for name, terms in (("order", order_terms(perm, tab, mode)),
+                        ("motion", motion_terms(perm, tab, mode)),
+                        ("stability", stability_terms(perm, tab))):
+        if not all(terms):
+            return name, terms.index(False) + 1
+    return None
 
 
 def objective_values(perm, tab):
@@ -159,3 +169,35 @@ def sweep_blocked(static_cells, mover_cells, direction, steps):
             if (x + dx * t, y + dy * t, z + dz * t) in static:
                 return True
     return False
+
+
+def ccgi_reference(graph, rng):
+    """ccgi with the hop distances recomputed by BFS before every pick."""
+    present = set(graph.nodes)
+    removal = []
+    while len(present) > 1:
+        dist = {graph.root: 0}
+        frontier = [graph.root]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for nb in graph.neighbors[cur]:
+                    if nb in present and nb not in dist:
+                        dist[nb] = dist[cur] + 1
+                        nxt.append(nb)
+            frontier = nxt
+        others = [v for v in present if v != graph.root]
+        far = max(dist.get(v, math.inf) for v in others)
+        candidates = sorted(v for v in others
+                            if dist.get(v, math.inf) == far)
+        picked = candidates[rng.integers(len(candidates))]
+        if picked not in graph.fixing:
+            fixers = sorted(nb for nb in graph.neighbors[picked]
+                            if nb in present and nb in graph.fixing
+                            and nb != graph.root)
+            if fixers:
+                picked = fixers[rng.integers(len(fixers))]
+        removal.append(picked)
+        present.remove(picked)
+    removal.append(graph.root)
+    return removal[::-1]

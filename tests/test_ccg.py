@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracle
 from dsplan.ccg import (
     DisconnectedProduct,
     build_ccg,
@@ -150,6 +151,33 @@ class TestCcgi:
             removal = ccgi_init(graph, rng)[::-1].tolist()
             after_screw = removal.index(2)
             assert removal.index(3) == after_screw + 1
+
+    @pytest.mark.parametrize("product", ["tower10", "tower36", "fixer",
+                                         "cut_vertex"])
+    def test_matches_recompute_every_step_reference(self, product, request):
+        # "fixer": the swap removes screw 2 (distance 1) in place of block 3
+        # (distance 2), which cuts block 3 off from the root
+        if product == "fixer":
+            catalog, matrices = graph_product(
+                [(1, 2), (2, 3), (1, 4), (4, 5)], 5, fixing={2}, base=1)
+        elif product == "cut_vertex":
+            catalog, matrices = graph_product(
+                [(1, 2), (2, 3), (1, 4), (4, 5), (5, 6)], 6,
+                fixing={2}, base=1)
+        elif product == "tower36":
+            ds = make_tower(7, 4, manual=0.3, priority=2, seed=12)
+            catalog, matrices = ds.catalog, ds.matrices
+        else:
+            ds = request.getfixturevalue(product)
+            catalog, matrices = ds.catalog, ds.matrices
+        graph = build_ccg(catalog, matrices)
+        seen = set()
+        for seed in range(100):
+            got = ccgi_init(graph, np.random.default_rng(seed)).tolist()
+            assert got == oracle.ccgi_reference(
+                graph, np.random.default_rng(seed))
+            seen.add(tuple(got))
+        assert len(seen) >= 2
 
     def test_ccgi_outputs_always_available_on_towers(self, tower10):
         graph = build_ccg(tower10.catalog, tower10.matrices)

@@ -38,6 +38,17 @@ class TestExitCodes:
         bad.write_text('{"version": 1}')
         assert main(["validate", "--dataset", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    def test_dataset_error_bad_com(self, dataset_file, tmp_path, command,
+                                   capsys):
+        doc = json.loads(dataset_file.read_text())
+        doc["parts"][0]["com"] = [float("nan"), 0.0, 0.0]
+        bad = tmp_path / "nan_com.json"
+        bad.write_text(json.dumps(doc))
+        args = [command, "--dataset", str(bad), "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "part 1: com" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

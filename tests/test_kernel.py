@@ -1,0 +1,189 @@
+"""Cross-checks of the population-wide evaluation kernel.
+
+A ``(P, n)`` batch must equal the row-by-row batch of one exactly, and both
+must equal the brute-force oracle: flags, per-position terms, the first
+violation, and the objectives.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import oracle
+from dsplan.ccg import build_ccg, ccgi_init
+from dsplan.constraints import (
+    check_idx,
+    motion_terms_idx,
+    order_terms_idx,
+    stability_terms_idx,
+)
+from dsplan.model import (
+    Dataset,
+    Motion,
+    MotionTable,
+    Part,
+    PartCatalog,
+    RelationMatrices,
+)
+from dsplan.objectives import Evaluator
+from conftest import make_tower
+from test_constraints import chain_product
+
+MODES = ("as-written", "strict")
+
+
+@pytest.fixture(scope="module")
+def tower36():
+    """The 36-part tower of acceptance criterion 12."""
+    return make_tower(7, 4, manual=0.3, priority=2, seed=12)
+
+
+def row_objectives(ev, perm):
+    """The objectives of one sequence with 1-D numpy reductions.
+
+    Saved plans stay byte-identical only if the batched sums round exactly
+    like these, so the comparison is exact.
+    """
+    n = len(perm)
+    if n < 2:
+        return (0.0, 0.0, 0.0, 0.0)
+    cs = ev.dataset.matrices.constraint_degree.astype(np.int64)
+    peak = max(int(cs[perm[:k], perm[k]].sum()) for k in range(1, n))
+    codes = ev.task_codes[perm]
+    changes = int(np.count_nonzero(codes[1:] != codes[:-1]))
+    travel = float(np.sqrt(
+        ((ev.coms[perm[1:]] - ev.coms[perm[:-1]]) ** 2).sum(-1)).sum())
+    dist_term = travel / (n * ev.d_max) if ev.d_max > 0 else 0.0
+    pos = np.empty(n, dtype=np.int64)
+    pos[perm] = np.arange(1, n + 1)
+    f_p = (1.0 - float(pos[ev.priority_idx].sum()) / ev.r_max
+           if len(ev.priority_idx) else 0.0)
+    mpos = pos[ev.manual_idx]
+    f_a = (float(mpos.max() - mpos.min()) / (n - 1)
+           if len(ev.manual_idx) >= 2 else 0.0)
+    return (peak / (12.0 * (n - 1)), (changes / (n - 1) + dist_term) / 2.0,
+            f_p, f_a)
+
+
+def assert_kernel_matches(ds, perms, mode):
+    tab = oracle.extract(ds)
+    ev = Evaluator(ds, mode)
+    perms = np.asarray(perms, dtype=np.int64)
+    batch = ev.evaluate_batch(perms)
+    terms = ev.kernel.terms_at(perms)
+    flags = ev.tables.kernel(mode).flags(perms)
+    assert len(batch) == len(flags) == len(perms)
+    for p, perm in enumerate(perms):
+        row = perm.tolist()
+        assert batch[p] == ev.evaluate_idx(perm)
+        assert flags[p] == ev.flags_idx(perm) == check_idx(perm, ev.tables,
+                                                           mode)
+        for name, one, ref in (
+                ("order", order_terms_idx(perm, ev.tables, mode),
+                 oracle.order_terms(row, tab, mode)),
+                ("motion", motion_terms_idx(perm, ev.tables, mode),
+                 oracle.motion_terms(row, tab, mode)),
+                ("stability", stability_terms_idx(perm, ev.tables),
+                 oracle.stability_terms(row, tab))):
+            assert terms[name][p].tolist() == one.tolist() == ref, name
+        assert flags[p].first_violation == oracle.first_violation(row, tab,
+                                                                  mode)
+        o, m, s, objs = oracle.evaluate(row, tab, mode)
+        assert (flags[p].order_feasible, flags[p].motion_feasible,
+                flags[p].stable) == (o, m, s)
+        assert (batch[p].feasible, batch[p].stable) == (o and m, s)
+        if batch[p].available:
+            assert (batch[p].objectives == ev.objectives_idx(perm)
+                    == row_objectives(ev, perm))
+        assert batch[p].objectives == pytest.approx(objs, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_random_permutations_of_36_part_tower(tower36, mode):
+    rng = np.random.default_rng(36)
+    perms = [rng.permutation(tower36.matrices.n) for _ in range(200)]
+    assert_kernel_matches(tower36, perms, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ccgi_draws_of_36_part_tower(tower36, mode):
+    graph = build_ccg(tower36.catalog, tower36.matrices)
+    ev = Evaluator(tower36, mode)
+    rng = np.random.default_rng(12)
+    perms = [ev.to_indices(ccgi_init(graph, rng)) for _ in range(100)]
+    assert_kernel_matches(tower36, perms, mode)
+    # the draws are stable, so their objectives are live in as-written mode
+    assert mode == "strict" or any(e.available
+                                   for e in ev.evaluate_batch(perms))
+
+
+def _all_perms(n):
+    return list(itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_small_chains(n, mode):
+    assert_kernel_matches(chain_product(n), _all_perms(n), mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_part_without_motions(mode):
+    ds = chain_product(4)
+    motions = MotionTable(ds.matrices.part_order, {
+        pid: (Motion(0, "+z", np.ones(4, dtype=np.uint8)),)
+        for pid in (1, 2, 4)})
+    ds = Dataset(ds.catalog, ds.matrices, motions)
+    assert_kernel_matches(ds, _all_perms(4), mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_part_has_motions(mode):
+    ds = chain_product(3)
+    ds = Dataset(ds.catalog, ds.matrices,
+                 MotionTable(ds.matrices.part_order, {}))
+    assert_kernel_matches(ds, _all_perms(3), mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_all_manual_product(mode):
+    base = chain_product(4)
+    catalog = PartCatalog(tuple(
+        Part(p.id, f"p{p.id}_manual", "manual", com=p.com)
+        for p in base.catalog))
+    ds = Dataset(catalog, base.matrices,
+                 MotionTable(base.matrices.part_order, {}))
+    assert_kernel_matches(ds, _all_perms(4), mode)
+    ev = Evaluator(ds, mode)
+    assert all(e.stable == e.available
+               for e in ev.evaluate_batch(np.array(_all_perms(4))))
+
+
+def random_product(n, seed):
+    """Random relation matrices (not a physical product) with 0-3 motions
+    per part and random manual labels, so the strict rows are padded."""
+    rng = np.random.default_rng(seed)
+    parts = tuple(Part(i, f"p{i}", task, com=tuple(rng.normal(size=3)),
+                       priority=bool(rng.random() < 0.3))
+                  for i, task in enumerate(
+                      rng.choice(["graspable", "manual", "screw"], n), 1))
+    contact = np.triu(rng.random((n, n)) < 0.5, 1)
+    matrices = RelationMatrices(
+        tuple(range(1, n + 1)),
+        (rng.random((6, n, n)) < 0.7).astype(np.uint8),
+        np.ones((12, n, n), dtype=np.uint8),
+        (contact | contact.T).astype(np.uint8),
+        rng.integers(0, 13, (n, n)).astype(np.int16))
+    motions = MotionTable(matrices.part_order, {
+        pid: tuple(Motion(r, "+z", (rng.random(n) < 0.8).astype(np.uint8))
+                   for r in range(rng.integers(0, 4)))
+        for pid in matrices.part_order})
+    return Dataset(PartCatalog(parts), matrices, motions)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_products(seed):
+    ds = random_product(6, seed)
+    for mode in MODES:
+        assert_kernel_matches(ds, _all_perms(6), mode)

@@ -220,6 +220,18 @@ class TestDatasetIO:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("com", [
+        [float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0], [1.0],
+        [0.0, "x", 0.0], "abc", None])
+    def test_bad_com_rejected(self, tmp_path, com):
+        ds = _tiny_dataset()
+        doc = json.loads(dataset_to_json(ds))
+        doc["parts"][1]["com"] = com
+        path = tmp_path / "com.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="part 2: com"):
+            load_dataset(path)
+
     def test_contact_without_constraint_rejected(self):
         order = (1, 2)
         x_if = np.ones((6, 2, 2), dtype=np.uint8)

@@ -206,6 +206,30 @@ class TestOperators:
             assert sorted(out.tolist()) == list(range(1, n + 1))
 
 
+    @given(st.lists(st.integers(0, 500), min_size=1, max_size=40,
+                    unique=True),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_crossover_matches_isin_formulation(self, ids, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.permutation(np.array(ids))
+        b = rng.permutation(np.array(ids))
+
+        def ox(keeper, filler, i, j):
+            child = np.empty_like(keeper)
+            child[i:j] = keeper[i:j]
+            rest = filler[~np.isin(filler, keeper[i:j])]
+            child[:i] = rest[:i]
+            child[j:] = rest[i:]
+            return child
+
+        i, j = sorted(np.random.default_rng(seed).integers(
+            0, len(ids) + 1, size=2))
+        c1, c2 = crossover(a, b, np.random.default_rng(seed))
+        assert (c1 == ox(a, b, i, j)).all()
+        assert (c2 == ox(b, a, i, j)).all()
+
+
 def _eval(available, objs):
     if not available:
         return Evaluation(False, False, False, (1.0, 1.0, 1.0, 1.0))
