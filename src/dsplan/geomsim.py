@@ -3,8 +3,15 @@
 Produces every pairwise relation layer (translation sweeps, small-clearance
 constraint directions, contacts) plus straight-line extraction motions, so
 the full planning pipeline can be exercised on synthetic products without
-any CAD input.  All sweeps advance one cell at a time; a single end-pose
-teleport could tunnel through thin walls.
+any CAD input.
+
+Every layer reads one dense ``int32`` label grid over the occupied bounding
+box of the planned parts: a cell holds the index of the part occupying it,
+or -1.  A relation is a gather of moved cell coordinates into that grid and
+a scatter of the labels hit into an (n, n) matrix, so one gather finds every
+blocked partner of every mover and a layer costs O(cells) per displacement
+instead of a loop over part pairs.  Sweeps advance one cell at a time; a
+single end-pose teleport could tunnel through thin walls.
 """
 
 from __future__ import annotations
@@ -49,21 +56,38 @@ class VoxelAssembly:
                       for pid, arr in self.cells.items()}
 
     def validate(self) -> None:
+        """Raise ValueError for the first part, in ``cells`` order, that is
+        empty, leaves the workspace or shares a cell with an earlier part."""
         if self.pitch <= 0:
             raise ValueError("grid pitch must be positive")
         lo = np.asarray(self.bounds[0])
         hi = np.asarray(self.bounds[1])
-        seen: dict[tuple[int, int, int], int] = {}
-        for pid, arr in self.cells.items():
-            if arr.shape[0] == 0:
-                raise ValueError(f"part {pid} has no cells")
-            if ((arr < lo) | (arr >= hi)).any():
-                raise ValueError(f"part {pid} extends outside the workspace")
-            for cell in map(tuple, arr.tolist()):
-                other = seen.setdefault(cell, pid)
-                if other != pid:
-                    raise ValueError(
-                        f"parts {other} and {pid} overlap at cell {cell}")
+        pids = list(self.cells)
+        arrays = list(self.cells.values())
+        bad = next((j for j, arr in enumerate(arrays) if arr.shape[0] == 0
+                    or ((arr < lo) | (arr >= hi)).any()), len(arrays))
+        if bad:
+            # overlaps among the parts checked before the first bad one: an
+            # entry clashes when the first entry holding its cell is another
+            # part's
+            stacked = np.vstack(arrays[:bad])
+            owner = np.repeat(np.arange(bad), [len(a) for a in arrays[:bad]])
+            flat = np.ravel_multi_index(tuple((stacked - lo).T),
+                                        tuple(hi - lo))
+            _, first, cell_of = np.unique(flat, return_index=True,
+                                          return_inverse=True)
+            first = first[cell_of]
+            clash = np.flatnonzero(owner != owner[first])
+            if clash.size:
+                entry = clash[0]
+                cell = tuple(int(c) for c in stacked[entry])
+                raise ValueError(
+                    f"parts {pids[owner[first[entry]]]} and "
+                    f"{pids[owner[entry]]} overlap at cell {cell}")
+        if bad < len(arrays):
+            if arrays[bad].shape[0] == 0:
+                raise ValueError(f"part {pids[bad]} has no cells")
+            raise ValueError(f"part {pids[bad]} extends outside the workspace")
 
     def part_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.cells))
@@ -77,63 +101,68 @@ class VoxelAssembly:
         return tuple(float(c) for c in centers.mean(axis=0) * self.pitch)
 
 
-def _axis_columns(cells: np.ndarray, axis: int) -> dict[tuple[int, int], np.ndarray]:
-    """Group a part's cells into columns along ``axis``.
+class _LabelGrid:
+    """The parts of ``part_order`` on a dense grid over their occupied box.
 
-    Returns {(other coord pair): array of axis coordinates}.
+    ``grid`` holds each cell's part index into ``order`` (-1 where no listed
+    part is), ``cells`` every occupied cell in assembly coordinates and
+    ``labels`` its part index.  Parts left out of ``part_order`` (ignored
+    parts) are not in the grid, so they block nothing.
     """
-    other = [i for i in range(3) if i != axis]
-    proj = cells[:, other]
-    along = cells[:, axis]
-    order = np.lexsort((along, proj[:, 1], proj[:, 0]))
-    proj = proj[order]
-    along = along[order]
-    cols: dict[tuple[int, int], np.ndarray] = {}
-    if len(cells) == 0:
-        return cols
-    change = np.flatnonzero(np.any(proj[1:] != proj[:-1], axis=1)) + 1
-    bounds = [0, *change.tolist(), len(cells)]
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        cols[(int(proj[s, 0]), int(proj[s, 1]))] = along[s:e]
-    return cols
-
-
-def _blocked_offsets(static_cols: dict, mover_cols: dict) -> np.ndarray:
-    """All integer offsets t where the mover, shifted by t along the axis,
-    overlaps the static part.  Sorted unique values."""
-    diffs = []
-    small, big, sign = ((mover_cols, static_cols, 1)
-                        if len(mover_cols) <= len(static_cols)
-                        else (static_cols, mover_cols, -1))
-    for key, a in small.items():
-        b = big.get(key)
-        if b is not None:
-            diffs.append(((b[None, :] - a[:, None]) * sign).ravel())
-    if not diffs:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(diffs))
-
-
-class _PairGeometry:
-    """Shared per-assembly caches for pairwise sweep queries."""
 
     def __init__(self, assembly: VoxelAssembly, part_order):
-        self.order = tuple(part_order)
-        self.cells = {pid: assembly.cells[pid] for pid in self.order}
-        self.columns = {
-            pid: [_axis_columns(self.cells[pid], a) for a in range(3)]
-            for pid in self.order}
-        self._offsets: dict[tuple[int, int, int], np.ndarray] = {}
+        self.order = (tuple(part_order) if part_order is not None
+                      else assembly.part_ids())
+        parts = [assembly.cells[pid] for pid in self.order]
+        self.n = len(parts)
+        self.cells = np.vstack(parts)
+        self.labels = np.repeat(np.arange(self.n, dtype=np.int32),
+                                [len(c) for c in parts])
+        self.lo = self.cells.min(axis=0)
+        self.hi = self.cells.max(axis=0) + 1
+        self.grid = np.full(self.hi - self.lo, -1, dtype=np.int32)
+        self.grid[tuple((self.cells - self.lo).T)] = self.labels
 
-    def offsets(self, static_id: int, mover_id: int, axis: int) -> np.ndarray:
-        key = (static_id, mover_id, axis)
-        cached = self._offsets.get(key)
-        if cached is None:
-            cached = _blocked_offsets(self.columns[static_id][axis],
-                                      self.columns[mover_id][axis])
-            self._offsets[key] = cached
-            self._offsets[(mover_id, static_id, axis)] = -cached[::-1]
-        return cached
+    def at(self, cells: np.ndarray) -> np.ndarray:
+        """Part index at each of ``cells`` (M, 3); -1 when empty or outside."""
+        inside = np.all((cells >= self.lo) & (cells < self.hi), axis=1)
+        found = np.full(len(cells), -1, dtype=np.int32)
+        found[inside] = self.grid[tuple((cells[inside] - self.lo).T)]
+        return found
+
+    def hits(self, moved: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """(n, n) bool: entry (i, k) is set when a cell of part k, moved to
+        its row of ``moved``, lands on part i."""
+        out = np.zeros((self.n, self.n), dtype=bool)
+        self.mark(out, self.at(moved), labels)
+        return out
+
+    def sweep(self, axis: int, steps: int, cells: np.ndarray,
+              labels: np.ndarray) -> np.ndarray:
+        """``hits`` of ``cells`` displaced 1..steps cells along +axis."""
+        out = np.zeros((self.n, self.n), dtype=bool)
+        # no cell is still inside the box after shape - 1 steps
+        steps = min(steps, self.grid.shape[axis] - 1)
+        # cells sorted by the room left before they leave the box, so the
+        # cells still inside after t steps are a prefix
+        room = self.hi[axis] - 1 - cells[:, axis]
+        by_room = np.argsort(-room, kind="stable")
+        flat = np.ravel_multi_index(tuple((cells[by_room] - self.lo).T),
+                                    self.grid.shape)
+        labels = labels[by_room]
+        inside = np.searchsorted(-room[by_room], -np.arange(1, steps + 1),
+                                 side="right")
+        stride = self.grid.strides[axis] // self.grid.itemsize
+        grid = self.grid.ravel()
+        for t, m in enumerate(inside, start=1):
+            self.mark(out, grid[flat[:m] + t * stride], labels[:m])
+        return out
+
+    @staticmethod
+    def mark(out: np.ndarray, found: np.ndarray, labels: np.ndarray) -> None:
+        """Set out[found, labels] where ``found`` is another part."""
+        keep = (found >= 0) & (found != labels)
+        out[found[keep], labels[keep]] = True
 
 
 def interference_free_matrices(assembly: VoxelAssembly,
@@ -141,21 +170,21 @@ def interference_free_matrices(assembly: VoxelAssembly,
     """Six binary layers of full-extent translation freedom.
 
     Layer order +x, +y, +z, -x, -y, -z.  Entry (i, k) of a positive layer is
-    1 when sweeping part k cell-by-cell through the combined bounding box of
-    the pair never overlaps part i; negative layers are the transposes.
+    1 when sweeping part k cell-by-cell out of the occupied bounding box
+    never overlaps part i; negative layers are the transposes.
     """
-    order = tuple(part_order) if part_order is not None else assembly.part_ids()
-    geo = _PairGeometry(assembly, order)
-    n = len(order)
-    out = np.ones((6, n, n), dtype=np.uint8)
+    return _interference_free(_LabelGrid(assembly, part_order))
+
+
+def _interference_free(g: _LabelGrid) -> np.ndarray:
+    out = np.empty((6, g.n, g.n), dtype=np.uint8)
     for a in range(3):
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                off = geo.offsets(order[i], order[k], a)
-                if off.size and off[-1] >= 1:
-                    out[a, i, k] = 0
+        # a cell whose predecessor along the axis is its own part sweeps a
+        # subset of that predecessor's path, so only run starts need moving
+        behind = g.cells.copy()
+        behind[:, a] -= 1
+        lead = g.at(behind) != g.labels
+        out[a] = ~g.sweep(a, g.grid.shape[a], g.cells[lead], g.labels[lead])
         out[a + 3] = out[a].T
     return out
 
@@ -176,80 +205,50 @@ def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
         raise ValueError("clearance must be at least one grid pitch")
     if angle <= 0:
         raise ValueError("rotation angle must be positive")
-    order = tuple(part_order) if part_order is not None else assembly.part_ids()
-    geo = _PairGeometry(assembly, order)
-    n = len(order)
+    g = _LabelGrid(assembly, part_order)
     steps = math.ceil(clearance / assembly.pitch)
-    out = np.ones((12, n, n), dtype=np.uint8)
+    out = np.empty((12, g.n, g.n), dtype=np.uint8)
     for a in range(3):
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                off = geo.offsets(order[i], order[k], a)
-                if off.size and np.any((off >= 1) & (off <= steps)):
-                    out[a, i, k] = 0
+        out[a] = ~g.sweep(a, steps, g.cells, g.labels)
         out[a + 3] = out[a].T
-
-    cell_sets = {pid: set(map(tuple, geo.cells[pid].tolist()))
-                 for pid in order}
-    rotated = {
-        pid: [[_rotate_cells(geo.cells[pid], a, s * angle) for a in range(3)]
-              for s in (1, -1)]
-        for pid in order}
-
-    def hits(mover: int, sign_idx: int, axis: int, static: int) -> bool:
-        rot = rotated[mover][sign_idx][axis]
-        static_set = cell_sets[static]
-        return any(c in static_set for c in rot)
-
+    # each part's COM is the float64 mean of its own cell centers, so a
+    # part's resampled pose does not depend on the other parts
+    com = np.array([(assembly.cells[pid] + 0.5).mean(axis=0)
+                    for pid in g.order])[g.labels]
+    rel = (g.cells + 0.5) - com
     for a in range(3):
-        for i in range(n):
-            for k in range(i + 1, n):
-                # mover k rotated +angle is the same relative motion as
-                # mover i rotated -angle; block the pair if either view hits
-                plus = (hits(order[k], 0, a, order[i])
-                        or hits(order[i], 1, a, order[k]))
-                minus = (hits(order[k], 1, a, order[i])
-                         or hits(order[i], 0, a, order[k]))
-                if plus:
-                    out[6 + a, i, k] = 0
-                    out[9 + a, k, i] = 0
-                if minus:
-                    out[9 + a, i, k] = 0
-                    out[6 + a, k, i] = 0
+        plus = g.hits(_rotate(rel, com, a, angle), g.labels)
+        minus = g.hits(_rotate(rel, com, a, -angle), g.labels)
+        # mover k rotated +angle is the same relative motion as mover i
+        # rotated -angle; block the pair if either view hits
+        out[6 + a] = ~(plus | minus.T)
+        out[9 + a] = out[6 + a].T
     return out
 
 
-def _rotate_cells(cells: np.ndarray, axis: int, angle_deg: float) -> set:
-    """Nearest-cell resample of the part rotated about its COM."""
-    centers = cells.astype(np.float64) + 0.5
-    com = centers.mean(axis=0)
+def _rotate(rel: np.ndarray, com: np.ndarray, axis: int,
+            angle_deg: float) -> np.ndarray:
+    """Nearest cells of the centers ``com + rel`` rotated about ``axis``
+    through their ``com``."""
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
     u, v = [i for i in range(3) if i != axis]
-    rel = centers - com
     rot = rel.copy()
     rot[:, u] = c * rel[:, u] - s * rel[:, v]
     rot[:, v] = s * rel[:, u] + c * rel[:, v]
-    moved = np.rint(rot + com - 0.5).astype(np.int64)
-    return set(map(tuple, moved.tolist()))
+    return np.rint(rot + com - 0.5).astype(np.int64)
 
 
 def contact_matrix(assembly: VoxelAssembly, part_order=None) -> np.ndarray:
     """Binary face-adjacency between part pairs."""
-    order = tuple(part_order) if part_order is not None else assembly.part_ids()
-    geo = _PairGeometry(assembly, order)
-    n = len(order)
-    out = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        for k in range(i + 1, n):
-            touching = any(
-                np.isin((1, -1), geo.offsets(order[i], order[k], a)).any()
-                for a in range(3))
-            if touching:
-                out[i, k] = out[k, i] = 1
-    return out
+    g = _LabelGrid(assembly, part_order)
+    touch = np.zeros((g.n, g.n), dtype=bool)
+    for a in range(3):
+        # each pair of face neighbours along the axis, compared once
+        grid = np.moveaxis(g.grid, a, 0)
+        occupied = grid[:-1] >= 0
+        g.mark(touch, grid[1:][occupied], grid[:-1][occupied])
+    return (touch | touch.T).astype(np.uint8)
 
 
 def synth_motion_table(assembly: VoxelAssembly,
@@ -261,58 +260,38 @@ def synth_motion_table(assembly: VoxelAssembly,
     the workspace bounds (a flush workspace floor therefore rules out
     downward extraction).  The per-part feasibility row marks which other
     parts the full swept volume avoids, which for straight-line extraction
-    coincides with the full-extent translation sweep.
+    is the part's column of the full-extent translation sweep.
     """
-    order = tuple(part_order) if part_order is not None else assembly.part_ids()
-    geo = _PairGeometry(assembly, order)
-    n = len(order)
+    g = _LabelGrid(assembly, part_order)
+    x_if = _interference_free(g)
     ws_lo = np.asarray(assembly.bounds[0])
     ws_hi = np.asarray(assembly.bounds[1])
-    occupied = np.vstack([geo.cells[pid] for pid in order])
-    bbox_lo = occupied.min(axis=0)
-    bbox_hi = occupied.max(axis=0) + 1
 
     table: dict[int, tuple[Motion, ...]] = {}
-    for k, pid in enumerate(order):
-        cells = geo.cells[pid]
+    for k, pid in enumerate(g.order):
+        cells = assembly.cells[pid]
         p_lo = cells.min(axis=0)
         p_hi = cells.max(axis=0) + 1
         entries = []
         for d, kind in enumerate(TRANSLATION_KINDS):
             axis = d % 3
-            positive = d < 3
-            if positive:
-                t_exit = int(bbox_hi[axis] - p_lo[axis])
+            if d < 3:
+                t_exit = int(g.hi[axis] - p_lo[axis])
                 in_bounds = p_hi[axis] + t_exit <= ws_hi[axis]
             else:
-                t_exit = int(p_hi[axis] - bbox_lo[axis])
+                t_exit = int(p_hi[axis] - g.lo[axis])
                 in_bounds = p_lo[axis] - t_exit >= ws_lo[axis]
-            if not in_bounds:
-                continue
-            row = np.ones(n, dtype=np.uint8)
-            for i, other in enumerate(order):
-                if i == k:
-                    continue
-                off = geo.offsets(other, pid, axis)
-                if off.size == 0:
-                    continue
-                blocked = off[-1] >= 1 if positive else off[0] <= -1
-                if blocked:
-                    row[i] = 0
-            entries.append(Motion(id=len(entries), kind=kind, row=row))
+            if in_bounds:
+                entries.append(Motion(id=len(entries), kind=kind,
+                                      row=x_if[d, :, k].copy()))
         table[pid] = tuple(entries)
-    return MotionTable(tuple(order), table)
+    return MotionTable(g.order, table)
 
 
-def _box(x0, y0, z0, x1, y1, z1) -> set:
-    return {(x, y, z)
-            for x in range(x0, x1)
-            for y in range(y0, y1)
-            for z in range(z0, z1)}
-
-
-def _cells_array(cells: set) -> np.ndarray:
-    return np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)
+def _cells_of(box: np.ndarray, origin) -> np.ndarray:
+    """The occupied cells of a boolean ``box`` placed at ``origin``, in
+    lexicographic order."""
+    return np.argwhere(box) + np.asarray(origin, dtype=np.int64)
 
 
 def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
@@ -363,8 +342,8 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
         sy = y0 + 1 if y0 == off else y0
         return sx, sy
 
-    cells: dict[int, set] = {}
-    cells[1] = _box(0, 0, 0, base_size, base_size, base_h)
+    cells: dict[int, np.ndarray] = {
+        1: _cells_of(np.ones((base_size, base_size, base_h), bool), (0, 0, 0))}
 
     block_ids = []
     screw_ids: dict[int, list[int]] = {}
@@ -373,7 +352,7 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
     for level_idx in range(n_layers):
         size = sizes[level_idx]
         off = (base_size - size) // 2
-        block = _box(off, off, zb, off + size, off + size, zb + block_h)
+        block = np.ones((size, size, block_h), bool)
         block_id = next_id
         next_id += 1
         block_ids.append(block_id)
@@ -381,24 +360,23 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
         for corner in corner_positions(level_idx):
             x0, y0 = corner
             sx, sy = shank_xy(corner, level_idx)
-            head = _box(x0, y0, zb + 2, x0 + 2, y0 + 2, zb + 3)
-            shank = {(sx, sy, zb), (sx, sy, zb + 1)}
-            block -= head | shank
+            # a 2x2 head on top of a two-cell shank, cut out of the block
+            screw = np.zeros((2, 2, 3), bool)
+            screw[:, :, 2] = True
+            screw[sx - x0, sy - y0, :2] = True
+            block[x0 - off:x0 - off + 2, y0 - off:y0 - off + 2] &= ~screw
             screw_id = next_id
             next_id += 1
             screw_ids[block_id].append(screw_id)
-            cells[screw_id] = head | shank
-        cells[block_id] = block
+            cells[screw_id] = _cells_of(screw, (x0, y0, zb))
+        cells[block_id] = _cells_of(block, (off, off, zb))
         zb += block_h
 
     top_z = zb
     margin = max(base_size, top_z) + 2
     bounds = ((-margin, -margin, 0),
               (base_size + margin, base_size + margin, top_z + margin))
-    assembly = VoxelAssembly(
-        pitch=pitch,
-        cells={pid: _cells_array(c) for pid, c in cells.items()},
-        bounds=bounds)
+    assembly = VoxelAssembly(pitch=pitch, cells=cells, bounds=bounds)
     assembly.validate()
 
     manual_count = int(round(manual_fraction * n_layers))

@@ -359,22 +359,71 @@ def _com_from_json(part_id, value) -> tuple[float, float, float]:
     return com
 
 
-def _part_from_json(obj: dict) -> Part:
+def _int_from_json(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _list_from_json(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(
+            f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _fields_from_json(obj, fields, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object, got "
+                          f"{type(obj).__name__}")
+    for name in fields:
+        if name not in obj:
+            raise SchemaError(f"{where} missing field {name!r}")
+    return obj
+
+
+def _misfit(value, shape, where: str) -> str | None:
+    """Location of the first entry of nested lists ``value`` that does not
+    fit ``shape``, or None when the nesting fits."""
+    if not shape:
+        return None if isinstance(value, (int, float)) else where
+    if not isinstance(value, list) or len(value) != shape[0]:
+        return where
+    for j, item in enumerate(value):
+        bad = _misfit(item, shape[1:], f"{where}[{j}]")
+        if bad is not None:
+            return bad
+    return None
+
+
+def _array_from_json(value, shape, dtype, where: str) -> np.ndarray:
     try:
-        labels = obj["labels"]
-        return Part(
-            id=int(obj["id"]),
-            name=str(obj["name"]),
-            task_label=str(labels["task"]),
-            priority=bool(labels.get("priority", False)),
-            base=bool(labels.get("base", False)),
-            ignore=bool(labels.get("ignore", False)),
-            com=_com_from_json(obj["id"], obj["com"]),
-            eef=obj.get("eef"),
-            size=(float(obj["size"]) if obj.get("size") is not None else None),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"part entry missing field {exc}") from exc
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        bad = _misfit(value, shape, where)
+        raise SchemaError(f"{where} must hold {np.dtype(dtype).name} numbers "
+                          f"in shape {shape}"
+                          + (f"; {bad} does not fit" if bad else ""))
+    return arr
+
+
+def _part_from_json(obj, where: str) -> Part:
+    obj = _fields_from_json(obj, ("id", "name", "labels", "com"), where)
+    labels = _fields_from_json(obj["labels"], ("task",), f"{where}.labels")
+    part_id = _int_from_json(obj["id"], f"{where}.id")
+    return Part(
+        id=part_id,
+        name=str(obj["name"]),
+        task_label=str(labels["task"]),
+        priority=bool(labels.get("priority", False)),
+        base=bool(labels.get("base", False)),
+        ignore=bool(labels.get("ignore", False)),
+        com=_com_from_json(part_id, obj["com"]),
+        eef=obj.get("eef"),
+        size=(float(obj["size"]) if obj.get("size") is not None else None),
+    )
 
 
 def dataset_to_json(dataset: Dataset) -> str:
@@ -423,16 +472,17 @@ def load_dataset(path: str | Path) -> Dataset:
         if key not in doc:
             raise SchemaError(f"missing top-level field {key!r}")
 
-    catalog = PartCatalog(tuple(_part_from_json(p) for p in doc["parts"]))
-    part_order = tuple(int(i) for i in doc["part_order"])
+    catalog = PartCatalog(tuple(
+        _part_from_json(p, f"parts[{j}]")
+        for j, p in enumerate(_list_from_json(doc["parts"], "parts"))))
+    part_order = tuple(
+        _int_from_json(pid, f"part_order[{j}]")
+        for j, pid in enumerate(_list_from_json(doc["part_order"],
+                                                "part_order")))
     n = len(part_order)
 
     def as_array(key, shape, dtype):
-        arr = np.asarray(doc[key], dtype=dtype)
-        if arr.shape != shape:
-            raise SchemaError(
-                f"{key} must have shape {shape}, got {arr.shape}")
-        return arr
+        return _array_from_json(doc[key], shape, dtype, key)
 
     x_if = as_array("x_if", (N_TRANSLATIONS, n, n), np.uint8)
     x_cf = as_array("x_cf", (N_DIRECTIONS, n, n), np.uint8)
@@ -444,16 +494,22 @@ def load_dataset(path: str | Path) -> Dataset:
     matrices = RelationMatrices(part_order, x_if, x_cf, x_ct, x_cs)
     matrices.validate(catalog)
 
+    if not isinstance(doc["motions"], dict):
+        raise SchemaError("motions must be an object keyed by part id")
     motion_map: dict[int, tuple[Motion, ...]] = {}
     for key, entries in doc["motions"].items():
         try:
             pid = int(key)
         except ValueError as exc:
             raise SchemaError(f"motion key {key!r} is not a part id") from exc
-        motion_map[pid] = tuple(
-            Motion(id=int(m["id"]), kind=str(m["kind"]),
-                   row=np.asarray(m["row"], dtype=np.uint8))
-            for m in entries)
+        parsed = []
+        for j, m in enumerate(_list_from_json(entries, f"motions[{key!r}]")):
+            where = f"motions[{key!r}][{j}]"
+            m = _fields_from_json(m, ("id", "kind", "row"), where)
+            parsed.append(Motion(
+                id=_int_from_json(m["id"], f"{where}.id"), kind=str(m["kind"]),
+                row=_array_from_json(m["row"], (n,), np.uint8, f"{where}.row")))
+        motion_map[pid] = tuple(parsed)
     motions = MotionTable(part_order, motion_map)
     motions.validate()
     return Dataset(catalog, matrices, motions)

@@ -43,3 +43,45 @@ def tower10_labeled():
 def plain_tower4():
     """Screwless four-part stack (base plus three resting blocks)."""
     return make_tower(3, 0, seed=1)
+
+
+def _motion_without_row(doc):
+    key = next(k for k, entries in sorted(doc["motions"].items()) if entries)
+    del doc["motions"][key][0]["row"]
+    return f"motions['{key}'][0] missing field 'row'"
+
+
+def _parts_not_a_list(doc):
+    doc["parts"] = {str(p["id"]): p for p in doc["parts"]}
+    return "parts must be a list, got dict"
+
+
+def _ragged_x_if(doc):
+    doc["x_if"][2][1].pop()
+    return "x_if[2][1] does not fit"
+
+
+def _non_integer_part_order(doc):
+    doc["part_order"][1] = "two"
+    return "part_order[1] must be an integer, got 'two'"
+
+
+def _part_not_an_object(doc):
+    doc["parts"][1] = 2
+    return "parts[1] must be an object, got int"
+
+
+def _motions_not_an_object(doc):
+    doc["motions"] = list(doc["motions"].values())
+    return "motions must be an object keyed by part id"
+
+
+# Mutations of a saved dataset document that the loader must reject with a
+# SchemaError; each edits the document in place and returns the text the
+# error message must contain.
+MALFORMED = {"motion-without-row": _motion_without_row,
+             "parts-not-a-list": _parts_not_a_list,
+             "ragged-x_if": _ragged_x_if,
+             "non-integer-part_order": _non_integer_part_order,
+             "part-not-an-object": _part_not_an_object,
+             "motions-not-an-object": _motions_not_an_object}

@@ -201,3 +201,35 @@ def ccgi_reference(graph, rng):
         present.remove(picked)
     removal.append(graph.root)
     return removal[::-1]
+
+
+def rotation_blocked(static_cells, mover_cells, axis, angle_deg):
+    """Naive nearest-cell rotation: does the mover, rotated by ``angle_deg``
+    about ``axis`` through its centre of mass, land on a static cell?"""
+    static = set(map(tuple, static_cells))
+    centers = [[c + 0.5 for c in cell] for cell in mover_cells]
+    com = [sum(p[d] for p in centers) / len(centers) for d in range(3)]
+    u, v = [d for d in range(3) if d != axis]
+    theta = math.radians(angle_deg)
+    cos, sin = math.cos(theta), math.sin(theta)
+    for p in centers:
+        rel = [p[d] - com[d] for d in range(3)]
+        rel[u], rel[v] = (cos * rel[u] - sin * rel[v],
+                          sin * rel[u] + cos * rel[v])
+        # round() on a float rounds half to even, as nearest-cell resampling
+        if tuple(round(rel[d] + com[d] - 0.5) for d in range(3)) in static:
+            return True
+    return False
+
+
+def face_contact(a_cells, b_cells):
+    """Naive six-neighbour test: does any cell of b share a face with a?"""
+    a = set(map(tuple, a_cells))
+    for (x, y, z) in b_cells:
+        for d in range(3):
+            for s in (1, -1):
+                n = [x, y, z]
+                n[d] += s
+                if tuple(n) in a:
+                    return True
+    return False

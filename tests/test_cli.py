@@ -4,7 +4,7 @@ import pytest
 
 from dsplan.cli import main
 from dsplan.model import load_dataset, save_dataset
-from conftest import make_tower
+from conftest import MALFORMED, make_tower
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,18 @@ class TestExitCodes:
         args = [command, "--dataset", str(bad), "--out", str(tmp_path)]
         assert main(args) == 2
         assert "part 1: com" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    def test_dataset_error_malformed_field(self, dataset_file, tmp_path,
+                                          command, mutation, capsys):
+        doc = json.loads(dataset_file.read_text())
+        message = MALFORMED[mutation](doc)
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        args = [command, "--dataset", str(bad), "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

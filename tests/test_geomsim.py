@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,13 @@ from dsplan.geomsim import (
     interference_free_matrices,
     synth_motion_table,
 )
-from dsplan.model import derive_constraint_degree
+from dsplan.model import (
+    Part,
+    PartCatalog,
+    dataset_to_json,
+    derive_constraint_degree,
+    parse_labels,
+)
 from conftest import make_tower
 
 
@@ -27,20 +35,54 @@ def _cube(x0, y0, z0, n):
             for y in range(y0, y0 + n) for z in range(z0, z0 + n)]
 
 
+def _peg_in_sleeve():
+    sleeve = [(x, y, z) for x in range(3) for y in range(3)
+              for z in range(1, 5) if not (x == 1 and y == 1)]
+    sleeve += [(x, y, 0) for x in range(3) for y in range(3)]
+    peg = [(1, 1, z) for z in range(1, 5)]
+    return sleeve, peg
+
+
+def _pin_through_plate():
+    plate = [(x, y, 1) for x in range(5) for y in range(5)
+             if not (x == 2 and y == 2)]
+    # pin with a wider cap on top: only upward extraction stays free
+    pin = [(2, 2, z) for z in (0, 1)] + [(x, y, 2)
+                                         for x in (1, 2, 3)
+                                         for y in (1, 2, 3)]
+    return plate, pin
+
+
 class TestValidation:
     def test_overlap_rejected(self):
         asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(1, 1, 1, 2)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"parts 1 and 2 overlap at "
+                                             r"cell \(1, 1, 1\)"):
             asm.validate()
+
+    def test_first_faulty_part_is_reported(self):
+        # parts are checked in insertion order: an overlap found at part 3
+        # is reported before the empty part 4 and the stray part 5
+        asm = _assembly({2: _cube(0, 0, 0, 2), 3: [(5, 5, 5), (1, 0, 1)],
+                         4: [], 5: _cube(0, 0, -3, 1)})
+        with pytest.raises(ValueError, match=r"parts 2 and 3 overlap at "
+                                             r"cell \(1, 0, 1\)"):
+            asm.validate()
+        del asm.cells[3]
+        with pytest.raises(ValueError, match="part 4 has no cells"):
+            asm.validate()
+
+    def test_part_may_repeat_its_own_cell(self):
+        _assembly({1: [(0, 0, 0), (0, 0, 0)], 2: [(1, 0, 0)]}).validate()
 
     def test_empty_part_rejected(self):
         asm = _assembly({1: []})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="part 1 has no cells"):
             asm.validate()
 
     def test_out_of_bounds_rejected(self):
         asm = _assembly({1: _cube(0, 0, -3, 2)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="part 1 extends outside"):
             asm.validate()
 
 
@@ -56,10 +98,7 @@ class TestInterferenceFree:
             assert x_if[j, 1, 0] == 1 and x_if[j, 0, 1] == 1
 
     def test_peg_in_sleeve_open_top(self):
-        sleeve = [(x, y, z) for x in range(3) for y in range(3)
-                  for z in range(1, 5) if not (x == 1 and y == 1)]
-        sleeve += [(x, y, 0) for x in range(3) for y in range(3)]
-        peg = [(1, 1, z) for z in range(1, 5)]
+        sleeve, peg = _peg_in_sleeve()
         asm = _assembly({1: sleeve, 2: peg})
         asm.validate()
         x_if = interference_free_matrices(asm)
@@ -86,12 +125,7 @@ class TestConstraintFree:
         assert (x_cf[:, 1, 0] == 1).all()
 
     def test_pin_through_plate_hole(self):
-        plate = [(x, y, 1) for x in range(5) for y in range(5)
-                 if not (x == 2 and y == 2)]
-        # pin with a wider cap on top: only upward extraction stays free
-        pin = [(2, 2, z) for z in (0, 1)] + [(x, y, 2)
-                                             for x in (1, 2, 3)
-                                             for y in (1, 2, 3)]
+        plate, pin = _pin_through_plate()
         asm = _assembly({1: plate, 2: pin})
         asm.validate()
         x_cf = constraint_free_matrices(asm, clearance=1.0)
@@ -263,3 +297,147 @@ class TestGenerator:
             generate_synthetic(1, 1, manual_fraction=1.5)
         with pytest.raises(ValueError):
             generate_synthetic(1, 1, priority_count=2)
+
+
+DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+              (-1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
+def _oracle_dataset_layers(asm, order, steps, angle):
+    """x_if, x_cf, x_ct and the motion table recomputed pair by pair with
+    the naive cell-set functions of the oracle."""
+    cells = {pid: asm.cells[pid].tolist() for pid in order}
+    occupied = np.vstack([asm.cells[pid] for pid in order])
+    lo, hi = occupied.min(axis=0), occupied.max(axis=0) + 1
+    reach = int((hi - lo).max())
+    n = len(order)
+    x_if = np.ones((6, n, n), dtype=np.uint8)
+    x_cf = np.ones((12, n, n), dtype=np.uint8)
+    x_ct = np.zeros((n, n), dtype=np.uint8)
+    for i, pi in enumerate(order):
+        for k, pk in enumerate(order):
+            if i == k:
+                continue
+            static, mover = cells[pi], cells[pk]
+            for j, d in enumerate(DIRECTIONS):
+                x_if[j, i, k] = not oracle.sweep_blocked(static, mover, d,
+                                                         reach)
+                x_cf[j, i, k] = not oracle.sweep_blocked(static, mover, d,
+                                                         steps)
+            for a in range(3):
+                # column k turns +angle: k's own +angle pose, or i's -angle
+                x_cf[6 + a, i, k] = not (
+                    oracle.rotation_blocked(static, mover, a, angle)
+                    or oracle.rotation_blocked(mover, static, a, -angle))
+                x_cf[9 + a, i, k] = not (
+                    oracle.rotation_blocked(static, mover, a, -angle)
+                    or oracle.rotation_blocked(mover, static, a, angle))
+            x_ct[i, k] = oracle.face_contact(static, mover)
+    ws_lo, ws_hi = asm.bounds
+    motions = {}
+    for k, pk in enumerate(order):
+        p_lo = asm.cells[pk].min(axis=0)
+        p_hi = asm.cells[pk].max(axis=0) + 1
+        motions[pk] = []
+        for j, kind in enumerate(("+x", "+y", "+z", "-x", "-y", "-z")):
+            a = j % 3
+            if j < 3:
+                fits = p_hi[a] + (hi[a] - p_lo[a]) <= ws_hi[a]
+            else:
+                fits = p_lo[a] - (p_hi[a] - lo[a]) >= ws_lo[a]
+            if fits:
+                motions[pk].append((kind, x_if[j, :, k].tolist()))
+    return x_if, x_cf, x_ct, motions
+
+
+def _spacer_assembly(with_spacer=True):
+    """A base plate, a 14-cell bar resting on it and an ignore-labelled
+    spacer beside the bar's +x end: in the bar's +x sweep, in the path of
+    its +rz rotation (the end cell swings into y = 3) and touching it."""
+    parts = {1: [(x, y, 0) for x in range(16) for y in range(6)],
+             2: [(x, 2, 1) for x in range(14)]}
+    if with_spacer:
+        parts[3] = [(13, 3, 1), (14, 3, 1), (14, 2, 1)]
+    catalog = PartCatalog(tuple(
+        Part(pid, name, parse_labels(name).task, base=(pid == 1),
+             ignore=(pid == 3))
+        for pid, name in ((1, "plate_base"), (2, "bar_graspable"),
+                          (3, "spacer_graspable_ignore")) if pid in parts))
+    return _assembly(parts), catalog
+
+
+TOWERS = {"tower5": (2, 1, 0.0, 0, 7), "tower7": (2, 2, 0.5, 1, 5),
+          "tower10": (3, 2, 0.0, 0, 3)}
+
+
+def _oracle_case(name):
+    if name in TOWERS:
+        layers, screws, manual, priority, seed = TOWERS[name]
+        return generate_synthetic(layers, screws, manual, priority, seed)
+    if name == "spacer":
+        return _spacer_assembly()
+    static, mover = {"peg_in_sleeve": _peg_in_sleeve,
+                     "pin_through_plate": _pin_through_plate}[name]()
+    asm = _assembly({1: static, 2: mover})
+    return asm, PartCatalog((Part(1, "a_plate", "plate"),
+                             Part(2, "b_graspable", "graspable")))
+
+
+class TestOracleCrossCheck:
+    @pytest.mark.parametrize("name", [*TOWERS, "peg_in_sleeve",
+                                      "pin_through_plate", "spacer"])
+    def test_every_layer_matches_the_oracle(self, name):
+        asm, catalog = _oracle_case(name)
+        asm.validate()
+        ds = build_dataset(asm, catalog)
+        order = catalog.non_ignored_ids()
+        x_if, x_cf, x_ct, motions = _oracle_dataset_layers(
+            asm, order, steps=1, angle=5.0)
+        assert (ds.matrices.interference_free == x_if).all()
+        assert (ds.matrices.constraint_free == x_cf).all()
+        assert (ds.matrices.contact == x_ct).all()
+        got = {pid: [(m.kind, m.row.tolist()) for m in entries]
+               for pid, entries in ds.motions.motions.items()}
+        assert got == motions
+
+    def test_wider_clearance_and_angle_match_the_oracle(self):
+        asm, catalog = _oracle_case("tower5")
+        order = catalog.non_ignored_ids()
+        _, x_cf, _, _ = _oracle_dataset_layers(asm, order, steps=3,
+                                               angle=20.0)
+        got = constraint_free_matrices(asm, 3.0, 20.0, order)
+        assert (got == x_cf).all()
+
+    def test_ignored_spacer_blocks_nothing(self):
+        asm, catalog = _spacer_assembly()
+        spacer, bar = asm.cells[3].tolist(), asm.cells[2].tolist()
+        # the spacer would block the bar if it were planned
+        assert oracle.sweep_blocked(spacer, bar, (1, 0, 0), 4)
+        assert oracle.rotation_blocked(spacer, bar, 2, 5.0)
+        assert oracle.face_contact(spacer, bar)
+        built = build_dataset(asm, catalog)
+        assert built.matrices.part_order == (1, 2)
+        # every layer and motion equals the build without the spacer
+        bare = build_dataset(*_spacer_assembly(with_spacer=False))
+        assert (dataset_to_json(built._replace(catalog=bare.catalog))
+                == dataset_to_json(bare))
+        assert built.matrices.interference_free[0, :, 1].all()
+        assert built.matrices.constraint_free[8, :, 1].all()
+
+
+class TestGoldenDigests:
+    """sha256 of the serialized datasets of three screw towers, 10, 36 and
+    76 parts; any change in a relation layer changes these bytes."""
+
+    @pytest.mark.parametrize("args, kwargs, digest", [
+        ((3, 2), dict(seed=3),
+         "70107b047bb0a221ca4202c8df25dd2a8e91c9a2d272f2cb1997d774de02606f"),
+        ((7, 4), dict(manual_fraction=0.3, priority_count=2, seed=12),
+         "19f8a861ad2cccf0777733d54f03862a7b4c429e1f6aebfc8fab2c0a97692c8b"),
+        ((15, 4, 0.3, 2), dict(seed=12),
+         "9870c1fb10eb5a8f941fd52b2c158a28953b04b8e530df0a3ec73d932fb7627c"),
+    ])
+    def test_dataset_digest(self, args, kwargs, digest):
+        ds = build_dataset(*generate_synthetic(*args, **kwargs))
+        text = dataset_to_json(ds)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

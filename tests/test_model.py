@@ -23,7 +23,7 @@ from dsplan.model import (
     save_dataset,
     validate_sequence,
 )
-from conftest import make_tower
+from conftest import MALFORMED, make_tower
 
 
 class TestParseLabels:
@@ -231,6 +231,16 @@ class TestDatasetIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="part 2: com"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED))
+    def test_malformed_field_rejected(self, tmp_path, mutation):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        message = MALFORMED[mutation](doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert message in str(err.value)
 
     def test_contact_without_constraint_rejected(self):
         order = (1, 2)
