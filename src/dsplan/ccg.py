@@ -2,9 +2,9 @@
 
 Four initializers are provided: graph-guided (ccgi), uniform random (ri),
 and two rearrangement repairs (fr fixes interference violations, sfr fixes
-interference and stability).  The rearrangement checks use the strict
-single-clearing-direction interference term: the literal per-pair term is
-sequence-independent, which would turn the repair loop into a no-op.
+interference and stability).  The repairs scan bit masks of the constraint
+kernel's own strict order and stability rows.  Strict, because the literal
+per-pair term is sequence-independent and would make the repair a no-op.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constraints import ConstraintTables
 from .model import FIXING_LABELS, PartCatalog, RelationMatrices
 
 _INF = float("inf")
@@ -176,44 +177,40 @@ def random_init(catalog: PartCatalog,
     return rng.permutation(ids)
 
 
-def _strict_order_term(perm: np.ndarray, k: int,
-                       if_layers: np.ndarray) -> bool:
-    """Some single direction clears every part at positions below k."""
-    return bool(if_layers[:, perm[:k], perm[k]].all(axis=1).any())
-
-
-def _stability_term(perm: np.ndarray, k: int, contact: np.ndarray) -> bool:
-    return bool(contact[perm[:k], perm[k]].sum() > 0)
-
-
-def _rearrange(catalog: PartCatalog, matrices: RelationMatrices,
-               rng: np.random.Generator, max_passes: int,
-               with_stability: bool) -> np.ndarray:
+def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
+               max_passes: int, with_stability: bool,
+               tables: ConstraintTables | None) -> np.ndarray:
+    if tables is None:
+        tables = ConstraintTables(matrices)
+    order = tables.bit_rows("order", "strict")
+    support = [rows[0] for rows in tables.bit_rows("stability", "strict")]
+    touching = tables.touching
     ids = np.array(matrices.part_order, dtype=np.int64)
-    index = {int(pid): j for j, pid in enumerate(ids)}
-    perm = np.array([index[int(x)] for x in rng.permutation(ids)],
-                    dtype=np.int64)
-    if_layers = matrices.interference_free.astype(bool)
-    contact = matrices.contact.astype(np.int64)
+    perm = [tables.index[int(x)] for x in rng.permutation(ids)]
     n = len(perm)
+    where = np.argsort(perm).tolist()
     for _ in range(max_passes):
         swapped = False
+        # bit b of ``below``: part b sits at a position below k
+        below = (1 << n) - 1
         for k in range(n - 1, 0, -1):
-            if not _strict_order_term(perm, k, if_layers):
+            a = perm[k]
+            below ^= 1 << a
+            if all(map(below.__and__, order[a])):
                 # cannot escape what remains: delay it (random earlier slot)
                 r = int(rng.integers(k))
-            elif with_stability and not _stability_term(perm, k, contact):
+            elif with_stability and not support[a] & below and touching[a]:
                 # stranded after all its contacts: advance it to a random
                 # slot at or above its latest-removed neighbor, so one
                 # support outlives it (a downward swap can never fix this)
-                touching = np.flatnonzero(contact[perm[k]] > 0)
-                if len(touching) == 0:
-                    continue
-                pos = np.flatnonzero(np.isin(perm, touching)).min()
-                r = int(rng.integers(pos, n))
+                r = int(rng.integers(min(where[b] for b in touching[a]), n))
             else:
                 continue
-            perm[k], perm[r] = perm[r], perm[k]
+            c = perm[r]
+            perm[k], perm[r] = c, a
+            where[a], where[c] = r, k
+            if r < k:
+                below ^= 1 << a | 1 << c
             swapped = True
         if not swapped:
             break
@@ -221,19 +218,21 @@ def _rearrange(catalog: PartCatalog, matrices: RelationMatrices,
 
 
 def fr_init(catalog: PartCatalog, matrices: RelationMatrices,
-            rng: np.random.Generator, max_passes: int = 50) -> np.ndarray:
+            rng: np.random.Generator, max_passes: int = 50, *,
+            tables: ConstraintTables | None = None) -> np.ndarray:
     """Random permutation repaired toward interference feasibility.
 
     Scans positions last-to-second; a violating part is swapped to a random
     earlier (later-removed) slot.  The result may still violate.
     """
-    return _rearrange(catalog, matrices, rng, max_passes, with_stability=False)
+    return _rearrange(matrices, rng, max_passes, False, tables)
 
 
 def sfr_init(catalog: PartCatalog, matrices: RelationMatrices,
-             rng: np.random.Generator, max_passes: int = 50) -> np.ndarray:
+             rng: np.random.Generator, max_passes: int = 50, *,
+             tables: ConstraintTables | None = None) -> np.ndarray:
     """Like fr_init but also repairs the connection (stability) terms."""
-    return _rearrange(catalog, matrices, rng, max_passes, with_stability=True)
+    return _rearrange(matrices, rng, max_passes, True, tables)
 
 
 INIT_METHODS = ("ri", "fr", "sfr", "ccgi")
@@ -244,10 +243,11 @@ def make_initializer(method: str, catalog: PartCatalog,
     """Bind an initializer name to a ``f(rng) -> sequence`` callable."""
     if method == "ri":
         return lambda rng: random_init(catalog, rng)
-    if method == "fr":
-        return lambda rng: fr_init(catalog, matrices, rng)
-    if method == "sfr":
-        return lambda rng: sfr_init(catalog, matrices, rng)
+    if method in ("fr", "sfr"):
+        tables = ConstraintTables(matrices)
+        if method == "fr":
+            return lambda rng: fr_init(catalog, matrices, rng, tables=tables)
+        return lambda rng: sfr_init(catalog, matrices, rng, tables=tables)
     if method == "ccgi":
         graph = build_ccg(catalog, matrices)
         return lambda rng: ccgi_init(graph, rng)

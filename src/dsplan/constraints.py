@@ -20,6 +20,7 @@ least one part that remains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,7 @@ class ConstraintTables:
             self.weights["motion", "strict"] = blocked
             self.weights["motion", "as-written"] = ~pair[:, None, :]
         self._kernels: dict[tuple, TermKernel] = {}
+        self._bit_rows: dict[tuple, list[list[int]]] = {}
 
     def to_indices(self, seq) -> np.ndarray:
         return np.fromiter((self.index[int(x)] for x in seq),
@@ -115,6 +117,26 @@ class ConstraintTables:
         if key not in self._kernels:
             self._kernels[key] = TermKernel(self, mode, terms)
         return self._kernels[key]
+
+    def bit_rows(self, term: str, mode: str) -> list[list[int]]:
+        """The cached weight rows of ``term`` in ``mode`` as Python ints.
+
+        ``rows[a][m]`` has bit b set when ``weights[term, mode][a, m, b]``
+        is, so a term check against a bit mask of the parts below costs one
+        integer AND per option.
+        """
+        key = (term, mode)
+        if key not in self._bit_rows:
+            packed = np.packbits(self.weights[key], axis=2, bitorder="little")
+            self._bit_rows[key] = [
+                [int.from_bytes(row.tobytes(), "little") for row in options]
+                for options in packed]
+        return self._bit_rows[key]
+
+    @cached_property
+    def touching(self) -> list[list[int]]:
+        """``touching[a]``: the parts in contact with part a, ascending."""
+        return [np.flatnonzero(row).tolist() for row in self.contact]
 
 
 def before_matrix(perms: np.ndarray) -> np.ndarray:

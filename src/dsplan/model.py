@@ -397,16 +397,40 @@ def _misfit(value, shape, where: str) -> str | None:
 
 
 def _array_from_json(value, shape, dtype, where: str) -> np.ndarray:
+    """Nested lists as a ``dtype`` array.  Every entry must be an integer
+    (an integral float passes) in the range of ``dtype``; the dtype is
+    inferred first, so nothing is truncated or wrapped on the way."""
     try:
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or arr.shape != shape:
+    if arr is None or arr.shape != shape or arr.dtype.kind not in "biuf":
         bad = _misfit(value, shape, where)
         raise SchemaError(f"{where} must hold {np.dtype(dtype).name} numbers "
                           f"in shape {shape}"
                           + (f"; {bad} does not fit" if bad else ""))
-    return arr
+    info = np.iinfo(dtype)
+    ok = (arr >= info.min) & (arr <= info.max)
+    if arr.dtype.kind == "f":
+        ok &= arr == np.floor(arr)
+    if not ok.all():
+        index = np.argwhere(~ok)[0]
+        raise SchemaError(
+            f"{where}{''.join(f'[{i}]' for i in index)} must be an integer "
+            f"in [{info.min}, {info.max}], got {arr[tuple(index)].item()!r}")
+    return arr.astype(dtype)
+
+
+def _size_from_json(value, where: str) -> float | None:
+    if value is None:
+        return None
+    try:
+        size = float(value)
+    except (TypeError, ValueError, OverflowError):
+        size = math.nan
+    if not math.isfinite(size):
+        raise SchemaError(f"{where} must be a finite number, got {value!r}")
+    return size
 
 
 def _part_from_json(obj, where: str) -> Part:
@@ -422,7 +446,7 @@ def _part_from_json(obj, where: str) -> Part:
         ignore=bool(labels.get("ignore", False)),
         com=_com_from_json(part_id, obj["com"]),
         eef=obj.get("eef"),
-        size=(float(obj["size"]) if obj.get("size") is not None else None),
+        size=_size_from_json(obj.get("size"), f"{where}.size"),
     )
 
 
@@ -496,20 +520,32 @@ def load_dataset(path: str | Path) -> Dataset:
 
     if not isinstance(doc["motions"], dict):
         raise SchemaError("motions must be an object keyed by part id")
-    motion_map: dict[int, tuple[Motion, ...]] = {}
+    fields: dict[int, list[tuple]] = {}
     for key, entries in doc["motions"].items():
         try:
             pid = int(key)
         except ValueError as exc:
             raise SchemaError(f"motion key {key!r} is not a part id") from exc
-        parsed = []
+        fields[pid] = []
         for j, m in enumerate(_list_from_json(entries, f"motions[{key!r}]")):
             where = f"motions[{key!r}][{j}]"
             m = _fields_from_json(m, ("id", "kind", "row"), where)
-            parsed.append(Motion(
-                id=_int_from_json(m["id"], f"{where}.id"), kind=str(m["kind"]),
-                row=_array_from_json(m["row"], (n,), np.uint8, f"{where}.row")))
-        motion_map[pid] = tuple(parsed)
+            fields[pid].append((_int_from_json(m["id"], f"{where}.id"),
+                                str(m["kind"]), m["row"], where))
+    # every row in one conversion; when it fails, the rows are converted
+    # one at a time so that the error names the first bad motion
+    raw = [row for entries in fields.values() for _, _, row, _ in entries]
+    try:
+        rows = iter(_array_from_json(raw, (len(raw), n), np.uint8, "rows")
+                    if raw else ())
+    except SchemaError:
+        for entries in fields.values():
+            for _, _, row, where in entries:
+                _array_from_json(row, (n,), np.uint8, f"{where}.row")
+        raise
+    motion_map = {pid: tuple(Motion(id=i, kind=kind, row=next(rows))
+                             for i, kind, _, _ in entries)
+                  for pid, entries in fields.items()}
     motions = MotionTable(part_order, motion_map)
     motions.validate()
     return Dataset(catalog, matrices, motions)

@@ -76,6 +76,22 @@ def _motions_not_an_object(doc):
     return "motions must be an object keyed by part id"
 
 
+def _non_numeric_size(doc):
+    doc["parts"][1]["size"] = "abc"
+    return "parts[1].size must be a finite number, got 'abc'"
+
+
+def _fractional_x_if(doc):
+    doc["x_if"][0][0][1] = 0.5
+    return "x_if[0][0][1] must be an integer in [0, 255], got 0.5"
+
+
+def _fractional_motion_row(doc):
+    key = next(k for k, entries in sorted(doc["motions"].items()) if entries)
+    doc["motions"][key][0]["row"][2] = 1.7
+    return f"motions['{key}'][0].row[2] must be an integer in [0, 255], got 1.7"
+
+
 # Mutations of a saved dataset document that the loader must reject with a
 # SchemaError; each edits the document in place and returns the text the
 # error message must contain.
@@ -84,4 +100,7 @@ MALFORMED = {"motion-without-row": _motion_without_row,
              "ragged-x_if": _ragged_x_if,
              "non-integer-part_order": _non_integer_part_order,
              "part-not-an-object": _part_not_an_object,
-             "motions-not-an-object": _motions_not_an_object}
+             "motions-not-an-object": _motions_not_an_object,
+             "non-numeric-size": _non_numeric_size,
+             "fractional-x_if": _fractional_x_if,
+             "fractional-motion-row": _fractional_motion_row}

@@ -8,6 +8,8 @@ values on small instances.
 
 import math
 
+import numpy as np
+
 
 def extract(dataset):
     """Pull plain-python tables out of a Dataset for the oracle functions."""
@@ -233,3 +235,34 @@ def face_contact(a_cells, b_cells):
                 if tuple(n) in a:
                     return True
     return False
+
+
+def rearrange_reference(matrices, rng, max_passes, with_stability):
+    """fr (sfr with ``with_stability``) as a numpy rescan of every prefix:
+    the strict order term over all six direction layers, the contact sum
+    for stability, and ``np.isin`` for the latest-removed neighbour."""
+    ids = np.array(matrices.part_order, dtype=np.int64)
+    index = {int(pid): j for j, pid in enumerate(ids)}
+    perm = np.array([index[int(x)] for x in rng.permutation(ids)],
+                    dtype=np.int64)
+    if_layers = matrices.interference_free.astype(bool)
+    contact = matrices.contact.astype(np.int64)
+    n = len(perm)
+    for _ in range(max_passes):
+        swapped = False
+        for k in range(n - 1, 0, -1):
+            if not if_layers[:, perm[:k], perm[k]].all(axis=1).any():
+                r = int(rng.integers(k))
+            elif with_stability and not contact[perm[:k], perm[k]].sum() > 0:
+                touching = np.flatnonzero(contact[perm[k]] > 0)
+                if len(touching) == 0:
+                    continue
+                pos = np.flatnonzero(np.isin(perm, touching)).min()
+                r = int(rng.integers(pos, n))
+            else:
+                continue
+            perm[k], perm[r] = perm[r], perm[k]
+            swapped = True
+        if not swapped:
+            break
+    return ids[perm]

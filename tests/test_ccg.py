@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
+from dsplan.bench import init_benchmark, summary_csv
 from dsplan.ccg import (
     DisconnectedProduct,
     build_ccg,
@@ -25,6 +27,7 @@ from dsplan.model import (
 from dsplan.objectives import Evaluator
 from conftest import make_tower
 from test_constraints import chain_product
+from test_kernel import random_product
 
 
 def graph_product(contacts, n, fixing=(), base=None, sizes=None):
@@ -251,3 +254,121 @@ class TestRearrangement:
     def test_make_initializer_rejects_unknown(self, tower5):
         with pytest.raises(ValueError):
             make_initializer("nope", tower5.catalog, tower5.matrices)
+
+
+def criterion12_tower(layers):
+    """The screw tower of acceptance criterion 12 with ``layers`` layers."""
+    return make_tower(layers, 4, manual=0.3, priority=2, seed=12)
+
+
+def _all_free_chain():
+    # every permutation satisfies both term families
+    ds = chain_product(4)
+    ds.matrices.contact[:] = 1
+    np.fill_diagonal(ds.matrices.contact, 0)
+    return ds.catalog, ds.matrices
+
+
+def _part_without_contacts():
+    # part 4 touches nothing, so sfr finds it stranded but cannot move it
+    return graph_product([(1, 2), (2, 3)], 4, base=1)
+
+
+def _one_direction_part():
+    # part 1 blocks part 2 in every direction but +x, and part 3 blocks +x
+    catalog, matrices = graph_product([(1, 2), (2, 3)], 3, base=1)
+    x_if = matrices.interference_free
+    x_if[1:, 0, 1] = 0
+    x_if[0, 2, 1] = 0
+    for j in range(3):
+        x_if[j] &= x_if[j + 3].T
+        x_if[j + 3] = x_if[j].T
+    matrices.validate(catalog)
+    return catalog, matrices
+
+
+def _rearrange_products(case, request):
+    """The (catalog, matrices) pairs of one cross-check case."""
+    if case == "tower10":
+        ds = request.getfixturevalue("tower10")
+    elif case in ("tower36", "tower76"):
+        ds = criterion12_tower({"tower36": 7, "tower76": 15}[case])
+    elif case == "random-products":
+        return [random_product(n, n)[:2] for n in range(1, 9)]
+    else:
+        return [{"all-free-chain": _all_free_chain,
+                 "part-without-contacts": _part_without_contacts,
+                 "one-direction-part": _one_direction_part}[case]()]
+    return [(ds.catalog, ds.matrices)]
+
+
+# seeds per case: every draw on the 76-part tower costs tens of ms in the
+# reference loop
+REARRANGE_SEEDS = {"tower10": 300, "tower36": 100, "tower76": 20,
+                   "all-free-chain": 50, "part-without-contacts": 100,
+                   "one-direction-part": 100, "random-products": 10}
+
+
+class TestRearrangementReference:
+    """fr/sfr draw for draw against the numpy prefix rescan in the oracle,
+    with the generator left in the same state."""
+
+    @pytest.mark.parametrize("case", REARRANGE_SEEDS)
+    def test_draws_and_rng_state_match(self, case, request):
+        for catalog, matrices in _rearrange_products(case, request):
+            for fn, with_stability in ((fr_init, False), (sfr_init, True)):
+                for seed in range(REARRANGE_SEEDS[case]):
+                    rng = np.random.default_rng(seed)
+                    ref_rng = np.random.default_rng(seed)
+                    got = fn(catalog, matrices, rng)
+                    want = oracle.rearrange_reference(matrices, ref_rng, 50,
+                                                      with_stability)
+                    assert got.tolist() == want.tolist(), (fn, seed)
+                    assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    def test_stranded_parts_without_contacts_draw_nothing(self):
+        # no part touches another, so every term past position 1 fails
+        # stability and none can be repaired: the start draw comes back
+        catalog, matrices = graph_product([], 3)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            start_rng = np.random.default_rng(seed)
+            start = start_rng.permutation(np.array(matrices.part_order))
+            assert sfr_init(catalog, matrices, rng).tolist() == start.tolist()
+            assert rng.integers(2**62) == start_rng.integers(2**62)
+
+    def test_make_initializer_matches_direct_calls(self, tower10):
+        for method, fn in (("fr", fr_init), ("sfr", sfr_init)):
+            init = make_initializer(method, tower10.catalog, tower10.matrices)
+            for seed in range(20):
+                assert (init(np.random.default_rng(seed)) == fn(
+                    tower10.catalog, tower10.matrices,
+                    np.random.default_rng(seed))).all()
+
+
+class TestRearrangementGoldenDigests:
+    """Digests of fr/sfr draws and of an init-bench summary computed before
+    the repair scanned bit masks; seeded outputs must not move."""
+
+    @pytest.mark.parametrize("layers, draws, fn, digest", [
+        (7, 200, fr_init, "bb83232e94f2d21b86d59811d93e188b"
+                          "36fca3744b86c64e65e1dd11a4b37d9a"),
+        (7, 200, sfr_init, "8c5bac50da9d4c2730a6e70084bd3331"
+                           "d53ced173bd851a3eb6b6c237d808df3"),
+        (15, 50, fr_init, "4e5a5bf661815c3c0b291bf8851dd39e"
+                          "faa7ff55663e4920d167b735301236f7"),
+        (15, 50, sfr_init, "999ce78eaf0b061f3748aceb1a7409e5"
+                           "557a02c1ddfe82e1650c46f29508add7"),
+    ])
+    def test_draws(self, layers, draws, fn, digest):
+        ds = criterion12_tower(layers)
+        rng = np.random.default_rng(7)
+        h = hashlib.sha256()
+        for _ in range(draws):
+            h.update(fn(ds.catalog, ds.matrices, rng).astype("<i8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_init_benchmark_summary(self):
+        report = init_benchmark(criterion12_tower(7), trials=200, seed=3)
+        assert hashlib.sha256(summary_csv(report).encode()).hexdigest() == (
+            "5e45721c4a91335dfd074388510924c20d163be4f244c833d4cd36e14e4c7be2")

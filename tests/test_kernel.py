@@ -13,6 +13,7 @@ import pytest
 import oracle
 from dsplan.ccg import build_ccg, ccgi_init
 from dsplan.constraints import (
+    ConstraintTables,
     check_idx,
     motion_terms_idx,
     order_terms_idx,
@@ -187,3 +188,20 @@ def test_random_products(seed):
     ds = random_product(6, seed)
     for mode in MODES:
         assert_kernel_matches(ds, _all_perms(6), mode)
+
+
+@pytest.mark.parametrize("product", ["tower36", "random", "single"])
+def test_bit_rows_match_weight_rows(product, request):
+    ds = {"tower36": lambda: request.getfixturevalue("tower36"),
+          "random": lambda: random_product(9, 11),
+          "single": lambda: chain_product(1)}[product]()
+    tables = ConstraintTables(ds.matrices, ds.catalog, ds.motions)
+    n = tables.n
+    for (term, mode), weights in tables.weights.items():
+        rows = tables.bit_rows(term, mode)
+        bits = [[[bool(mask >> b & 1) for b in range(n)] for mask in options]
+                for options in rows]
+        assert np.array_equal(np.array(bits, dtype=bool).reshape(n, -1, n),
+                              weights), (term, mode)
+        assert all(mask >> n == 0 for options in rows for mask in options)
+        assert tables.bit_rows(term, mode) is rows

@@ -242,6 +242,51 @@ class TestDatasetIO:
             load_dataset(path)
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("key, value, bound", [
+        ("x_ct", 0.5, 255), ("x_ct", 1.7, 255), ("x_ct", -1, 255),
+        ("x_ct", 256, 255), ("x_ct", float("nan"), 255),
+        ("x_ct", float("inf"), 255), ("x_cs", 40000, 32767),
+        ("x_cs", 2.5, 32767)])
+    def test_non_integer_matrix_entry_rejected(self, tmp_path, key, value,
+                                               bound):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc[key][0][1] = value
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(
+            f"{key}[0][1] must be an integer in [")
+        assert f", {bound}], got {value!r}" in str(err.value)
+
+    def test_string_matrix_entry_rejected(self, tmp_path):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["x_if"][1][2][0] = "1"
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"x_if\[1\]\[2\]\[0\] does not"):
+            load_dataset(path)
+
+    def test_integral_floats_and_booleans_load_as_integers(self, tmp_path):
+        ds = _tiny_dataset()
+        doc = json.loads(dataset_to_json(ds))
+        doc["x_if"] = [[[float(v) for v in row] for row in layer]
+                       for layer in doc["x_if"]]
+        doc["x_ct"] = [[bool(v) for v in row] for row in doc["x_ct"]]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(doc))
+        assert dataset_to_json(load_dataset(path)) == dataset_to_json(ds)
+
+    @pytest.mark.parametrize("size", ["abc", float("nan"), float("inf"),
+                                      [1.0], {}])
+    def test_bad_size_rejected(self, tmp_path, size):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["parts"][2]["size"] = size
+        path = tmp_path / "size.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"parts\[2\]\.size must be"):
+            load_dataset(path)
+
     def test_contact_without_constraint_rejected(self):
         order = (1, 2)
         x_if = np.ones((6, 2, 2), dtype=np.uint8)
