@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,20 @@ class ContactConnectionGraph:
     connection_edges: frozenset[tuple[int, int]]
     root: int
     neighbors: dict[int, tuple[int, ...]] = field(repr=False)
+
+    @cached_property
+    def root_layers(self) -> dict[float, tuple[int, ...]]:
+        """Non-root nodes grouped by hop distance from the root over the
+        whole graph, each group ascending."""
+        return {d: tuple(group) for d, group in
+                _layers(self, set(self.nodes), self.root).items()}
+
+    @cached_property
+    def fixers(self) -> dict[int, tuple[int, ...]]:
+        """Each node's fixing neighbors other than the root, ascending."""
+        return {pid: tuple(sorted(nb for nb in nbs
+                                  if nb in self.fixing and nb != self.root))
+                for pid, nbs in self.neighbors.items()}
 
     def to_dot(self) -> str:
         """Graphviz DOT text; box nodes are fixing parts, red edges connections."""
@@ -127,6 +142,11 @@ def _layers(graph: ContactConnectionGraph, present: set[int],
     return layers
 
 
+def _choice(items: list[int], rng: np.random.Generator) -> int:
+    # numpy answers integers(1) without drawing, so a single item costs none
+    return items[rng.integers(len(items))] if len(items) > 1 else items[0]
+
+
 def ccgi_init(graph: ContactConnectionGraph,
               rng: np.random.Generator) -> np.ndarray:
     """Graph-guided initial sequence; the result is always stable.
@@ -140,22 +160,21 @@ def ccgi_init(graph: ContactConnectionGraph,
 
     Removing a node at the maximum distance changes no other node's
     distance, since no shortest path runs through it; the distances are
-    recomputed only after a fixer nearer to the root was removed.
+    recomputed only after a fixer nearer to the root was removed.  The
+    whole-graph layers and fixer lists are computed once per graph.
     """
     present = set(graph.nodes)
     root = graph.root
     removal: list[int] = []
-    layers = _layers(graph, present, root)
+    layers = {d: list(group) for d, group in graph.root_layers.items()}
     while len(present) > 1:
         far = max(layers)
         candidates = layers[far]
-        picked = candidates[rng.integers(len(candidates))]
+        picked = _choice(candidates, rng)
         if picked not in graph.fixing:
-            fixers = sorted(nb for nb in graph.neighbors[picked]
-                            if nb in present and nb in graph.fixing
-                            and nb != root)
+            fixers = [nb for nb in graph.fixers[picked] if nb in present]
             if fixers:
-                picked = fixers[rng.integers(len(fixers))]
+                picked = _choice(fixers, rng)
         removal.append(picked)
         present.remove(picked)
         if picked in candidates:
@@ -239,12 +258,18 @@ INIT_METHODS = ("ri", "fr", "sfr", "ccgi")
 
 
 def make_initializer(method: str, catalog: PartCatalog,
-                     matrices: RelationMatrices):
-    """Bind an initializer name to a ``f(rng) -> sequence`` callable."""
+                     matrices: RelationMatrices, *,
+                     tables: ConstraintTables | None = None):
+    """Bind an initializer name to a ``f(rng) -> sequence`` callable.
+
+    ``tables`` of the same product, when the caller already holds them,
+    spare fr/sfr building their own; the draws are the same either way.
+    """
     if method == "ri":
         return lambda rng: random_init(catalog, rng)
     if method in ("fr", "sfr"):
-        tables = ConstraintTables(matrices)
+        if tables is None:
+            tables = ConstraintTables(matrices)
         if method == "fr":
             return lambda rng: fr_init(catalog, matrices, rng, tables=tables)
         return lambda rng: sfr_init(catalog, matrices, rng, tables=tables)

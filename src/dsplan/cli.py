@@ -20,10 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import ablation_run, emit_report, init_benchmark, single_objective_run
-from .ccg import DisconnectedProduct, INIT_METHODS
+from .bench import (
+    ExperimentReport,
+    ablation_run,
+    emit_report,
+    init_benchmark,
+    single_objective_run,
+)
+from .ccg import DisconnectedProduct, INIT_METHODS, build_ccg
 from .geomsim import build_dataset, generate_synthetic
-from .model import Dataset, DatasetError, dataset_digest, load_dataset, save_dataset
+from .model import DatasetError, dataset_digest, load_dataset, save_dataset
 from .nsga3 import GaConfig, PlanResult, run
 from .objectives import OBJECTIVE_KEYS
 
@@ -176,8 +182,13 @@ def _log_provenance(seed: int, dataset_path: str | None, extra: dict) -> None:
         log.info("%s %s", key, value)
 
 
-def _load(path: str) -> Dataset:
-    return load_dataset(path)
+def _emit(report: ExperimentReport, out_dir: str) -> int:
+    """Write the report's files and print its summary table."""
+    paths = emit_report(report, out_dir)
+    for p in paths:
+        log.info("wrote %s", p)
+    sys.stdout.write(paths[0].read_text(encoding="utf-8"))
+    return 0
 
 
 def _plan_text(result: PlanResult, seed: int, digest: str) -> str:
@@ -241,15 +252,15 @@ def _cmd_plan(args) -> int:
     cfg = _ga_config(args, seed)
     digest = dataset_digest(args.dataset)
     _log_provenance(seed, args.dataset, {"config": asdict(cfg)})
-    dataset = _load(args.dataset)
+    dataset = load_dataset(args.dataset)
     result = run(dataset, cfg)
+    text = _plan_text(result, seed, digest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "plan_result.txt").write_text(
-        _plan_text(result, seed, digest), encoding="utf-8")
+    (out / "plan_result.txt").write_text(text, encoding="utf-8")
     (out / "plan_result.json").write_text(result.to_json(), encoding="utf-8")
     (out / "history.csv").write_text(result.history_csv(), encoding="utf-8")
-    print(_plan_text(result, seed, digest), end="")
+    print(text, end="")
     return 0
 
 
@@ -263,13 +274,9 @@ def _cmd_init_bench(args) -> int:
             raise _UsageError(f"unknown method {m!r}")
     _log_provenance(seed, args.dataset,
                     {"methods": methods, "trials": args.trials})
-    dataset = _load(args.dataset)
+    dataset = load_dataset(args.dataset)
     report = init_benchmark(dataset, args.trials, methods, seed, args.mode)
-    paths = emit_report(report, args.out)
-    for p in paths:
-        log.info("wrote %s", p)
-    sys.stdout.write((Path(paths[0]).read_text(encoding="utf-8")))
-    return 0
+    return _emit(report, args.out)
 
 
 def _apply_trials_alias(args, cfg: GaConfig) -> None:
@@ -286,13 +293,9 @@ def _cmd_ablate(args) -> int:
     cfg = _ga_config(args, seed)
     _apply_trials_alias(args, cfg)
     _log_provenance(seed, args.dataset, {"config": asdict(cfg)})
-    dataset = _load(args.dataset)
+    dataset = load_dataset(args.dataset)
     report = ablation_run(dataset, cfg)
-    paths = emit_report(report, args.out)
-    for p in paths:
-        log.info("wrote %s", p)
-    sys.stdout.write(Path(paths[0]).read_text(encoding="utf-8"))
-    return 0
+    return _emit(report, args.out)
 
 
 def _cmd_single_obj(args) -> int:
@@ -301,20 +304,17 @@ def _cmd_single_obj(args) -> int:
     _apply_trials_alias(args, cfg)
     _log_provenance(seed, args.dataset,
                     {"objective": args.objective, "config": asdict(cfg)})
-    dataset = _load(args.dataset)
+    dataset = load_dataset(args.dataset)
     report = single_objective_run(dataset, cfg, args.objective)
-    paths = emit_report(report, args.out)
-    for p in paths:
-        log.info("wrote %s", p)
-    sys.stdout.write(Path(paths[0]).read_text(encoding="utf-8"))
-    return 0
+    return _emit(report, args.out)
 
 
 def _cmd_validate(args) -> int:
     seed = _resolve_seed(args)
     _log_provenance(seed, args.dataset, {})
-    dataset = _load(args.dataset)
-    catalog, matrices, motions = dataset
+    catalog, matrices, motions = load_dataset(args.dataset)
+    # raises DisconnectedProduct: no stable removal order exists then
+    build_ccg(catalog, matrices)
     n_motions = sum(len(v) for v in motions.motions.values())
     print(f"ok: {len(catalog)} parts, {matrices.n} non-ignored, "
           f"{n_motions} candidate motions")

@@ -1,18 +1,27 @@
 """Many-objective GA: non-dominated sorting, reference-line niching, the
 four permutation operators, and the outer iteration / generation loops.
 
-The population is a ``(P, n)`` array of index permutations (positions into
-part_order); part ids appear only at the API boundary.  Each population is
-scored by one ``Evaluator.evaluate_batch`` call.  All randomness flows
-through one explicitly seeded generator, so a fixed seed gives a
-bitwise-identical result.  ``GaConfig.parallel`` selects no code path; it is
-kept because the serialized config in ``plan_result.json`` records it.
+A population is held as arrays: ``(P, n)`` index permutations (positions
+into part_order; part ids appear only at the API boundary), the feasible
+and stable flags and the ``(P, 4)`` objectives, all from one
+``Evaluator.score`` call.  Each generation sorts once: survivor selection
+admits whole fronts in order, so the survivors keep their pool front ranks
+and mating reuses them; only an iteration's initial population is sorted
+on its own.  Offspring are made in two passes: a scalar pass draws every
+random number in a fixed order (none depends on chromosome contents), and
+each operator then applies its draws to all its children at once as
+``(k, n)`` gathers.  The champion and the history rows are reductions over
+the arrays.  All randomness flows through one explicitly seeded generator,
+so a fixed seed gives a bitwise-identical result.  ``GaConfig.parallel``
+selects no code path; it is kept because the serialized config in
+``plan_result.json`` records it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +113,12 @@ def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
     m = objs.shape[0]
     if m == 0:
         return []
-    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=-1)
-    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=-1)
+    # one objective column at a time: (m, m) planes, no (m, m, k) cube
+    le = np.ones((m, m), dtype=bool)
+    lt = np.zeros((m, m), dtype=bool)
+    for col in objs.T:
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
     dominates = le & lt
     counts = dominates.sum(axis=0).astype(np.int64)
     fronts: list[np.ndarray] = []
@@ -118,6 +131,13 @@ def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
         counts[assigned] = -1
         front = np.flatnonzero(counts == 0)
     return fronts
+
+
+def _front_ranks(fronts: list[np.ndarray], m: int) -> np.ndarray:
+    rank = np.empty(m, dtype=np.int64)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+    return rank
 
 
 def _associate(objs: np.ndarray, refs: np.ndarray):
@@ -231,58 +251,108 @@ def crowding_select(objs: np.ndarray, fronts: list[np.ndarray],
     return np.array(chosen, dtype=np.int64)
 
 
+def _draw_window(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    i, j = sorted(rng.integers(0, n + 1, size=2).tolist())
+    return i, j
+
+
+def _draw_swap(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    i, j = rng.integers(0, n, size=2).tolist()
+    return i, j
+
+
+def _draw_cut(rng: np.random.Generator, n: int) -> tuple[int, int, int]:
+    i, j = _draw_window(rng, n)
+    return i, j, int(rng.integers(0, n - (j - i) + 1))
+
+
+def _draw_break(rng: np.random.Generator, n: int) -> int:
+    return int(rng.integers(0, n + 1))
+
+
+def _ox_rows(keepers: np.ndarray, fillers: np.ndarray, i, j) -> np.ndarray:
+    """Order crossover per row: keep ``keepers[r, i_r:j_r]`` in place and
+    fill the other positions with the rest of ``fillers[r]`` in its order."""
+    k, n = keepers.shape
+    pos = np.arange(n)
+    window = (pos >= np.asarray(i)[:, None]) & (pos < np.asarray(j)[:, None])
+    # chromosomes hold non-negative ids, so a mask over 0..max marks each
+    # row's kept window
+    kept = np.zeros((k, max(keepers.max(initial=0),
+                            fillers.max(initial=0)) + 1), dtype=bool)
+    kept[np.nonzero(window)[0], keepers[window]] = True
+    children = keepers.copy()
+    children[~window] = fillers[~kept[np.arange(k)[:, None], fillers]]
+    return children
+
+
+def _swap_rows(rows: np.ndarray, i, j) -> np.ndarray:
+    """Swap positions ``i_r`` and ``j_r`` of each row."""
+    out = rows.copy()
+    r = np.arange(len(rows))
+    out[r, i], out[r, j] = rows[r, j], rows[r, i]
+    return out
+
+
+def _cut_paste_rows(rows: np.ndarray, i, j, g) -> np.ndarray:
+    """Move each row's window ``i_r:j_r`` to gap ``g_r`` of the rest."""
+    q = np.arange(rows.shape[1])
+    i, j, g = (np.asarray(v)[:, None] for v in (i, j, g))
+    w = j - i
+    rest = np.where(q < g, q, q - w)
+    src = np.where(rest < i, rest, rest + w)
+    src = np.where((q >= g) & (q < g + w), i + q - g, src)
+    return np.take_along_axis(rows, src, axis=1)
+
+
+def _rotate_rows(rows: np.ndarray, p) -> np.ndarray:
+    """Each row split at ``p_r`` with its two segments swapped."""
+    n = rows.shape[1]
+    src = (np.arange(n) + np.asarray(p)[:, None]) % n
+    return np.take_along_axis(rows, src, axis=1)
+
+
 def crossover(a: np.ndarray, b: np.ndarray,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Order crossover: keep a random window, fill the rest in mate order."""
-    n = len(a)
-    i, j = sorted(rng.integers(0, n + 1, size=2))
-    return _ox(a, b, i, j), _ox(b, a, i, j)
-
-
-def _ox(keeper: np.ndarray, filler: np.ndarray, i: int, j: int) -> np.ndarray:
-    child = np.empty_like(keeper)
-    child[i:j] = keeper[i:j]
-    # chromosomes hold non-negative ids, so a mask over 0..max marks the
-    # kept window
-    kept = np.zeros(max(keeper.max(initial=0), filler.max(initial=0)) + 1,
-                    dtype=bool)
-    kept[keeper[i:j]] = True
-    rest = filler[~kept[filler]]
-    child[:i] = rest[:i]
-    child[j:] = rest[i:]
-    return child
+    i, j = _draw_window(rng, len(a))
+    c = _ox_rows(np.stack((a, b)), np.stack((b, a)), [i, i], [j, j])
+    return c[0], c[1]
 
 
 def mutate(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Swap two uniformly random positions (possibly the same)."""
-    out = s.copy()
-    i, j = rng.integers(0, len(s), size=2)
-    out[i], out[j] = out[j], out[i]
-    return out
+    i, j = _draw_swap(rng, len(s))
+    return _swap_rows(s[None], [i], [j])[0]
 
 
 def cut_and_paste(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Excise a random contiguous window and reinsert it at a random gap."""
-    n = len(s)
-    i, j = sorted(rng.integers(0, n + 1, size=2))
-    window = s[i:j]
-    rest = np.concatenate((s[:i], s[j:]))
-    g = int(rng.integers(0, len(rest) + 1))
-    return np.concatenate((rest[:g], window, rest[g:]))
+    i, j, g = _draw_cut(rng, len(s))
+    return _cut_paste_rows(s[None], [i], [j], [g])[0]
 
 
 def break_and_join(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Split at a random point and swap the two segments."""
-    p = int(rng.integers(0, len(s) + 1))
-    return np.concatenate((s[p:], s[:p]))
+    return _rotate_rows(s[None], [_draw_break(rng, len(s))])[0]
 
 
-def _champion_key(evaluation: Evaluation, mask: np.ndarray):
-    vec = np.asarray(evaluation.objectives)
-    if evaluation.available:
-        return (0, float(vec[mask].sum()), tuple(evaluation.objectives))
-    violations = int(not evaluation.feasible) + int(not evaluation.stable)
-    return (1, float(violations), tuple(evaluation.objectives))
+def _best_member(feasible: np.ndarray, stable: np.ndarray,
+                 objectives: np.ndarray,
+                 mask: np.ndarray) -> tuple[int, tuple]:
+    """Index of the first best member and its key as a comparable tuple.
+
+    Key columns, most significant first: available before unavailable,
+    then the enabled-objective sum (the number of violated criteria when
+    unavailable), then the objective vector.
+    """
+    available = feasible & stable
+    violations = (~feasible).astype(np.float64) + ~stable
+    keys = (~available,
+            np.where(available, objectives[:, mask].sum(axis=1), violations),
+            *objectives.T)
+    i = int(np.lexsort(keys[::-1])[0])
+    return i, tuple(col[i].item() for col in keys)
 
 
 def best_solution(evaluations: list[Evaluation],
@@ -293,8 +363,11 @@ def best_solution(evaluations: list[Evaluation],
     if not evaluations:
         raise ValueError("empty population")
     mask = np.array([k in objectives for k in OBJECTIVE_KEYS])
-    keys = [_champion_key(e, mask) for e in evaluations]
-    return min(range(len(keys)), key=lambda i: keys[i])
+    return _best_member(
+        np.array([e.feasible for e in evaluations]),
+        np.array([e.stable for e in evaluations]),
+        np.array([e.objectives for e in evaluations], dtype=np.float64),
+        mask)[0]
 
 
 @dataclass(frozen=True)
@@ -376,6 +449,26 @@ class PlanResult:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _Population(NamedTuple):
+    """Index permutations ``(P, n)`` with their flags and ``(P, 4)``
+    objectives (the penalty vector where unavailable)."""
+
+    perms: np.ndarray
+    feasible: np.ndarray
+    stable: np.ndarray
+    objectives: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "_Population":
+        return _Population(*(a[idx] for a in self))
+
+    def concat(self, other: "_Population") -> "_Population":
+        return _Population(*map(np.concatenate, zip(self, other)))
+
+    def evaluation(self, i: int) -> Evaluation:
+        f, s = bool(self.feasible[i]), bool(self.stable[i])
+        return Evaluation(f, s, f and s, tuple(self.objectives[i].tolist()))
+
+
 class _Champion:
     """Best-so-far tracker; earlier discoveries win ties."""
 
@@ -385,8 +478,8 @@ class _Champion:
         self.perm: np.ndarray | None = None
         self.evaluation: Evaluation | None = None
 
-    def offer(self, perm: np.ndarray, evaluation: Evaluation) -> None:
-        key = _champion_key(evaluation, self.mask)
+    def offer(self, key: tuple, perm: np.ndarray,
+              evaluation: Evaluation) -> None:
         if self.key is None or key < self.key:
             self.key = key
             self.perm = perm.copy()
@@ -398,31 +491,54 @@ class _Champion:
         return float(vec[self.mask].sum())
 
 
+def _select(objs: np.ndarray, config: GaConfig, refs: np.ndarray,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Survivors of the pool ``objs`` and their front ranks.
+
+    Selection admits whole fronts in order, so every member dominating a
+    survivor (and so on down its longest dominance chain) survives too:
+    the pool ranks of the survivors are their ranks among themselves.
+    """
+    fronts = non_dominated_sort(objs)
+    if config.selection == "crowding":
+        keep = crowding_select(objs, fronts, config.pop_size)
+    else:
+        keep = niche_select(objs, fronts, refs, config.pop_size, rng,
+                            config.adaptive_normalize)
+    return keep, _front_ranks(fronts, len(objs))[keep]
+
+
 def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     """Full planning loop: seeded populations, evaluation, sorting, niching,
     offspring generation, across the configured iterations."""
     config.validate()
     evaluator = Evaluator(dataset, config.mode)
     rng = np.random.default_rng(config.seed)
-    init = make_initializer(config.init, dataset.catalog, dataset.matrices)
+    init = make_initializer(config.init, dataset.catalog, dataset.matrices,
+                            tables=evaluator.tables)
     mask = config.objective_mask()
     refs = das_dennis_points(int(mask.sum()), config.divisions)
 
-    def masked(evals: list[Evaluation]) -> np.ndarray:
-        arr = np.array([e.objectives for e in evals], dtype=np.float64)
-        return arr[:, mask]
+    def score(perms: np.ndarray) -> _Population:
+        return _Population(perms, *evaluator.score(perms))
 
-    def stats_row(iteration, generation, evals, champion) -> HistoryRow:
-        arr = np.array([e.objectives for e in evals], dtype=np.float64)
-        pct = 100.0 / len(evals)
+    def offer(pop: _Population) -> None:
+        i, key = _best_member(pop.feasible, pop.stable, pop.objectives, mask)
+        evaluation = pop.evaluation(i)
+        iter_champ.offer(key, pop.perms[i], evaluation)
+        global_champ.offer(key, pop.perms[i], evaluation)
+
+    def stats_row(iteration, generation, pop: _Population) -> HistoryRow:
+        arr = pop.objectives
+        pct = 100.0 / len(arr)
         return HistoryRow(
             iteration=iteration, generation=generation,
-            feasible_rate=sum(e.feasible for e in evals) * pct,
-            stable_rate=sum(e.stable for e in evals) * pct,
-            available_rate=sum(e.available for e in evals) * pct,
+            feasible_rate=int(pop.feasible.sum()) * pct,
+            stable_rate=int(pop.stable.sum()) * pct,
+            available_rate=int((pop.feasible & pop.stable).sum()) * pct,
             mean_fd=float(arr[:, 0].mean()), mean_fe=float(arr[:, 1].mean()),
             mean_fp=float(arr[:, 2].mean()), mean_fa=float(arr[:, 3].mean()),
-            best_sum=champion.best_sum,
+            best_sum=global_champ.best_sum,
             sd_fd=float(arr[:, 0].std()), sd_fe=float(arr[:, 1].std()),
             sd_fp=float(arr[:, 2].std()), sd_fa=float(arr[:, 3].std()))
 
@@ -431,35 +547,22 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     iteration_bests: list[IterationBest] = []
 
     for iteration in range(1, config.iterations + 1):
-        pop = np.array([evaluator.to_indices(init(rng))
-                        for _ in range(config.pop_size)])
-        evals = evaluator.evaluate_batch(pop)
+        pop = score(np.array([evaluator.to_indices(init(rng))
+                              for _ in range(config.pop_size)]))
         iter_champ = _Champion(mask)
-        for perm, ev in zip(pop, evals):
-            iter_champ.offer(perm, ev)
-            global_champ.offer(perm, ev)
-        history.append(stats_row(iteration, 0, evals, global_champ))
+        offer(pop)
+        history.append(stats_row(iteration, 0, pop))
+        rank = _front_ranks(non_dominated_sort(pop.objectives[:, mask]),
+                            config.pop_size)
 
         for generation in range(1, config.generations + 1):
-            offspring = _make_offspring(pop, evals, config, mask, refs, rng)
-            off_evals = evaluator.evaluate_batch(offspring)
-            for perm, ev in zip(offspring, off_evals):
-                iter_champ.offer(perm, ev)
-                global_champ.offer(perm, ev)
-            pool = np.concatenate((pop, offspring))
-            pool_evals = evals + off_evals
-            fronts = non_dominated_sort(masked(pool_evals))
-            if config.selection == "crowding":
-                keep = crowding_select(masked(pool_evals), fronts,
-                                       config.pop_size)
-            else:
-                keep = niche_select(masked(pool_evals), fronts, refs,
-                                    config.pop_size, rng,
-                                    config.adaptive_normalize)
-            pop = pool[keep]
-            evals = [pool_evals[i] for i in keep]
-            history.append(stats_row(iteration, generation, evals,
-                                     global_champ))
+            offspring = score(_make_offspring(pop, rank, config, mask, refs,
+                                              rng))
+            offer(offspring)
+            pool = pop.concat(offspring)
+            keep, rank = _select(pool.objectives[:, mask], config, refs, rng)
+            pop = pool.take(keep)
+            history.append(stats_row(iteration, generation, pop))
 
         iteration_bests.append(IterationBest(
             iteration=iteration,
@@ -477,44 +580,60 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
         config=config)
 
 
-def _make_offspring(pop, evals, config: GaConfig, mask: np.ndarray,
-                    refs: np.ndarray, rng: np.random.Generator):
+def _make_offspring(pop: _Population, rank: np.ndarray, config: GaConfig,
+                    mask: np.ndarray, refs: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
     """Binary tournament on (front rank, niche distance) plus the four
-    operators at their configured rates; always emits pop_size children."""
-    objs = np.array([e.objectives for e in evals], dtype=np.float64)[:, mask]
-    fronts = non_dominated_sort(objs)
-    rank = np.empty(len(pop), dtype=np.int64)
-    for r, front in enumerate(fronts):
-        rank[front] = r
+    operators at their configured rates; always emits pop_size children.
+
+    Every draw is made first, pair by pair in a fixed order; then each
+    operator is applied to all the children it drew for.
+    """
+    perms = pop.perms
+    size, n = perms.shape
+    objs = pop.objectives[:, mask]
     if config.selection == "crowding":
-        tie = np.empty(len(pop), dtype=np.float64)
-        for front in fronts:
-            d = crowding_distance(objs[front])
-            tie[front] = -d  # larger crowding distance wins ties
+        tie = np.empty(size, dtype=np.float64)
+        for r in range(int(rank.max()) + 1):
+            front = np.flatnonzero(rank == r)
+            tie[front] = -crowding_distance(objs[front])  # larger wins ties
     else:
         _, tie = _associate(objs, refs)
+    rank_of, tie_of = rank.tolist(), tie.tolist()
 
     def pick() -> int:
         if config.mating == "random":
-            return int(rng.integers(len(pop)))
-        i, j = rng.integers(0, len(pop), size=2)
-        if rank[i] != rank[j]:
-            return int(i if rank[i] < rank[j] else j)
-        return int(i if tie[i] <= tie[j] else j)
+            return int(rng.integers(size))
+        # the same two values as integers(0, size, size=2), at less cost:
+        # bounded draws take 32-bit words from the generator's own buffer
+        i, j = int(rng.integers(size)), int(rng.integers(size))
+        if rank_of[i] != rank_of[j]:
+            return i if rank_of[i] < rank_of[j] else j
+        return i if tie_of[i] <= tie_of[j] else j
 
-    offspring: list[np.ndarray] = []
-    while len(offspring) < config.pop_size:
-        a, b = pop[pick()], pop[pick()]
+    pairs = (config.pop_size + 1) // 2
+    parents, windows, swaps, cuts, breaks = [], [], [], [], []
+    for k in range(pairs):
+        parents.append((pick(), pick()))
         if rng.random() < config.crossover_rate:
-            c1, c2 = crossover(a, b, rng)
-        else:
-            c1, c2 = a.copy(), b.copy()
-        for child in (c1, c2):
+            windows.append((k, *_draw_window(rng, n)))
+        for child in (2 * k, 2 * k + 1):
             if rng.random() < config.mutation_rate:
-                child = mutate(child, rng)
+                swaps.append((child, *_draw_swap(rng, n)))
             if rng.random() < config.cut_paste_rate:
-                child = cut_and_paste(child, rng)
+                cuts.append((child, *_draw_cut(rng, n)))
             if rng.random() < config.break_join_rate:
-                child = break_and_join(child, rng)
-            offspring.append(child)
-    return np.array(offspring[:config.pop_size])
+                breaks.append((child, _draw_break(rng, n)))
+
+    children = perms[np.array(parents).reshape(-1)]
+    if windows:
+        k, i, j = np.array(windows).T
+        rows = np.concatenate((2 * k, 2 * k + 1))
+        children[rows] = _ox_rows(children[rows], children[rows ^ 1],
+                                  np.tile(i, 2), np.tile(j, 2))
+    for draws, apply in ((swaps, _swap_rows), (cuts, _cut_paste_rows),
+                         (breaks, _rotate_rows)):
+        if draws:
+            rows, *args = np.array(draws).T
+            children[rows] = apply(children[rows], *args)
+    return children[:config.pop_size]

@@ -1,8 +1,9 @@
-"""The four normalized objective functions and the combined evaluation.
+"""The four normalized objectives and the combined evaluation.
 
 All objectives are minimized and normalized to [0, 1].  A sequence that
 fails any constraint scores exactly (1, 1, 1, 1).  Vector order throughout:
-difficulty, efficiency, prioritization, allocability.
+difficulty, efficiency, prioritization, allocability.  ``Evaluator`` holds
+the one implementation of each, over a whole population at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .constraints import (
 )
 from .model import (
     Dataset,
-    PartCatalog,
     RelationMatrices,
     validate_sequence,
 )
@@ -54,10 +54,11 @@ class Evaluation:
 class Evaluator:
     """Precomputed tables for repeated sequence evaluation on one dataset.
 
-    ``evaluate_batch`` scores a whole population: one ``TermKernel`` matmul
-    gives every constraint term and the accumulated constraint degree of
-    ``f_d``, and the other objectives are gathers over the ``(P, n)``
-    index array.  The single-sequence methods are a batch of one.
+    ``score`` rates a whole population: one ``TermKernel`` matmul gives
+    every constraint term and the accumulated constraint degree of ``f_d``,
+    and the other objectives are gathers over the ``(P, n)`` index array.
+    ``evaluate_batch`` wraps it in ``Evaluation`` objects, and the
+    single-sequence methods are a batch of one.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
@@ -134,17 +135,25 @@ class Evaluator:
             out[:, 3] = (mpos.max(axis=1) - mpos.min(axis=1)) / (n - 1)
         return out
 
-    def evaluate_batch(self, perms: np.ndarray) -> list[Evaluation]:
-        """Evaluations of every row of the index permutations ``perms``."""
+    def score(self, perms: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(feasible, stable, objectives)`` of every row of the index
+        permutations ``perms``: two ``(P,)`` flags and the ``(P, 4)``
+        objectives, which are the penalty vector where unavailable."""
         perms = np.asarray(perms, dtype=np.int64)
         counts = self.kernel.counts(perms)
         terms = self.kernel.terms_at(perms, counts)
         feasible = terms["order"].all(axis=1) & terms["motion"].all(axis=1)
         stable = terms["stability"].all(axis=1)
-        objectives = self._objectives(perms, counts["degree"]).tolist()
-        return [Evaluation(bool(f), bool(s), True, tuple(v)) if f and s
-                else Evaluation(bool(f), bool(s), False, PENALTY)
-                for f, s, v in zip(feasible, stable, objectives)]
+        objectives = self._objectives(perms, counts["degree"])
+        objectives[~(feasible & stable)] = PENALTY
+        return feasible, stable, objectives
+
+    def evaluate_batch(self, perms: np.ndarray) -> list[Evaluation]:
+        """Evaluations of every row of the index permutations ``perms``."""
+        feasible, stable, objectives = self.score(perms)
+        return [Evaluation(f, s, f and s, tuple(v)) for f, s, v in zip(
+            feasible.tolist(), stable.tolist(), objectives.tolist())]
 
     def evaluate_idx(self, perm: np.ndarray) -> Evaluation:
         return self.evaluate_batch(np.asarray(perm, dtype=np.int64)[None])[0]
@@ -165,75 +174,6 @@ def _positions(perms: np.ndarray) -> np.ndarray:
 def _degree_rows(matrices: RelationMatrices) -> np.ndarray:
     """Kernel rows of f_d: part b below part a adds its degree ``x_cs[b, a]``."""
     return matrices.constraint_degree.T[:, None, :]
-
-
-def difficulty(seq, matrices: RelationMatrices, available: bool = True) -> float:
-    """Worst accumulated constraint degree over the sequence, normalized."""
-    if not available:
-        return 1.0
-    tables = ConstraintTables(matrices)
-    perms = tables.to_indices(seq)[None]
-    n = perms.shape[1]
-    if n < 2:
-        return 0.0
-    kernel = TermKernel(tables, "as-written", (),
-                        {"degree": _degree_rows(matrices)})
-    peak = kernel.counts(perms)["degree"].max()
-    return float(peak) / (12.0 * (n - 1))
-
-
-def _catalog_positions(seq, catalog: PartCatalog):
-    seq = validate_sequence(seq, catalog)
-    return seq, {int(pid): k + 1 for k, pid in enumerate(seq)}
-
-
-def efficiency(seq, catalog: PartCatalog, available: bool = True) -> float:
-    """Blend of adjacent task-label changes and COM travel distance."""
-    if not available:
-        return 1.0
-    seq, _ = _catalog_positions(seq, catalog)
-    n = len(seq)
-    if n < 2:
-        return 0.0
-    parts = [catalog.by_id(int(pid)) for pid in seq]
-    changes = sum(parts[k].task_label != parts[k - 1].task_label
-                  for k in range(1, n))
-    coms = np.array([p.com for p in parts], dtype=np.float64)
-    travel = float(np.sqrt(((coms[1:] - coms[:-1]) ** 2).sum(-1)).sum())
-    all_ids = catalog.non_ignored_ids()
-    pts = np.array([catalog.by_id(i).com for i in all_ids], dtype=np.float64)
-    deltas = pts[:, None, :] - pts[None, :, :]
-    d_max = float(np.sqrt((deltas ** 2).sum(-1)).max())
-    dist_term = travel / (n * d_max) if d_max > 0 else 0.0
-    return (changes / (n - 1) + dist_term) / 2.0
-
-
-def prioritization(seq, catalog: PartCatalog, available: bool = True) -> float:
-    """Rewards removing value-labeled parts early (high storage positions)."""
-    if not available:
-        return 1.0
-    seq, pos = _catalog_positions(seq, catalog)
-    n = len(seq)
-    priority_ids = [p.id for p in catalog
-                    if p.priority and not p.ignore]
-    if not priority_ids:
-        return 0.0
-    r = sum(pos[pid] for pid in priority_ids)
-    r_max = sum(range(n - len(priority_ids) + 1, n + 1))
-    return 1.0 - r / r_max
-
-
-def allocability(seq, catalog: PartCatalog, available: bool = True) -> float:
-    """Spread between the earliest and latest manual tasks, normalized."""
-    if not available:
-        return 1.0
-    seq, pos = _catalog_positions(seq, catalog)
-    n = len(seq)
-    manual_pos = [pos[p.id] for p in catalog
-                  if p.task_label == "manual" and not p.ignore]
-    if len(manual_pos) < 2 or n < 2:
-        return 0.0
-    return (max(manual_pos) - min(manual_pos)) / (n - 1)
 
 
 def evaluate(seq, dataset: Dataset, mode: str = "as-written") -> Evaluation:

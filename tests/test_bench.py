@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsplan import bench
 from dsplan.bench import (
     ABLATION_VARIANTS,
     ablation_run,
@@ -10,7 +11,9 @@ from dsplan.bench import (
     single_objective_run,
     summary_csv,
 )
+from dsplan.ccg import INIT_METHODS, make_initializer
 from dsplan.nsga3 import GaConfig
+from dsplan.objectives import Evaluator
 
 
 def small_cfg(seed=0, **kw):
@@ -49,6 +52,23 @@ class TestInitBenchmark:
             assert row.feasible_rate == pytest.approx(100.0 * feas / 160)
             assert row.stable_rate == pytest.approx(100.0 * stab / 160)
             assert row.available_rate == pytest.approx(100.0 * avail / 160)
+
+    def test_block_scoring_matches_per_draw_flags(self, tower10,
+                                                  monkeypatch):
+        # blocks of 7 rows, so the last block of the 20 trials is partial
+        monkeypatch.setattr(bench, "_SCORE_BLOCK", 7)
+        report = init_benchmark(tower10, trials=20, seed=8)
+        ev = Evaluator(tower10)
+        for row in report.rows:
+            rng = np.random.default_rng([8, INIT_METHODS.index(row.method)])
+            init = make_initializer(row.method, tower10.catalog,
+                                    tower10.matrices)
+            flags = [ev.flags_idx(ev.to_indices(init(rng)))
+                     for _ in range(20)]
+            assert row.counts == (
+                sum(f.order_feasible and f.motion_feasible for f in flags),
+                sum(f.stable for f in flags),
+                sum(f.available for f in flags))
 
     def test_method_subsets_reproduce_rows(self, tower5):
         full = init_benchmark(tower5, trials=100, seed=7)

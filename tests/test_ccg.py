@@ -372,3 +372,25 @@ class TestRearrangementGoldenDigests:
         report = init_benchmark(criterion12_tower(7), trials=200, seed=3)
         assert hashlib.sha256(summary_csv(report).encode()).hexdigest() == (
             "5e45721c4a91335dfd074388510924c20d163be4f244c833d4cd36e14e4c7be2")
+
+
+class TestCcgiGoldenDigests:
+    """Digests of 200 ccgi draws and the next generator value, computed
+    before the whole-graph layers and fixer lists were kept on the graph
+    and single-item picks stopped calling the generator."""
+
+    @pytest.mark.parametrize("layers, digest, after", [
+        (7, "b7249b15d85c5cf3ef651c26672251f2"
+            "2b4d09ede73a54de4fd55b5435c78b5a", 3687675650141883799),
+        (15, "e80e6cf2334eb63bd51addff66f186e4"
+             "f1021225e4a03e795240d4bcfce5ad05", 982605145615329110),
+    ])
+    def test_draws(self, layers, digest, after):
+        ds = criterion12_tower(layers)
+        graph = build_ccg(ds.catalog, ds.matrices)
+        rng = np.random.default_rng(11)
+        h = hashlib.sha256()
+        for _ in range(200):
+            h.update(ccgi_init(graph, rng).astype("<i8").tobytes())
+        assert h.hexdigest() == digest
+        assert rng.integers(2**62) == after

@@ -61,6 +61,20 @@ class TestExitCodes:
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
+    def test_validate_rejects_disconnected_contact_graph(
+            self, dataset_file, tmp_path, capsys):
+        doc = json.loads(dataset_file.read_text())
+        n = len(doc["x_ct"])
+        doc["x_ct"] = [[0] * n for _ in range(n)]
+        bad = tmp_path / "disconnected.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        first = doc["part_order"][0]
+        unreachable = sorted(p for p in doc["part_order"] if p != first)
+        assert (f"contact graph is disconnected; unreachable parts "
+                f"{unreachable}") in err
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,9 +9,19 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from dsplan.nsga3 import (
     GaConfig,
+    _Population,
+    _associate,
+    _cut_paste_rows,
+    _front_ranks,
+    _make_offspring,
+    _ox_rows,
+    _rotate_rows,
+    _select,
+    _swap_rows,
     best_solution,
     break_and_join,
     crossover,
+    crowding_distance,
     crowding_select,
     cut_and_paste,
     das_dennis_points,
@@ -19,7 +30,23 @@ from dsplan.nsga3 import (
     non_dominated_sort,
     run,
 )
-from dsplan.objectives import Evaluation, Evaluator
+from dsplan.objectives import PENALTY, Evaluation
+from test_ccg import criterion12_tower
+
+
+@pytest.fixture(scope="module")
+def tower36():
+    return criterion12_tower(7)
+
+
+def grid_objectives(draw, rows, k):
+    """Objective rows on a coarse grid, so ties and duplicate vectors are
+    common, with some rows equal to the penalty vector."""
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    return np.array([
+        PENALTY[:k] if draw(st.booleans()) and draw(st.booleans())
+        else [draw(values) for _ in range(k)] for _ in range(rows)],
+        dtype=np.float64).reshape(rows, k)
 
 
 class TestConfig:
@@ -61,6 +88,39 @@ class TestNonDominatedSort:
         for r, front in enumerate(fronts):
             rank[front] = r
         assert rank.tolist() == oracle.front_ranks(objs.tolist())
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ties_duplicates_and_penalty_rows_match_oracle(self, data):
+        rows = data.draw(st.integers(1, 40))
+        k = data.draw(st.integers(1, 4))
+        objs = grid_objectives(data.draw, rows, k)
+        rank = _front_ranks(non_dominated_sort(objs), rows)
+        assert rank.tolist() == oracle.front_ranks(objs.tolist())
+
+    def test_all_penalty_rows_single_front(self):
+        fronts = non_dominated_sort(np.tile(PENALTY, (6, 1)))
+        assert [f.tolist() for f in fronts] == [[0, 1, 2, 3, 4, 5]]
+
+
+class TestSurvivorRanks:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_carried_ranks_equal_ranks_among_survivors(self, data):
+        # the generation loop mates the survivors on the pool ranks that
+        # selection returns instead of sorting them again
+        size = data.draw(st.integers(4, 20))
+        k = data.draw(st.integers(1, 4))
+        objs = grid_objectives(data.draw, 2 * size, k)
+        config = GaConfig(
+            pop_size=size,
+            selection=data.draw(st.sampled_from(("reference-line",
+                                                 "crowding"))),
+            adaptive_normalize=data.draw(st.booleans()))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        keep, rank = _select(objs, config, das_dennis_points(k, 4), rng)
+        assert len(keep) == size
+        assert rank.tolist() == oracle.front_ranks(objs[keep].tolist())
 
 
 class TestDasDennis:
@@ -230,6 +290,150 @@ class TestOperators:
         assert (c2 == ox(b, a, i, j)).all()
 
 
+# The operators as they were before the batched apply: slices and
+# concatenations over one chromosome, with the draws made child by child.
+def ref_ox(keeper, filler, i, j):
+    child = np.empty_like(keeper)
+    child[i:j] = keeper[i:j]
+    rest = filler[~np.isin(filler, keeper[i:j])]
+    child[:i] = rest[:i]
+    child[j:] = rest[i:]
+    return child
+
+
+def ref_swap(s, i, j):
+    out = s.copy()
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def ref_cut_and_paste(s, i, j, g):
+    rest = np.concatenate((s[:i], s[j:]))
+    return np.concatenate((rest[:g], s[i:j], rest[g:]))
+
+
+def ref_break_and_join(s, p):
+    return np.concatenate((s[p:], s[:p]))
+
+
+def ref_offspring(perms, objs, config, refs, rng):
+    """Variation that sorts the population itself, then draws and applies
+    every operator one child at a time."""
+    size, n = perms.shape
+    fronts = non_dominated_sort(objs)
+    rank = _front_ranks(fronts, size)
+    if config.selection == "crowding":
+        tie = np.empty(size)
+        for front in fronts:
+            tie[front] = -crowding_distance(objs[front])
+    else:
+        _, tie = _associate(objs, refs)
+
+    def pick():
+        if config.mating == "random":
+            return int(rng.integers(size))
+        i, j = rng.integers(0, size, size=2)
+        if rank[i] != rank[j]:
+            return int(i if rank[i] < rank[j] else j)
+        return int(i if tie[i] <= tie[j] else j)
+
+    offspring = []
+    while len(offspring) < config.pop_size:
+        a, b = perms[pick()], perms[pick()]
+        if rng.random() < config.crossover_rate:
+            i, j = sorted(rng.integers(0, n + 1, size=2))
+            c1, c2 = ref_ox(a, b, i, j), ref_ox(b, a, i, j)
+        else:
+            c1, c2 = a.copy(), b.copy()
+        for child in (c1, c2):
+            if rng.random() < config.mutation_rate:
+                child = ref_swap(child, *rng.integers(0, n, size=2))
+            if rng.random() < config.cut_paste_rate:
+                i, j = sorted(rng.integers(0, n + 1, size=2))
+                g = int(rng.integers(0, n - (j - i) + 1))
+                child = ref_cut_and_paste(child, i, j, g)
+            if rng.random() < config.break_join_rate:
+                child = ref_break_and_join(child, int(rng.integers(0, n + 1)))
+            offspring.append(child)
+    return np.array(offspring[:config.pop_size])
+
+
+class TestBatchedOperators:
+    @given(st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_apply_matches_references(self, n, k, seed):
+        # random decision lists, applied to k rows at once and one by one
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(10 * n, size=n, replace=False)
+        rows = np.array([rng.permutation(ids) for _ in range(k)])
+        mates = np.array([rng.permutation(ids) for _ in range(k)])
+        i, j = np.sort(rng.integers(0, n + 1, size=(2, k)), axis=0)
+        g = np.array([rng.integers(0, n - (b - a) + 1) for a, b in zip(i, j)])
+        s1, s2 = rng.integers(0, n, size=(2, k))
+        p = rng.integers(0, n + 1, size=k)
+        ox = _ox_rows(rows, mates, i, j)
+        swapped = _swap_rows(rows, s1, s2)
+        cut = _cut_paste_rows(rows, i, j, g)
+        rotated = _rotate_rows(rows, p)
+        for r in range(k):
+            assert (ox[r] == ref_ox(rows[r], mates[r], i[r], j[r])).all()
+            assert (swapped[r] == ref_swap(rows[r], s1[r], s2[r])).all()
+            assert (cut[r] == ref_cut_and_paste(rows[r], i[r], j[r],
+                                                g[r])).all()
+            assert (rotated[r] == ref_break_and_join(rows[r], p[r])).all()
+
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_per_pair_functions_match_references(self, n, seed):
+        a = np.random.default_rng(seed).permutation(n)
+        b = np.random.default_rng(seed + 1).permutation(n)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        i, j = sorted(ref.integers(0, n + 1, size=2))
+        c1, c2 = crossover(a, b, rng)
+        assert (c1 == ref_ox(a, b, i, j)).all()
+        assert (c2 == ref_ox(b, a, i, j)).all()
+        assert (mutate(a, rng) == ref_swap(
+            a, *ref.integers(0, n, size=2))).all()
+        i, j = sorted(ref.integers(0, n + 1, size=2))
+        g = int(ref.integers(0, n - (j - i) + 1))
+        assert (cut_and_paste(a, rng) == ref_cut_and_paste(a, i, j, g)).all()
+        assert (break_and_join(a, rng) == ref_break_and_join(
+            a, int(ref.integers(0, n + 1)))).all()
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_offspring_match_child_by_child_reference(self, data):
+        size = data.draw(st.integers(4, 25))
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 4))
+        rate = st.sampled_from((0.0, 0.3, 1.0))
+        config = GaConfig(
+            pop_size=size, crossover_rate=data.draw(rate),
+            mutation_rate=data.draw(rate), cut_paste_rate=data.draw(rate),
+            break_join_rate=data.draw(rate),
+            selection=data.draw(st.sampled_from(("reference-line",
+                                                 "crowding"))),
+            mating=data.draw(st.sampled_from(("tournament", "random"))),
+            objectives=("d", "e", "p", "a")[:k])
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        setup = np.random.default_rng(seed)
+        perms = np.array([setup.permutation(n) for _ in range(size)])
+        objs = np.ones((size, 4))
+        objs[:, :k] = grid_objectives(data.draw, size, k)
+        mask = config.objective_mask()
+        refs = das_dennis_points(k, 3)
+        flags = np.ones(size, dtype=bool)
+        pop = _Population(perms, flags, flags, objs)
+        rank = _front_ranks(non_dominated_sort(objs[:, mask]), size)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _make_offspring(pop, rank, config, mask, refs, rng)
+        want = ref_offspring(perms, objs[:, mask], config, refs, ref)
+        assert got.shape == (size, n)
+        assert (got == want).all()
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+
 def _eval(available, objs):
     if not available:
         return Evaluation(False, False, False, (1.0, 1.0, 1.0, 1.0))
@@ -352,3 +556,77 @@ class TestRun:
         cfg = GaConfig(pop_size=16, generations=6, iterations=1, seed=2,
                        adaptive_normalize=True)
         assert run(tower10_labeled, cfg).best_evaluation.available
+
+
+class TestGoldenDigests:
+    """sha256 of plan_result.json + history.csv, computed before the
+    generation loop carried its population as arrays; seeded outputs must
+    not move."""
+
+    @pytest.mark.parametrize("product, overrides, digest", [
+        ("tower10_labeled", {},
+         "9fa03b24d4d6211ae6dfcb33cd1ddda3"
+         "a4765b25154e49a8abc7fffd4da1fc7f"),
+        ("tower10_labeled", {"mode": "strict"},
+         "d9a70ac0686ab4a1fbca4aab8c95369c"
+         "259aa84fba82a90efa74b633d659753c"),
+        ("tower10_labeled", {"selection": "crowding"},
+         "8c5af719c45de2448f0f0a178da15d1a"
+         "cd90a2f40465ee1481a9bd86b4adedc7"),
+        ("tower10_labeled", {"pop_size": 7},
+         "a77e5e6e23ddb9c20eea1189a1d25ad4"
+         "0d63ec4dd3ef0d713ad99fa5a41313ce"),
+        ("tower10_labeled", {"pop_size": 33},
+         "7a7aee50ae71cb99d8e40749655a20c2"
+         "7a6efd65653f7700d48e5f0efb87d509"),
+        ("tower10_labeled", {"divisions": 3, "mating": "random",
+                             "pop_size": 9, "selection": "crowding"},
+         "07eb7aae78e027606dc4dd5250dfb150"
+         "293fdd89f81a561657a81f22d6c974f3"),
+        ("tower36", {},
+         "72fa24368c346d3dd4311b54d9532a30"
+         "50d33513d86517dcc21c1a8d1148f272"),
+        ("tower36", {"mode": "strict"},
+         "32e13ee91e1506e1a1305162ef7bd568"
+         "73217383c11528cca2f7d0d8c5d490a9"),
+        ("tower36", {"selection": "crowding"},
+         "dcf8bdbfc129dc4828b420424d9cdb4e"
+         "bdbb93a6ca72bad8a9cbb8eee87db784"),
+        ("tower36", {"mating": "random"},
+         "edb3f3255c40e7df5275bfb203a3f6c3"
+         "d4a5cfe44472752b1422d26272cd6adf"),
+        ("tower36", {"pop_size": 7},
+         "9d15090291e4db2726e8efe0b4190d6e"
+         "2defcce722a576cefaa9ed8ce4ed076e"),
+        ("tower36", {"pop_size": 33},
+         "52843c7b361d8acc72ec8b3d8f238995"
+         "23ec8c191b9fdf94ad452605bfca34d3"),
+        ("tower36", {"objectives": ("d", "e")},
+         "91abda8d622a8df582bb706207566e71"
+         "75fa2fb2642d99dc55262dc431bf659b"),
+        ("tower36", {"objectives": ("p",)},
+         "aecf8d2274d55a8b5255aa00642257fe"
+         "e17762e509555fc5e64cdd4f04563599"),
+        ("tower36", {"adaptive_normalize": True},
+         "c1c046678f7e02fb68bbfc15aff1efda"
+         "46e7a7f5649d447ad10c8cc4123bb30d"),
+        ("tower36", {"init": "ri"},
+         "213bcc74a8dcd7ae56335759d5107733"
+         "8850230f8d10f0b50d81b918a03dbc44"),
+        ("tower36", {"init": "sfr", "mode": "strict"},
+         "f4063e7f5d90c0b9d143e26138750b99"
+         "ca6c3c812e1647a7e62e35a4b7e6dc81"),
+        ("tower36", {"init": "fr"},
+         "71761ba960e65cc3915a4955ef6a6ae4"
+         "41d3213ca3d6e3e2d071c2f5fd3d0533"),
+        ("tower36", {"divisions": 3, "mating": "random",
+                     "pop_size": 9, "selection": "crowding"},
+         "a6a2edc836946bc479993e7af79550e0"
+         "234e66aacf935b1532954a8c1362edaa"),
+    ])
+    def test_plan_outputs(self, product, overrides, digest, request):
+        config = GaConfig(**{**dict(pop_size=20, generations=6,
+                                    iterations=2, seed=5), **overrides})
+        result = run(request.getfixturevalue(product), config)
+        text = result.to_json() + result.history_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

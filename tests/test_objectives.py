@@ -14,16 +14,19 @@ from dsplan.model import (
     derive_constraint_degree,
 )
 from dsplan.objectives import (
+    OBJECTIVE_KEYS,
+    PENALTY,
     Evaluation,
     Evaluator,
-    PENALTY,
-    allocability,
-    difficulty,
-    efficiency,
     evaluate,
-    prioritization,
 )
 from test_constraints import chain_product
+
+
+def objective(ds, seq, key):
+    """One objective of an id sequence, assuming it is available."""
+    ev = Evaluator(ds)
+    return ev.objectives_idx(ev.to_indices(seq))[OBJECTIVE_KEYS.index(key)]
 
 
 def custom_product(specs, cs_pairs=None):
@@ -71,52 +74,57 @@ class TestDifficulty:
         ds = chain_product(3)
         m = ds.matrices
         m.constraint_degree = np.zeros_like(m.constraint_degree)
-        assert difficulty([1, 2, 3], m) == 0.0
+        assert objective(ds, [1, 2, 3], "d") == 0.0
 
     def test_two_parts_half(self):
         ds = chain_product(2)
         ds.matrices.constraint_degree = np.array([[0, 6], [6, 0]],
                                                  dtype=np.int16)
-        assert difficulty([1, 2], ds.matrices) == pytest.approx(0.5)
+        assert objective(ds, [1, 2], "d") == pytest.approx(0.5)
 
     def test_unavailable_is_one(self):
-        ds = chain_product(2)
-        assert difficulty([1, 2], ds.matrices, available=False) == 1.0
+        # without contacts the part removed first touches nothing that
+        # remains, so the sequence is unstable
+        ds = chain_product(2, contacts=[])
+        result = Evaluator(ds).evaluate([1, 2])
+        assert not result.available
+        assert result.objectives[0] == 1.0
 
     def test_peak_bound(self, tower10):
         # every pair leaves at least one free direction, so the peak stays
         # strictly below the 12-per-pair ceiling
         rng = np.random.default_rng(1)
-        n = tower10.matrices.n
         ids = np.array(tower10.matrices.part_order)
         for _ in range(50):
             seq = rng.permutation(ids)
-            val = difficulty(seq, tower10.matrices)
+            val = objective(tower10, seq, "d")
             assert 0.0 <= val < 1.0
 
 
 class TestEfficiency:
     def test_uniform_labels_coincident_parts(self):
         ds = custom_product([("graspable", False, (0, 0, 0))] * 3)
-        assert efficiency([1, 2, 3], ds.catalog) == 0.0
+        assert objective(ds, [1, 2, 3], "e") == 0.0
 
     def test_one_task_change(self):
         ds = custom_product([("screw", False, (0, 0, 0)),
                              ("screw", False, (0, 0, 0)),
                              ("graspable", False, (0, 0, 0))])
         # task term 1/2, distance term 0
-        assert efficiency([1, 2, 3], ds.catalog) == pytest.approx(0.25)
+        assert objective(ds, [1, 2, 3], "e") == pytest.approx(0.25)
 
     def test_unavailable_is_one(self):
-        ds = custom_product([("screw", False, (0, 0, 0))] * 2)
-        assert efficiency([1, 2], ds.catalog, available=False) == 1.0
+        ds = custom_product([("screw", False, (0, 0, 0))] * 2, cs_pairs={})
+        result = Evaluator(ds).evaluate([1, 2])
+        assert not result.available
+        assert result.objectives[1] == 1.0
 
     def test_distance_term_strictly_below_one(self):
         ds = custom_product([("graspable", False, (0.0, 0, 0)),
                              ("graspable", False, (10.0, 0, 0)),
                              ("graspable", False, (20.0, 0, 0))])
         for perm in itertools.permutations([1, 2, 3]):
-            assert efficiency(list(perm), ds.catalog) < 0.5  # task term 0
+            assert objective(ds, list(perm), "e") < 0.5  # task term 0
 
 
 class TestPrioritization:
@@ -125,19 +133,18 @@ class TestPrioritization:
             ("graspable", True, (0, 0, 0))]
         ds = custom_product(specs)
         # part 5 at storage position 5 = removed first
-        assert prioritization([1, 2, 3, 4, 5], ds.catalog) == 0.0
+        assert objective(ds, [1, 2, 3, 4, 5], "p") == 0.0
 
     def test_priority_last_removed(self):
         specs = [("graspable", True, (0, 0, 0))] + [
             ("graspable", False, (0, 0, 0))] * 4
         ds = custom_product(specs)
         # priority part at position 1 = removed last
-        assert prioritization([1, 2, 3, 4, 5],
-                              ds.catalog) == pytest.approx(0.8)
+        assert objective(ds, [1, 2, 3, 4, 5], "p") == pytest.approx(0.8)
 
     def test_no_priority_parts(self):
         ds = custom_product([("graspable", False, (0, 0, 0))] * 3)
-        assert prioritization([1, 2, 3], ds.catalog) == 0.0
+        assert objective(ds, [1, 2, 3], "p") == 0.0
 
 
 class TestAllocability:
@@ -148,21 +155,20 @@ class TestAllocability:
         ds = custom_product(specs)
         # manual parts at storage positions 3 and 5 of 6
         seq = [3, 4, 1, 5, 2, 6]
-        assert allocability(seq, ds.catalog) == pytest.approx(0.4)
+        assert objective(ds, seq, "a") == pytest.approx(0.4)
 
     def test_single_manual(self):
         specs = [("manual", False, (0, 0, 0))] + [
             ("graspable", False, (0, 0, 0))] * 3
         ds = custom_product(specs)
-        assert allocability([1, 2, 3, 4], ds.catalog) == 0.0
+        assert objective(ds, [1, 2, 3, 4], "a") == 0.0
 
     def test_adjacent_manual_minimum(self):
         specs = [("manual", False, (0, 0, 0)),
                  ("manual", False, (0, 0, 0))] + [
             ("graspable", False, (0, 0, 0))] * 3
         ds = custom_product(specs)
-        assert allocability([1, 2, 3, 4, 5],
-                            ds.catalog) == pytest.approx(1 / 4)
+        assert objective(ds, [1, 2, 3, 4, 5], "a") == pytest.approx(1 / 4)
 
 
 class TestEvaluate:
