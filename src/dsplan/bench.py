@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ccg import INIT_METHODS, make_initializer
+from .draws import Draws
 from .model import Dataset, dataset_content_digest
 from .nsga3 import (
     GaConfig,
@@ -85,13 +86,14 @@ def init_benchmark(dataset: Dataset, trials: int,
                                 tables=evaluator.tables)
         n_feasible = n_stable = n_available = 0
         # scored in blocks, so memory stays bounded however many trials
-        for start in range(0, trials, _SCORE_BLOCK):
-            perms = np.array([evaluator.to_indices(init(rng)) for _ in
-                              range(min(_SCORE_BLOCK, trials - start))])
-            feasible, stable, _ = evaluator.score(perms)
-            n_feasible += int(feasible.sum())
-            n_stable += int(stable.sum())
-            n_available += int((feasible & stable).sum())
+        with Draws(rng) as draws:
+            for start in range(0, trials, _SCORE_BLOCK):
+                perms = np.array([evaluator.to_indices(init(draws)) for _ in
+                                  range(min(_SCORE_BLOCK, trials - start))])
+                feasible, stable, _ = evaluator.score(perms)
+                n_feasible += int(feasible.sum())
+                n_stable += int(stable.sum())
+                n_available += int((feasible & stable).sum())
         report.rows.append(MethodResult(
             method=method, trials=trials,
             feasible_rate=100.0 * n_feasible / trials,

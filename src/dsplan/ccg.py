@@ -5,6 +5,8 @@ and two rearrangement repairs (fr fixes interference violations, sfr fixes
 interference and stability).  The repairs scan bit masks of the constraint
 kernel's own strict order and stability rows.  Strict, because the literal
 per-pair term is sequence-independent and would make the repair a no-op.
+The initializers take a ``Generator`` or a ``draws.Draws`` reader over
+one, and draw the same sequences from either (per numpy version, NEP 19).
 """
 
 from __future__ import annotations
@@ -142,11 +144,6 @@ def _layers(graph: ContactConnectionGraph, present: set[int],
     return layers
 
 
-def _choice(items: list[int], rng: np.random.Generator) -> int:
-    # numpy answers integers(1) without drawing, so a single item costs none
-    return items[rng.integers(len(items))] if len(items) > 1 else items[0]
-
-
 def ccgi_init(graph: ContactConnectionGraph,
               rng: np.random.Generator) -> np.ndarray:
     """Graph-guided initial sequence; the result is always stable.
@@ -170,11 +167,11 @@ def ccgi_init(graph: ContactConnectionGraph,
     while len(present) > 1:
         far = max(layers)
         candidates = layers[far]
-        picked = _choice(candidates, rng)
+        picked = candidates[rng.integers(len(candidates))]
         if picked not in graph.fixing:
             fixers = [nb for nb in graph.fixers[picked] if nb in present]
             if fixers:
-                picked = _choice(fixers, rng)
+                picked = fixers[rng.integers(len(fixers))]
         removal.append(picked)
         present.remove(picked)
         if picked in candidates:

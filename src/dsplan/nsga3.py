@@ -12,7 +12,9 @@ random number in a fixed order (none depends on chromosome contents), and
 each operator then applies its draws to all its children at once as
 ``(k, n)`` gathers.  The champion and the history rows are reductions over
 the arrays.  All randomness flows through one explicitly seeded generator,
-so a fixed seed gives a bitwise-identical result.  ``GaConfig.parallel``
+read scalar by scalar through one ``draws.Draws`` reader per ``run``, so a
+fixed seed gives a bitwise-identical result per numpy version.
+``GaConfig.parallel``
 selects no code path; it is kept because the serialized config in
 ``plan_result.json`` records it.
 """
@@ -20,12 +22,14 @@ selects no code path; it is kept because the serialized config in
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
 import numpy as np
 
 from .ccg import INIT_METHODS, make_initializer
+from .draws import Draws
 from .model import Dataset
 from .objectives import OBJECTIVE_KEYS, Evaluation, Evaluator
 
@@ -157,61 +161,64 @@ def _adaptive_normalize(objs: np.ndarray) -> np.ndarray:
     return (objs - lo) / span
 
 
-def niche_select(objs: np.ndarray, fronts: list[np.ndarray],
-                 refs: np.ndarray, n_select: int,
-                 rng: np.random.Generator,
-                 normalize: bool = False) -> np.ndarray:
-    """Reference-line environmental selection over pre-sorted fronts.
-
-    Whole fronts are admitted until the splitting front; within it, niches
-    are filled least-crowded-first with random tie-breaks from ``rng``.
-    Objective space is used as-is by default (the objectives are already
-    normalized with the ideal point at the origin).
-    """
+def _admit_fronts(fronts: list[np.ndarray],
+                  n_select: int) -> tuple[list[int], np.ndarray | None]:
+    """Whole fronts in order while they fit, then the splitting front."""
     total = sum(len(f) for f in fronts)
     if total < n_select:
         raise ValueError(f"cannot select {n_select} from {total} members")
     chosen: list[int] = []
-    l = 0
-    while l < len(fronts) and len(chosen) + len(fronts[l]) <= n_select:
-        chosen.extend(int(i) for i in fronts[l])
-        l += 1
-    if len(chosen) == n_select:
+    for front in fronts:
+        if len(chosen) == n_select:
+            break
+        if len(chosen) + len(front) > n_select:
+            return chosen, front
+        chosen += front.tolist()
+    return chosen, None
+
+
+def niche_select(objs: np.ndarray, fronts: list[np.ndarray],
+                 refs: np.ndarray, n_select: int, rng,
+                 normalize: bool = False) -> np.ndarray:
+    """Reference-line environmental selection over pre-sorted fronts.
+
+    Whole fronts are admitted until the splitting front; within it, niches
+    are filled least-crowded-first with random tie-breaks from ``rng``
+    (Deb & Jain 2014, Sec. IV-E).  ``buckets[r]`` lists the live niches with
+    niche count r; a niche without candidates is dropped when drawn.
+    Objective space is used as-is by default (the objectives are already
+    normalized with the ideal point at the origin).
+    """
+    chosen, split = _admit_fronts(fronts, n_select)
+    if split is None:
         return np.array(chosen, dtype=np.int64)
-
-    split = [int(i) for i in fronts[l]]
-    need = n_select - len(chosen)
+    split = split.tolist()
     pts = _adaptive_normalize(objs) if normalize else objs
-    members = np.array(chosen + split, dtype=np.int64)
-    assoc, dist = _associate(pts[members], refs)
-    n_chosen = len(chosen)
-    rho = np.zeros(len(refs), dtype=np.int64)
-    for a in assoc[:n_chosen]:
-        rho[a] += 1
-    cand_by_ref: dict[int, list[int]] = {}
-    for pos, a in enumerate(assoc[n_chosen:]):
-        cand_by_ref.setdefault(int(a), []).append(pos)
-
-    active = np.ones(len(refs), dtype=bool)
-    picked: list[int] = []
-    taken = np.zeros(len(split), dtype=bool)
-    while len(picked) < need:
-        live = np.flatnonzero(active)
-        best = live[rho[live] == rho[live].min()]
-        j = int(best[rng.integers(len(best))])
-        pool = [p for p in cand_by_ref.get(j, ()) if not taken[p]]
-        if not pool:
-            active[j] = False
-            continue
-        if rho[j] == 0:
-            pool_dist = dist[n_chosen + np.array(pool)]
-            sel = pool[int(pool_dist.argmin())]
-        else:
-            sel = pool[int(rng.integers(len(pool)))]
-        taken[sel] = True
-        picked.append(split[sel])
-        rho[j] += 1
-    return np.array(chosen + picked, dtype=np.int64)
+    assoc, dist = _associate(pts[chosen + split], refs)
+    rho = np.bincount(assoc[:len(chosen)], minlength=len(refs)).tolist()
+    pools: list[list[int]] = [[] for _ in refs]    # candidates, front order
+    for pos, a in enumerate(assoc[len(chosen):].tolist()):
+        pools[a].append(pos)
+    dist = dist[len(chosen):].tolist()
+    buckets: list[list[int]] = [[] for _ in range(max(rho) + n_select + 1)]
+    for j, r in enumerate(rho):
+        buckets[r].append(j)
+    r = 0
+    while len(chosen) < n_select:
+        while not buckets[r]:
+            r += 1
+        best = buckets[r]
+        at = rng.integers(len(best))
+        pool = pools[best[at]]
+        if pool:
+            # the nearest candidate opens a niche; later picks are random
+            sel = (min(pool, key=dist.__getitem__) if r == 0
+                   else pool[rng.integers(len(pool))])
+            pool.remove(sel)
+            chosen.append(split[sel])
+            insort(buckets[r + 1], best[at])
+        del best[at]
+    return np.array(chosen, dtype=np.int64)
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -235,39 +242,22 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
 def crowding_select(objs: np.ndarray, fronts: list[np.ndarray],
                     n_select: int) -> np.ndarray:
     """NSGA-II-style environmental selection (the w/o reference-line baseline)."""
-    total = sum(len(f) for f in fronts)
-    if total < n_select:
-        raise ValueError(f"cannot select {n_select} from {total} members")
-    chosen: list[int] = []
-    l = 0
-    while l < len(fronts) and len(chosen) + len(fronts[l]) <= n_select:
-        chosen.extend(int(i) for i in fronts[l])
-        l += 1
-    if len(chosen) < n_select:
-        split = fronts[l]
+    chosen, split = _admit_fronts(fronts, n_select)
+    if split is not None:
         d = crowding_distance(objs[split])
         order = np.argsort(-d, kind="stable")
-        chosen.extend(int(split[i]) for i in order[:n_select - len(chosen)])
+        chosen += split[order[:n_select - len(chosen)]].tolist()
     return np.array(chosen, dtype=np.int64)
 
 
-def _draw_window(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    i, j = sorted(rng.integers(0, n + 1, size=2).tolist())
-    return i, j
+def _draw_window(rng, n: int) -> tuple[int, int]:
+    i, j = rng.integers(n + 1), rng.integers(n + 1)
+    return (i, j) if i <= j else (j, i)
 
 
-def _draw_swap(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    i, j = rng.integers(0, n, size=2).tolist()
-    return i, j
-
-
-def _draw_cut(rng: np.random.Generator, n: int) -> tuple[int, int, int]:
+def _draw_cut(rng, n: int) -> tuple[int, int, int]:
     i, j = _draw_window(rng, n)
-    return i, j, int(rng.integers(0, n - (j - i) + 1))
-
-
-def _draw_break(rng: np.random.Generator, n: int) -> int:
-    return int(rng.integers(0, n + 1))
+    return i, j, rng.integers(n - (j - i) + 1)
 
 
 def _ox_rows(keepers: np.ndarray, fillers: np.ndarray, i, j) -> np.ndarray:
@@ -316,14 +306,13 @@ def crossover(a: np.ndarray, b: np.ndarray,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Order crossover: keep a random window, fill the rest in mate order."""
     i, j = _draw_window(rng, len(a))
-    c = _ox_rows(np.stack((a, b)), np.stack((b, a)), [i, i], [j, j])
-    return c[0], c[1]
+    return tuple(_ox_rows(np.stack((a, b)), np.stack((b, a)), [i, i], [j, j]))
 
 
 def mutate(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Swap two uniformly random positions (possibly the same)."""
-    i, j = _draw_swap(rng, len(s))
-    return _swap_rows(s[None], [i], [j])[0]
+    return _swap_rows(s[None], [rng.integers(len(s))],
+                      [rng.integers(len(s))])[0]
 
 
 def cut_and_paste(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -334,7 +323,7 @@ def cut_and_paste(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def break_and_join(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Split at a random point and swap the two segments."""
-    return _rotate_rows(s[None], [_draw_break(rng, len(s))])[0]
+    return _rotate_rows(s[None], [rng.integers(len(s) + 1)])[0]
 
 
 def _best_member(feasible: np.ndarray, stable: np.ndarray,
@@ -492,7 +481,7 @@ class _Champion:
 
 
 def _select(objs: np.ndarray, config: GaConfig, refs: np.ndarray,
-            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+            rng: Draws) -> tuple[np.ndarray, np.ndarray]:
     """Survivors of the pool ``objs`` and their front ranks.
 
     Selection admits whole fronts in order, so every member dominating a
@@ -513,7 +502,6 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     offspring generation, across the configured iterations."""
     config.validate()
     evaluator = Evaluator(dataset, config.mode)
-    rng = np.random.default_rng(config.seed)
     init = make_initializer(config.init, dataset.catalog, dataset.matrices,
                             tables=evaluator.tables)
     mask = config.objective_mask()
@@ -546,28 +534,30 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     history: list[HistoryRow] = []
     iteration_bests: list[IterationBest] = []
 
-    for iteration in range(1, config.iterations + 1):
-        pop = score(np.array([evaluator.to_indices(init(rng))
-                              for _ in range(config.pop_size)]))
-        iter_champ = _Champion(mask)
-        offer(pop)
-        history.append(stats_row(iteration, 0, pop))
-        rank = _front_ranks(non_dominated_sort(pop.objectives[:, mask]),
-                            config.pop_size)
+    with Draws(np.random.default_rng(config.seed)) as rng:
+        for iteration in range(1, config.iterations + 1):
+            pop = score(np.array([evaluator.to_indices(init(rng))
+                                  for _ in range(config.pop_size)]))
+            iter_champ = _Champion(mask)
+            offer(pop)
+            history.append(stats_row(iteration, 0, pop))
+            rank = _front_ranks(non_dominated_sort(pop.objectives[:, mask]),
+                                config.pop_size)
 
-        for generation in range(1, config.generations + 1):
-            offspring = score(_make_offspring(pop, rank, config, mask, refs,
-                                              rng))
-            offer(offspring)
-            pool = pop.concat(offspring)
-            keep, rank = _select(pool.objectives[:, mask], config, refs, rng)
-            pop = pool.take(keep)
-            history.append(stats_row(iteration, generation, pop))
+            for generation in range(1, config.generations + 1):
+                offspring = score(_make_offspring(pop, rank, config, mask,
+                                                  refs, rng))
+                offer(offspring)
+                pool = pop.concat(offspring)
+                keep, rank = _select(pool.objectives[:, mask], config, refs,
+                                     rng)
+                pop = pool.take(keep)
+                history.append(stats_row(iteration, generation, pop))
 
-        iteration_bests.append(IterationBest(
-            iteration=iteration,
-            sequence=evaluator.to_ids(iter_champ.perm),
-            evaluation=iter_champ.evaluation))
+            iteration_bests.append(IterationBest(
+                iteration=iteration,
+                sequence=evaluator.to_ids(iter_champ.perm),
+                evaluation=iter_champ.evaluation))
 
     best_ids = evaluator.to_ids(global_champ.perm)
     labels = tuple(dataset.catalog.by_id(pid).task_label for pid in best_ids)
@@ -581,8 +571,7 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
 
 
 def _make_offspring(pop: _Population, rank: np.ndarray, config: GaConfig,
-                    mask: np.ndarray, refs: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
+                    mask: np.ndarray, refs: np.ndarray, rng) -> np.ndarray:
     """Binary tournament on (front rank, niche distance) plus the four
     operators at their configured rates; always emits pop_size children.
 
@@ -603,13 +592,10 @@ def _make_offspring(pop: _Population, rank: np.ndarray, config: GaConfig,
 
     def pick() -> int:
         if config.mating == "random":
-            return int(rng.integers(size))
-        # the same two values as integers(0, size, size=2), at less cost:
-        # bounded draws take 32-bit words from the generator's own buffer
-        i, j = int(rng.integers(size)), int(rng.integers(size))
-        if rank_of[i] != rank_of[j]:
-            return i if rank_of[i] < rank_of[j] else j
-        return i if tie_of[i] <= tie_of[j] else j
+            return rng.integers(size)
+        # the same pair as integers(0, size, size=2)
+        i, j = rng.integers(size), rng.integers(size)
+        return i if (rank_of[i], tie_of[i]) <= (rank_of[j], tie_of[j]) else j
 
     pairs = (config.pop_size + 1) // 2
     parents, windows, swaps, cuts, breaks = [], [], [], [], []
@@ -619,11 +605,11 @@ def _make_offspring(pop: _Population, rank: np.ndarray, config: GaConfig,
             windows.append((k, *_draw_window(rng, n)))
         for child in (2 * k, 2 * k + 1):
             if rng.random() < config.mutation_rate:
-                swaps.append((child, *_draw_swap(rng, n)))
+                swaps.append((child, rng.integers(n), rng.integers(n)))
             if rng.random() < config.cut_paste_rate:
                 cuts.append((child, *_draw_cut(rng, n)))
             if rng.random() < config.break_join_rate:
-                breaks.append((child, _draw_break(rng, n)))
+                breaks.append((child, rng.integers(n + 1)))
 
     children = perms[np.array(parents).reshape(-1)]
     if windows:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from dsplan.draws import Draws
 from dsplan.nsga3 import (
     GaConfig,
     _Population,
+    _adaptive_normalize,
     _associate,
     _cut_paste_rows,
     _front_ranks,
@@ -141,6 +143,49 @@ class TestDasDennis:
         assert len(np.unique(pts, axis=0)) == len(pts)
 
 
+def ref_niche_select(objs, fronts, refs, n_select, rng, normalize=False):
+    """niche_select as a pick-by-pick loop over numpy masks: the niches at
+    the least count among the live ones, a draw among them, and a filter of
+    the drawn niche's untaken candidates."""
+    chosen = []
+    l = 0
+    while l < len(fronts) and len(chosen) + len(fronts[l]) <= n_select:
+        chosen.extend(int(i) for i in fronts[l])
+        l += 1
+    if len(chosen) == n_select:
+        return np.array(chosen, dtype=np.int64)
+    split = [int(i) for i in fronts[l]]
+    need = n_select - len(chosen)
+    pts = _adaptive_normalize(objs) if normalize else objs
+    assoc, dist = _associate(pts[np.array(chosen + split)], refs)
+    n_chosen = len(chosen)
+    rho = np.zeros(len(refs), dtype=np.int64)
+    for a in assoc[:n_chosen]:
+        rho[a] += 1
+    cand_by_ref = {}
+    for pos, a in enumerate(assoc[n_chosen:]):
+        cand_by_ref.setdefault(int(a), []).append(pos)
+    active = np.ones(len(refs), dtype=bool)
+    picked = []
+    taken = np.zeros(len(split), dtype=bool)
+    while len(picked) < need:
+        live = np.flatnonzero(active)
+        best = live[rho[live] == rho[live].min()]
+        j = int(best[rng.integers(len(best))])
+        pool = [p for p in cand_by_ref.get(j, ()) if not taken[p]]
+        if not pool:
+            active[j] = False
+            continue
+        if rho[j] == 0:
+            sel = pool[int(dist[n_chosen + np.array(pool)].argmin())]
+        else:
+            sel = pool[int(rng.integers(len(pool)))]
+        taken[sel] = True
+        picked.append(split[sel])
+        rho[j] += 1
+    return np.array(chosen + picked, dtype=np.int64)
+
+
 class TestNicheSelect:
     def test_whole_first_front_returned(self):
         objs = np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5],
@@ -186,6 +231,28 @@ class TestNicheSelect:
         got_b = sorted(map(tuple, objs_p[keep_b].tolist()))
         assert got_a == got_b
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pick_by_pick_reference(self, data):
+        k = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 60))
+        objs = grid_objectives(data.draw, m, k)
+        if data.draw(st.booleans()):     # off-grid rows: distinct distances
+            objs = objs * data.draw(st.floats(0.1, 3.0))
+        fronts = non_dominated_sort(objs)
+        refs = das_dennis_points(k, data.draw(st.integers(1, 6)))
+        n_select = data.draw(st.integers(1, m))
+        normalize = data.draw(st.booleans())
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = niche_select(objs, fronts, refs, n_select, rng, normalize)
+        want = ref_niche_select(objs, fronts, refs, n_select, ref, normalize)
+        assert got.tolist() == want.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        with Draws(np.random.default_rng(seed)) as d:
+            assert niche_select(objs, fronts, refs, n_select, d,
+                                normalize).tolist() == want.tolist()
+
     def test_too_few_members_rejected(self):
         objs = np.array([[0.5, 0.5]])
         fronts = non_dominated_sort(objs)
@@ -214,9 +281,11 @@ class TestOperators:
     def test_whole_window_clones(self):
         a, b = _perm(6, 2), _perm(6, 3)
 
-        class FullWindow:
-            def integers(self, lo, hi, size=None):
-                return np.array([0, hi - 1]) if size == 2 else 0
+        class FullWindow:       # the window's two ends: 0, then n
+            ends = iter((0, 6))
+
+            def integers(self, k):
+                return next(self.ends)
         c1, c2 = crossover(a, b, FullWindow())
         assert (c1 == a).all() and (c2 == b).all()
 
@@ -224,19 +293,20 @@ class TestOperators:
         s = _perm(5, 4)
 
         class SameIdx:
-            def integers(self, lo, hi, size=None):
-                return np.array([2, 2]) if size == 2 else 2
+            def integers(self, k):
+                return 2
         assert (mutate(s, SameIdx()) == s).all()
 
     def test_break_at_ends_identity(self):
         s = _perm(5, 5)
 
         class AtZero:
-            def integers(self, lo, hi, size=None):
+            def integers(self, k):
                 return 0
+
         class AtEnd:
-            def integers(self, lo, hi, size=None):
-                return hi - 1
+            def integers(self, k):
+                return k - 1
         assert (break_and_join(s, AtZero()) == s).all()
         assert (break_and_join(s, AtEnd()) == s).all()
 
