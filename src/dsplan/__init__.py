@@ -2,8 +2,9 @@
 
 Library layout: ``model`` (types, dataset I/O), ``geomsim`` (voxel
 simulator and synthetic products), ``ccg`` (contact-connection graph and
-initializers), ``constraints`` (feasibility/stability checks),
-``objectives`` (the four normalized objectives), ``nsga3`` (the planner),
+initializers), ``constraints`` (weight rows and the term kernel),
+``objectives`` (``Evaluator.score``: every verdict and the four
+normalized objectives), ``nsga3`` (the planner),
 ``bench`` (experiment harness), ``cli`` (command line).
 """
 
@@ -38,17 +39,12 @@ from .ccg import (
     random_init,
     sfr_init,
 )
-from .constraints import ConstraintFlags, check, motion_feasible, order_feasible, stable
-from .objectives import Evaluation, Evaluator, evaluate
+from .constraints import ConstraintFlags
+from .objectives import Evaluation, Evaluator, check, evaluate
 from .nsga3 import (
     GaConfig,
     PlanResult,
-    best_solution,
-    break_and_join,
-    crossover,
-    cut_and_paste,
     das_dennis_points,
-    mutate,
     niche_select,
     non_dominated_sort,
     run,

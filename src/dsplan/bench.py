@@ -16,14 +16,7 @@ import numpy as np
 from .ccg import INIT_METHODS, make_initializer
 from .draws import Draws
 from .model import Dataset, dataset_content_digest
-from .nsga3 import (
-    GaConfig,
-    HISTORY_CSV_HEADER,
-    HistoryRow,
-    PlanResult,
-    history_csv_line,
-    run,
-)
+from .nsga3 import GaConfig, HistoryRow, PlanResult, history_csv, run
 from .objectives import OBJECTIVE_KEYS, Evaluator
 
 # rows per kernel call in init_benchmark; its position matrix is
@@ -90,10 +83,10 @@ def init_benchmark(dataset: Dataset, trials: int,
             for start in range(0, trials, _SCORE_BLOCK):
                 perms = np.array([evaluator.to_indices(init(draws)) for _ in
                                   range(min(_SCORE_BLOCK, trials - start))])
-                feasible, stable, _ = evaluator.score(perms)
-                n_feasible += int(feasible.sum())
-                n_stable += int(stable.sum())
-                n_available += int((feasible & stable).sum())
+                s = evaluator.score(perms)
+                n_feasible += int(s.feasible.sum())
+                n_stable += int(s.stable.sum())
+                n_available += int((s.feasible & s.stable).sum())
         report.rows.append(MethodResult(
             method=method, trials=trials,
             feasible_rate=100.0 * n_feasible / trials,
@@ -251,8 +244,6 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
         written.append(p)
     for method, rows in sorted(report.curves.items()):
         p = out / f"{report.kind}_curve_{method}.csv"
-        lines = [HISTORY_CSV_HEADER]
-        lines.extend(history_csv_line(r) for r in rows)
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        p.write_text(history_csv(rows), encoding="utf-8")
         written.append(p)
     return written

@@ -28,9 +28,10 @@ from .bench import (
     single_objective_run,
 )
 from .ccg import DisconnectedProduct, INIT_METHODS, build_ccg
+from .constraints import MODES
 from .geomsim import build_dataset, generate_synthetic
 from .model import DatasetError, dataset_digest, load_dataset, save_dataset
-from .nsga3 import GaConfig, PlanResult, run
+from .nsga3 import MATING_METHODS, SELECTION_METHODS, GaConfig, PlanResult, run
 from .objectives import OBJECTIVE_KEYS
 
 log = logging.getLogger("dsplan")
@@ -66,13 +67,12 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--divisions", type=int, default=None)
     p.add_argument("--rates", default=None, metavar="CX,MUT,CAP,BAJ",
                    help="operator rates, comma separated")
-    p.add_argument("--mode", choices=("as-written", "strict"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--objectives", default=None, metavar="d,e,p,a",
                    help="enabled objective subset")
     p.add_argument("--init", choices=INIT_METHODS, default=None)
-    p.add_argument("--selection", choices=("reference-line", "crowding"),
-                   default=None)
-    p.add_argument("--mating", choices=("tournament", "random"), default=None)
+    p.add_argument("--selection", choices=SELECTION_METHODS, default=None)
+    p.add_argument("--mating", choices=MATING_METHODS, default=None)
     p.add_argument("--parallel", action="store_true",
                    help="recorded in the saved config only; every "
                         "population is evaluated in one batch either way")
@@ -108,8 +108,7 @@ def build_parser() -> _Parser:
     b.add_argument("--dataset", required=True)
     b.add_argument("--methods", default=",".join(INIT_METHODS))
     b.add_argument("--trials", type=int, default=1000)
-    b.add_argument("--mode", choices=("as-written", "strict"),
-                   default="as-written")
+    b.add_argument("--mode", choices=MODES, default="as-written")
     _add_common(b)
 
     a = sub.add_parser("ablate", help="run the planner and its ablations")
@@ -153,8 +152,11 @@ def _ga_config(args, seed: int) -> GaConfig:
         parts = args.rates.split(",")
         if len(parts) != 4:
             raise _UsageError("--rates needs four comma-separated values")
-        (cfg.crossover_rate, cfg.mutation_rate,
-         cfg.cut_paste_rate, cfg.break_join_rate) = map(float, parts)
+        try:
+            (cfg.crossover_rate, cfg.mutation_rate,
+             cfg.cut_paste_rate, cfg.break_join_rate) = map(float, parts)
+        except ValueError as exc:
+            raise _UsageError(f"--rates: {exc}") from exc
     if args.mode is not None:
         cfg.mode = args.mode
     if args.objectives is not None:
@@ -221,7 +223,13 @@ def _cmd_gen_synthetic(args) -> int:
                 "angle": 5.0}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            settings.update(json.load(fh))
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise _UsageError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise _UsageError(f"--config {args.config}: not a JSON object")
+        settings.update(loaded)
     for key in ("layers", "screws", "manual_fraction", "priority_count",
                 "pitch", "clearance", "angle"):
         flag = getattr(args, key.replace("-", "_"), None)
@@ -229,15 +237,18 @@ def _cmd_gen_synthetic(args) -> int:
             settings[key] = flag
     seed = _resolve_seed(args)
     _log_provenance(seed, None, {"generator": settings})
-    assembly, catalog = generate_synthetic(
-        n_layers=int(settings["layers"]),
-        screws_per_layer=int(settings["screws"]),
-        manual_fraction=float(settings["manual_fraction"]),
-        priority_count=int(settings["priority_count"]),
-        seed=seed, pitch=float(settings["pitch"]))
-    dataset = build_dataset(
-        assembly, catalog,
-        clearance=settings["clearance"], angle=float(settings["angle"]))
+    try:
+        assembly, catalog = generate_synthetic(
+            n_layers=int(settings["layers"]),
+            screws_per_layer=int(settings["screws"]),
+            manual_fraction=float(settings["manual_fraction"]),
+            priority_count=int(settings["priority_count"]),
+            seed=seed, pitch=float(settings["pitch"]))
+        dataset = build_dataset(
+            assembly, catalog,
+            clearance=settings["clearance"], angle=float(settings["angle"]))
+    except (TypeError, ValueError) as exc:   # a bad or mistyped setting
+        raise _UsageError(f"generator settings: {exc}") from exc
     out_path = Path(args.dataset_out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)

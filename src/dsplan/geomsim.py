@@ -92,10 +92,6 @@ class VoxelAssembly:
     def part_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.cells))
 
-    def occupied_bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        stacked = np.vstack(list(self.cells.values()))
-        return stacked.min(axis=0), stacked.max(axis=0) + 1
-
     def com_mm(self, part_id: int) -> tuple[float, float, float]:
         centers = self.cells[part_id] + 0.5
         return tuple(float(c) for c in centers.mean(axis=0) * self.pitch)

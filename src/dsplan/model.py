@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -176,18 +176,13 @@ class RelationMatrices:
     constraint_free: np.ndarray
     contact: np.ndarray
     constraint_degree: np.ndarray
-    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.part_order = tuple(int(i) for i in self.part_order)
-        self._index = {pid: j for j, pid in enumerate(self.part_order)}
 
     @property
     def n(self) -> int:
         return len(self.part_order)
-
-    def index_of(self, part_id: int) -> int:
-        return self._index[part_id]
 
     def validate(self, catalog: PartCatalog | None = None) -> None:
         """Check every structural invariant; raise ValidationError on failure."""

@@ -9,12 +9,12 @@ admits whole fronts in order, so the survivors keep their pool front ranks
 and mating reuses them; only an iteration's initial population is sorted
 on its own.  Offspring are made in two passes: a scalar pass draws every
 random number in a fixed order (none depends on chromosome contents), and
-each operator then applies its draws to all its children at once as
-``(k, n)`` gathers.  The champion and the history rows are reductions over
-the arrays.  All randomness flows through one explicitly seeded generator,
-read scalar by scalar through one ``draws.Draws`` reader per ``run``, so a
-fixed seed gives a bitwise-identical result per numpy version.
-``GaConfig.parallel``
+each operator's ``_*_rows`` function then applies its draws to all its
+children at once as ``(k, n)`` gathers.  The champion (``_best_member``)
+and the history rows are reductions over the arrays.  All randomness flows
+through one explicitly seeded generator, read scalar by scalar through one
+``draws.Draws`` reader per ``run``, so a fixed seed gives a
+bitwise-identical result per numpy version.  ``GaConfig.parallel``
 selects no code path; it is kept because the serialized config in
 ``plan_result.json`` records it.
 """
@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ccg import INIT_METHODS, make_initializer
+from .constraints import MODES
 from .draws import Draws
 from .model import Dataset
 from .objectives import OBJECTIVE_KEYS, Evaluation, Evaluator
@@ -73,7 +74,7 @@ class GaConfig:
         if self.generations < 0 or self.iterations < 1 or self.divisions < 1:
             raise ValueError("generations >= 0, iterations >= 1, "
                              "divisions >= 1 required")
-        if self.mode not in ("as-written", "strict"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if (not self.objectives
                 or any(k not in OBJECTIVE_KEYS for k in self.objectives)
@@ -302,30 +303,6 @@ def _rotate_rows(rows: np.ndarray, p) -> np.ndarray:
     return np.take_along_axis(rows, src, axis=1)
 
 
-def crossover(a: np.ndarray, b: np.ndarray,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Order crossover: keep a random window, fill the rest in mate order."""
-    i, j = _draw_window(rng, len(a))
-    return tuple(_ox_rows(np.stack((a, b)), np.stack((b, a)), [i, i], [j, j]))
-
-
-def mutate(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Swap two uniformly random positions (possibly the same)."""
-    return _swap_rows(s[None], [rng.integers(len(s))],
-                      [rng.integers(len(s))])[0]
-
-
-def cut_and_paste(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Excise a random contiguous window and reinsert it at a random gap."""
-    i, j, g = _draw_cut(rng, len(s))
-    return _cut_paste_rows(s[None], [i], [j], [g])[0]
-
-
-def break_and_join(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Split at a random point and swap the two segments."""
-    return _rotate_rows(s[None], [rng.integers(len(s) + 1)])[0]
-
-
 def _best_member(feasible: np.ndarray, stable: np.ndarray,
                  objectives: np.ndarray,
                  mask: np.ndarray) -> tuple[int, tuple]:
@@ -342,21 +319,6 @@ def _best_member(feasible: np.ndarray, stable: np.ndarray,
             *objectives.T)
     i = int(np.lexsort(keys[::-1])[0])
     return i, tuple(col[i].item() for col in keys)
-
-
-def best_solution(evaluations: list[Evaluation],
-                  objectives: tuple[str, ...] = OBJECTIVE_KEYS) -> int:
-    """Index of the best member: available with minimal enabled-objective
-    sum, lexicographic vector then lowest index on ties; with no available
-    member, the fewest constraint violations."""
-    if not evaluations:
-        raise ValueError("empty population")
-    mask = np.array([k in objectives for k in OBJECTIVE_KEYS])
-    return _best_member(
-        np.array([e.feasible for e in evaluations]),
-        np.array([e.stable for e in evaluations]),
-        np.array([e.objectives for e in evaluations], dtype=np.float64),
-        mask)[0]
 
 
 @dataclass(frozen=True)
@@ -379,15 +341,17 @@ class HistoryRow:
     sd_fa: float = 0.0
 
 
-HISTORY_CSV_HEADER = ("iter,gen,feasible_rate,stable_rate,available_rate,"
-                      "mean_fd,mean_fe,mean_fp,mean_fa,best_sum")
-
-
-def history_csv_line(row: HistoryRow) -> str:
-    vals = (row.feasible_rate, row.stable_rate, row.available_rate,
-            row.mean_fd, row.mean_fe, row.mean_fp, row.mean_fa, row.best_sum)
-    return f"{row.iteration},{row.generation}," + ",".join(
-        format(v, ".6f") for v in vals)
+def history_csv(rows: list[HistoryRow]) -> str:
+    """History rows as CSV text, one line per generation."""
+    lines = ["iter,gen,feasible_rate,stable_rate,available_rate,"
+             "mean_fd,mean_fe,mean_fp,mean_fa,best_sum"]
+    for row in rows:
+        vals = (row.feasible_rate, row.stable_rate, row.available_rate,
+                row.mean_fd, row.mean_fe, row.mean_fp, row.mean_fa,
+                row.best_sum)
+        lines.append(f"{row.iteration},{row.generation}," + ",".join(
+            format(v, ".6f") for v in vals))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -412,9 +376,7 @@ class PlanResult:
         return tuple(reversed(self.best_sequence))
 
     def history_csv(self) -> str:
-        lines = [HISTORY_CSV_HEADER]
-        lines.extend(history_csv_line(r) for r in self.history)
-        return "\n".join(lines) + "\n"
+        return history_csv(self.history)
 
     def to_json(self) -> str:
         doc = {
@@ -508,7 +470,8 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     refs = das_dennis_points(int(mask.sum()), config.divisions)
 
     def score(perms: np.ndarray) -> _Population:
-        return _Population(perms, *evaluator.score(perms))
+        s = evaluator.score(perms)
+        return _Population(perms, s.feasible, s.stable, s.objectives)
 
     def offer(pop: _Population) -> None:
         i, key = _best_member(pop.feasible, pop.stable, pop.objectives, mask)

@@ -1,23 +1,21 @@
-"""The four normalized objectives and the combined evaluation.
+"""The four normalized objectives and the one verdict path.
 
 All objectives are minimized and normalized to [0, 1].  A sequence that
 fails any constraint scores exactly (1, 1, 1, 1).  Vector order throughout:
-difficulty, efficiency, prioritization, allocability.  ``Evaluator`` holds
-the one implementation of each, over a whole population at once.
+difficulty, efficiency, prioritization, allocability.  ``Evaluator.score``
+holds the one implementation of every verdict over a whole population at
+once: the three constraint criteria, the first violation and the
+objectives.  ``check`` and ``evaluate`` are row 0 of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import (
-    ConstraintFlags,
-    ConstraintTables,
-    TermKernel,
-    check_idx,
-)
+from .constraints import TERMS, ConstraintFlags, ConstraintTables, TermKernel
 from .model import (
     Dataset,
     RelationMatrices,
@@ -51,20 +49,40 @@ class Evaluation:
         return float(sum(self.objectives))
 
 
+class Score(NamedTuple):
+    """Verdicts of every row of a ``(P, n)`` population.
+
+    ``order``, ``motion`` and ``stable`` are one ``(P,)`` flag per
+    criterion.  ``violated`` indexes ``TERMS`` for the first criterion a
+    row fails (-1 where available), and ``position`` is the 1-based
+    storage position of its first failing term (0 where available).
+    ``objectives`` is ``(P, 4)``, the penalty vector where unavailable.
+    """
+
+    order: np.ndarray
+    motion: np.ndarray
+    stable: np.ndarray
+    violated: np.ndarray
+    position: np.ndarray
+    objectives: np.ndarray
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.order & self.motion
+
+
 class Evaluator:
     """Precomputed tables for repeated sequence evaluation on one dataset.
 
     ``score`` rates a whole population: one ``TermKernel`` matmul gives
     every constraint term and the accumulated constraint degree of ``f_d``,
     and the other objectives are gathers over the ``(P, n)`` index array.
-    ``evaluate_batch`` wraps it in ``Evaluation`` objects, and the
-    single-sequence methods are a batch of one.
+    The single-sequence answers are row 0 of a population of one.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
         catalog, matrices, motions = dataset
         self.dataset = dataset
-        self.mode = mode
         self.tables = ConstraintTables(matrices, catalog, motions)
         self.n = self.tables.n
         order = matrices.part_order
@@ -92,19 +110,12 @@ class Evaluator:
         self.r_max = float(sum(range(self.n - npp + 1, self.n + 1)))
 
     def to_indices(self, seq) -> np.ndarray:
-        return self.tables.to_indices(seq)
+        index = self.tables.index
+        return np.fromiter((index[int(x)] for x in seq), dtype=np.int64,
+                           count=len(seq))
 
     def to_ids(self, perm: np.ndarray) -> tuple[int, ...]:
         return tuple(self.tables.part_order[j] for j in perm)
-
-    def flags_idx(self, perm: np.ndarray) -> ConstraintFlags:
-        return check_idx(perm, self.tables, self.mode)
-
-    def objectives_idx(self, perm: np.ndarray) -> tuple[float, float, float, float]:
-        """The four objective values assuming the sequence is available."""
-        perms = np.asarray(perm, dtype=np.int64)[None]
-        degree = self.kernel.counts(perms)["degree"]
-        return tuple(self._objectives(perms, degree)[0].tolist())
 
     def _objectives(self, perms: np.ndarray,
                     degree: np.ndarray) -> np.ndarray:
@@ -135,32 +146,31 @@ class Evaluator:
             out[:, 3] = (mpos.max(axis=1) - mpos.min(axis=1)) / (n - 1)
         return out
 
-    def score(self, perms: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(feasible, stable, objectives)`` of every row of the index
-        permutations ``perms``: two ``(P,)`` flags and the ``(P, 4)``
-        objectives, which are the penalty vector where unavailable."""
+    def score(self, perms: np.ndarray) -> Score:
+        """The ``Score`` of every row of the index permutations ``perms``."""
         perms = np.asarray(perms, dtype=np.int64)
         counts = self.kernel.counts(perms)
         terms = self.kernel.terms_at(perms, counts)
-        feasible = terms["order"].all(axis=1) & terms["motion"].all(axis=1)
-        stable = terms["stability"].all(axis=1)
+        held = np.stack([terms[t] for t in TERMS], axis=1)      # (P, 3, n)
+        ok = held.all(axis=2)
+        available = ok.all(axis=1)
+        violated = np.where(available, -1, np.argmin(ok, axis=1))
+        first = np.argmin(held[np.arange(len(perms)), violated], axis=1)
+        position = np.where(available, 0, first + 1)
         objectives = self._objectives(perms, counts["degree"])
-        objectives[~(feasible & stable)] = PENALTY
-        return feasible, stable, objectives
+        objectives[~available] = PENALTY
+        return Score(*ok.T, violated, position, objectives)
 
-    def evaluate_batch(self, perms: np.ndarray) -> list[Evaluation]:
-        """Evaluations of every row of the index permutations ``perms``."""
-        feasible, stable, objectives = self.score(perms)
-        return [Evaluation(f, s, f and s, tuple(v)) for f, s, v in zip(
-            feasible.tolist(), stable.tolist(), objectives.tolist())]
-
-    def evaluate_idx(self, perm: np.ndarray) -> Evaluation:
-        return self.evaluate_batch(np.asarray(perm, dtype=np.int64)[None])[0]
+    def _score_one(self, seq) -> Score:
+        """The ``Score`` of the id sequence ``seq`` as a population of one."""
+        seq = validate_sequence(seq, self.dataset.catalog)
+        return self.score(self.to_indices(seq)[None])
 
     def evaluate(self, seq) -> Evaluation:
-        seq = validate_sequence(seq, self.dataset.catalog)
-        return self.evaluate_idx(self.to_indices(seq))
+        s = self._score_one(seq)
+        feasible, stable = bool(s.feasible[0]), bool(s.stable[0])
+        return Evaluation(feasible, stable, feasible and stable,
+                          tuple(s.objectives[0].tolist()))
 
 
 def _positions(perms: np.ndarray) -> np.ndarray:
@@ -179,3 +189,13 @@ def _degree_rows(matrices: RelationMatrices) -> np.ndarray:
 def evaluate(seq, dataset: Dataset, mode: str = "as-written") -> Evaluation:
     """Constraint check plus objectives; the all-ones penalty when blocked."""
     return Evaluator(dataset, mode).evaluate(seq)
+
+
+def check(seq, dataset: Dataset, mode: str = "as-written") -> ConstraintFlags:
+    """Full constraint check of an id sequence against a dataset."""
+    s = Evaluator(dataset, mode)._score_one(seq)
+    order, motion, stable = (bool(a[0]) for a in (s.order, s.motion, s.stable))
+    first = (None if s.violated[0] < 0
+             else (TERMS[s.violated[0]], int(s.position[0])))
+    return ConstraintFlags(order, motion, stable, order and motion and stable,
+                           first)

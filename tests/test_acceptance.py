@@ -54,18 +54,16 @@ def test_criterion_01_oracle_equivalence():
         n = ds.matrices.n
         assert n <= 7
         tab = oracle.extract(ds)
-        evaluators = {m: Evaluator(ds, m) for m in ("as-written", "strict")}
-        for perm in itertools.permutations(range(n)):
-            perm_arr = np.array(perm, dtype=np.int64)
-            for mode, ev in evaluators.items():
-                flags = ev.flags_idx(perm_arr)
-                o, m, s, objs = oracle.evaluate(list(perm), tab, mode)
-                assert flags.order_feasible == o
-                assert flags.motion_feasible == m
-                assert flags.stable == s
-                got = ev.evaluate_idx(perm_arr)
+        perms = np.array(list(itertools.permutations(range(n))))
+        for mode in ("as-written", "strict"):
+            score = Evaluator(ds, mode).score(perms)
+            for p, perm in enumerate(perms.tolist()):
+                o, m, s, objs = oracle.evaluate(perm, tab, mode)
+                assert score.order[p] == o
+                assert score.motion[p] == m
+                assert score.stable[p] == s
                 assert all(abs(a - b) <= 1e-12
-                           for a, b in zip(got.objectives, objs))
+                           for a, b in zip(score.objectives[p], objs))
     elapsed = time.time() - start
     _report(1, f"oracle equivalence on 20 assemblies, both modes "
                f"({elapsed:.1f}s <= 120s)", elapsed <= 120)
@@ -119,11 +117,8 @@ def test_criterion_04_ccgi_guarantees(tower5, tower7, tower10):
         graph = build_ccg(ds.catalog, ds.matrices)
         ev = Evaluator(ds)
         rng = np.random.default_rng(100 + i)
-        for _ in range(1000):
-            seq = ccgi_init(graph, rng)
-            if not ev.flags_idx(ev.to_indices(seq)).stable:
-                stable_ok = False
-                break
+        draws = [ev.to_indices(ccgi_init(graph, rng)) for _ in range(1000)]
+        stable_ok = stable_ok and bool(ev.score(np.array(draws)).stable.all())
     report = init_benchmark(tower10, trials=1000, methods=("ri", "ccgi"),
                             seed=0)
     ri = report.row("ri").available_rate
@@ -146,13 +141,10 @@ def test_criterion_05_initializer_ordering(tower10):
 
 
 def test_criterion_06_global_optimum_recovery(tower7):
-    ev = Evaluator(tower7)
-    exhaustive = None
-    for perm in itertools.permutations(range(7)):
-        e = ev.evaluate_idx(np.array(perm, dtype=np.int64))
-        if e.available and (exhaustive is None
-                            or e.objective_sum < exhaustive):
-            exhaustive = e.objective_sum
+    score = Evaluator(tower7).score(
+        np.array(list(itertools.permutations(range(7)))))
+    available = score.feasible & score.stable
+    exhaustive = min(sum(v) for v in score.objectives[available].tolist())
     hits = 0
     worst_time = 0.0
     for seed in range(10):
@@ -264,19 +256,15 @@ def test_criterion_10_determinism(tower10_labeled, tmp_path):
 def test_criterion_11_penalty_exactness(tower5, tower10):
     ok = True
     seen_unavailable = 0
-    ev5 = Evaluator(tower5)
-    for perm in itertools.permutations(range(5)):
-        e = ev5.evaluate_idx(np.array(perm, dtype=np.int64))
-        if not e.available:
-            seen_unavailable += 1
-            ok = ok and e.objectives == PENALTY
-    ev10 = Evaluator(tower10)
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        e = ev10.evaluate_idx(rng.permutation(10))
-        if not e.available:
-            seen_unavailable += 1
-            ok = ok and e.objectives == PENALTY
+    for ds, perms in (
+            (tower5, list(itertools.permutations(range(5)))),
+            (tower10, [rng.permutation(10) for _ in range(300)])):
+        score = Evaluator(ds).score(np.array(perms))
+        unavailable = ~(score.feasible & score.stable)
+        seen_unavailable += int(unavailable.sum())
+        ok = ok and all(tuple(v) == PENALTY
+                        for v in score.objectives[unavailable].tolist())
     ok = ok and seen_unavailable > 0
     _report(11, f"every constraint-violating sequence scores exactly "
                 f"(1,1,1,1) ({seen_unavailable} cases)", ok)

@@ -13,7 +13,7 @@ from dsplan.bench import (
 )
 from dsplan.ccg import INIT_METHODS, make_initializer
 from dsplan.nsga3 import GaConfig
-from dsplan.objectives import Evaluator
+from dsplan.objectives import check
 
 
 def small_cfg(seed=0, **kw):
@@ -58,13 +58,11 @@ class TestInitBenchmark:
         # blocks of 7 rows, so the last block of the 20 trials is partial
         monkeypatch.setattr(bench, "_SCORE_BLOCK", 7)
         report = init_benchmark(tower10, trials=20, seed=8)
-        ev = Evaluator(tower10)
         for row in report.rows:
             rng = np.random.default_rng([8, INIT_METHODS.index(row.method)])
             init = make_initializer(row.method, tower10.catalog,
                                     tower10.matrices)
-            flags = [ev.flags_idx(ev.to_indices(init(rng)))
-                     for _ in range(20)]
+            flags = [check(init(rng), tower10) for _ in range(20)]
             assert row.counts == (
                 sum(f.order_feasible and f.motion_feasible for f in flags),
                 sum(f.stable for f in flags),

@@ -121,8 +121,7 @@ class TestCcgi:
         seen = set()
         for _ in range(1000):
             seq = ccgi_init(graph, rng)
-            flags = ev.flags_idx(ev.to_indices(seq))
-            assert flags.stable
+            assert ev.score(ev.to_indices(seq)[None]).stable[0]
             seen.add(tuple(seq))
         assert len(seen) >= 2
 

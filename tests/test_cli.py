@@ -26,9 +26,11 @@ class TestExitCodes:
         assert main(["validate", "--dataset", str(dataset_file),
                      "--bogus"]) == 1
 
-    def test_usage_error_bad_rates(self, dataset_file):
-        assert main(["plan", "--dataset", str(dataset_file),
-                     "--rates", "0.5,0.5"]) == 1
+    def test_usage_error_bad_rates(self, dataset_file, capsys):
+        for rates in ("0.5,0.5", "a,b,c,d"):
+            assert main(["plan", "--dataset", str(dataset_file),
+                         "--rates", rates]) == 1
+            assert "usage error:" in capsys.readouterr().err
 
     def test_dataset_error_missing_file(self, tmp_path):
         assert main(["validate", "--dataset", str(tmp_path / "no.json")]) == 2
@@ -97,6 +99,24 @@ class TestGenSynthetic:
                      "--dataset-out", str(out)])
         assert code == 0
         assert len(load_dataset(out).catalog) == 3  # layers overridden to 2
+
+    @pytest.mark.parametrize("config, flags", [
+        ('{"layers": 2', []),       # malformed JSON
+        ("[2, 1]", []),             # valid JSON, but not an object
+        ('{"layers": null}', []),
+        ('{"clearance": "x"}', []),
+        (None, ["--layers", "0"]),
+    ])
+    def test_bad_settings_are_usage_errors(self, tmp_path, capsys, config,
+                                           flags):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            flags = ["--config", str(tmp_path / "cfg.json"), *flags]
+        code = main(["gen-synthetic", *flags, "--seed", "0",
+                     "--dataset-out", str(tmp_path / "gen.json")])
+        assert code == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "gen.json").exists()
 
 
 class TestPlan:

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from dsplan.constraints import (
-    ConstraintFlags,
-    ConstraintTables,
-    check,
-    motion_feasible,
-    motion_terms_idx,
-    order_feasible,
-    order_terms_idx,
-    stability_terms_idx,
-    stable,
-)
+from dsplan.constraints import MODES, TERMS, ConstraintFlags
 from dsplan.model import (
     Dataset,
     Motion,
@@ -24,6 +14,7 @@ from dsplan.model import (
     RelationMatrices,
     derive_constraint_degree,
 )
+from dsplan.objectives import Evaluator, check
 from conftest import make_tower
 
 
@@ -52,58 +43,60 @@ def chain_product(n, contacts=None):
     return Dataset(catalog, matrices, motions)
 
 
+def terms_at(ds, perms, mode="as-written"):
+    """``(P, n)`` per-position terms of index permutations, by term."""
+    perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
+    return Evaluator(ds, mode).kernel.terms_at(perms)
+
+
+ALL_5 = np.array(list(itertools.permutations(range(5))))
+
+
 class TestOrderFeasibility:
     def test_single_part_vacuous(self):
         ds = chain_product(1)
-        assert order_feasible([1], ds.matrices)
-        assert order_feasible([1], ds.matrices, mode="strict")
+        assert check([1], ds).order_feasible
+        assert check([1], ds, mode="strict").order_feasible
 
     def test_all_free_every_permutation(self):
         ds = chain_product(4)
         for perm in itertools.permutations([1, 2, 3, 4]):
-            assert order_feasible(list(perm), ds.matrices)
+            assert check(list(perm), ds).order_feasible
 
     def test_matches_oracle_on_five_part_fixture(self, tower5):
         tab = oracle.extract(tower5)
-        tables = ConstraintTables(tower5.matrices)
-        for mode in ("as-written", "strict"):
-            for perm in itertools.permutations(range(5)):
-                perm = np.array(perm)
-                got = bool(order_terms_idx(perm, tables, mode).all())
-                assert got == oracle.order_ok(list(perm), tab, mode)
+        for mode in MODES:
+            got = terms_at(tower5, ALL_5, mode)["order"].all(axis=1)
+            for perm, ok in zip(ALL_5.tolist(), got):
+                assert ok == oracle.order_ok(perm, tab, mode)
 
     def test_aswritten_is_order_independent(self, tower5):
         # each unordered pair is tested once, so the verdict is shared by
         # all permutations of a given product
         ids = list(tower5.matrices.part_order)
-        verdicts = {order_feasible(list(p), tower5.matrices)
+        verdicts = {check(list(p), tower5).order_feasible
                     for p in itertools.permutations(ids)}
         assert len(verdicts) == 1
 
     def test_strict_implies_as_written(self, tower10):
         rng = np.random.default_rng(0)
-        tables = ConstraintTables(tower10.matrices)
         n = tower10.matrices.n
-        for _ in range(200):
-            perm = rng.permutation(n)
-            strict = order_terms_idx(perm, tables, "strict")
-            loose = order_terms_idx(perm, tables, "as-written")
-            assert (loose | ~strict).all()
+        perms = [rng.permutation(n) for _ in range(200)]
+        strict = terms_at(tower10, perms, "strict")["order"]
+        loose = terms_at(tower10, perms, "as-written")["order"]
+        assert (loose | ~strict).all()
 
     def test_block_before_screw_infeasible_when_base_outlives(self, tower5):
         # strict reading; base held at position 1 (removed last)
-        catalog, matrices, motions = tower5
         screws_of = {2: [3], 4: [5]}
         others = [2, 3, 4, 5]
-        tables = ConstraintTables(matrices)
         n_checked = 0
         for perm in itertools.permutations(others):
             seq = [1, *perm]
             block_first = any(
                 seq.index(block) > seq.index(s)
                 for block, screws in screws_of.items() for s in screws)
-            feasible = bool(order_terms_idx(
-                tables.to_indices(seq), tables, "strict").all())
+            feasible = check(seq, tower5, mode="strict").order_feasible
             if block_first:
                 assert not feasible
                 n_checked += 1
@@ -111,24 +104,20 @@ class TestOrderFeasibility:
 
     def test_bad_mode_rejected(self, tower5):
         with pytest.raises(ValueError):
-            order_feasible([1, 2, 3, 4, 5], tower5.matrices, mode="weird")
+            check([1, 2, 3, 4, 5], tower5, mode="weird")
 
 
 class TestMotionFeasibility:
     def test_all_ones_motion_row_never_fails(self):
         ds = chain_product(3)
         for perm in itertools.permutations([1, 2, 3]):
-            assert motion_feasible(list(perm), ds.catalog, ds.motions,
-                                   ds.matrices)
+            assert check(list(perm), ds).motion_feasible
 
     def test_bottom_block_before_top_false_in_both_modes(self, tower10):
-        catalog, matrices, motions = tower10
-        ids = list(matrices.part_order)
         # bottom block (id 2) removed first, top block (id 8) last-ish
         seq = [1, 8, 9, 10, 5, 6, 7, 3, 4, 2]
-        for mode in ("as-written", "strict"):
-            assert not motion_feasible(seq, catalog, motions, matrices,
-                                       mode=mode)
+        for mode in MODES:
+            assert not check(seq, tower10, mode=mode).motion_feasible
 
     def test_zero_motion_part_fails_at_checked_position(self):
         ds = chain_product(3)
@@ -137,10 +126,10 @@ class TestMotionFeasibility:
             2: (Motion(0, "+z", np.ones(3, dtype=np.uint8)),),
             3: (),
         })
+        ds = Dataset(ds.catalog, ds.matrices, motions)
         # part 3 checked whenever it is not at position 1
-        assert not motion_feasible([1, 2, 3], ds.catalog, motions,
-                                   ds.matrices)
-        assert motion_feasible([3, 1, 2], ds.catalog, motions, ds.matrices)
+        assert not check([1, 2, 3], ds).motion_feasible
+        assert check([3, 1, 2], ds).motion_feasible
 
     def test_manual_parts_exempt(self):
         parts = (Part(1, "a_graspable", "graspable"),
@@ -151,18 +140,16 @@ class TestMotionFeasibility:
             1: (Motion(0, "+z", np.ones(2, dtype=np.uint8)),),
             2: (),   # no robot motion exists for the manual part
         })
-        assert motion_feasible([1, 2], catalog, motions, base.matrices)
-        assert motion_feasible([2, 1], catalog, motions, base.matrices)
+        ds = Dataset(catalog, base.matrices, motions)
+        assert check([1, 2], ds).motion_feasible
+        assert check([2, 1], ds).motion_feasible
 
     def test_matches_oracle_both_modes(self, tower5):
         tab = oracle.extract(tower5)
-        tables = ConstraintTables(tower5.matrices, tower5.catalog,
-                                  tower5.motions)
-        for mode in ("as-written", "strict"):
-            for perm in itertools.permutations(range(5)):
-                perm = np.array(perm)
-                got = bool(motion_terms_idx(perm, tables, mode).all())
-                assert got == oracle.motion_ok(list(perm), tab, mode)
+        for mode in MODES:
+            got = terms_at(tower5, ALL_5, mode)["motion"].all(axis=1)
+            for perm, ok in zip(ALL_5.tolist(), got):
+                assert ok == oracle.motion_ok(perm, tab, mode)
 
     def test_rows_for_already_removed_parts_irrelevant(self, tower5):
         # flipping feasibility entries against parts removed earlier can
@@ -170,10 +157,9 @@ class TestMotionFeasibility:
         # positions below k
         catalog, matrices, motions = tower5
         rng = np.random.default_rng(17)
-        tables = ConstraintTables(matrices, catalog, motions)
         for _ in range(20):
             perm = rng.permutation(5)
-            baseline = motion_terms_idx(perm, tables, "as-written").copy()
+            baseline = terms_at(tower5, perm)["motion"][0]
             k = int(rng.integers(1, 5))
             part = perm[k]
             doctored = {pid: list(entries)
@@ -185,10 +171,9 @@ class TestMotionFeasibility:
                 row[perm[k + 1:]] ^= 1   # parts removed before this one
                 new_entries.append(type(m)(m.id, m.kind, row))
             doctored[pid] = tuple(new_entries)
-            tampered = ConstraintTables(
-                matrices, catalog,
-                type(motions)(motions.part_order, doctored))
-            assert (motion_terms_idx(perm, tampered, "as-written")[k]
+            tampered = Dataset(catalog, matrices,
+                               type(motions)(motions.part_order, doctored))
+            assert (terms_at(tampered, perm)["motion"][0][k]
                     == baseline[k])
 
 
@@ -196,28 +181,23 @@ class TestStability:
     def test_chain_leaf_first(self):
         ds = chain_product(3)
         # removal c, b, a  -> storage (a, b, c)
-        assert stable([1, 2, 3], ds.matrices)
+        assert check([1, 2, 3], ds).stable
 
     def test_middle_first_order(self):
         ds = chain_product(3)
         # storage (a, c, b): removal b, c, a; c touches nothing remaining
-        assert not stable([1, 3, 2], ds.matrices)
+        assert not check([1, 3, 2], ds).stable
 
     def test_matches_oracle(self, tower5):
         tab = oracle.extract(tower5)
-        tables = ConstraintTables(tower5.matrices)
-        for perm in itertools.permutations(range(5)):
-            perm = np.array(perm)
-            got = bool(stability_terms_idx(perm, tables).all())
-            assert got == oracle.stable_ok(list(perm), tab)
+        got = terms_at(tower5, ALL_5)["stability"].all(axis=1)
+        for perm, ok in zip(ALL_5.tolist(), got):
+            assert ok == oracle.stable_ok(perm, tab)
 
 
 class TestCheck:
     def test_flags_compose(self, tower5):
-        tables = ConstraintTables(tower5.matrices, tower5.catalog,
-                                  tower5.motions)
-        for perm in itertools.permutations(range(5)):
-            perm = np.array(perm)
+        for perm in ALL_5:
             flags = check(np.array(tower5.matrices.part_order)[perm],
                           tower5, mode="as-written")
             assert flags.available == (flags.order_feasible
@@ -227,7 +207,7 @@ class TestCheck:
                 assert flags.first_violation is None
             else:
                 criterion, k = flags.first_violation
-                assert criterion in ("order", "motion", "stability")
+                assert criterion in TERMS
                 assert 2 <= k <= 5
 
     def test_first_violation_position(self):
@@ -242,26 +222,18 @@ class TestCheck:
 
 class TestLocality:
     def test_adjacent_flip_only_touches_two_terms(self, tower10):
-        tables = ConstraintTables(tower10.matrices, tower10.catalog,
-                                  tower10.motions)
         rng = np.random.default_rng(7)
         n = tower10.matrices.n
-        term_fns = [
-            lambda p: order_terms_idx(p, tables, "as-written"),
-            lambda p: order_terms_idx(p, tables, "strict"),
-            lambda p: motion_terms_idx(p, tables, "as-written"),
-            lambda p: motion_terms_idx(p, tables, "strict"),
-            lambda p: stability_terms_idx(p, tables),
-        ]
         for _ in range(25):
             perm = rng.permutation(n)
             k = int(rng.integers(0, n - 1))
             flipped = perm.copy()
             flipped[k], flipped[k + 1] = flipped[k + 1], flipped[k]
-            for fn in term_fns:
-                before = fn(perm)
-                after_full = fn(flipped)
-                # incremental recompute: copy old terms, redo only k, k+1
-                incremental = before.copy()
-                incremental[[k, k + 1]] = after_full[[k, k + 1]]
-                assert (incremental == after_full).all()
+            for mode in MODES:
+                before = terms_at(tower10, perm, mode)
+                after = terms_at(tower10, flipped, mode)
+                for term in TERMS:
+                    # incremental recompute: copy old terms, redo k, k+1
+                    incremental = before[term][0].copy()
+                    incremental[[k, k + 1]] = after[term][0][[k, k + 1]]
+                    assert (incremental == after[term][0]).all()

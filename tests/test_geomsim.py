@@ -236,7 +236,7 @@ class TestMotionTable:
         x_if = matrices.interference_free
         kinds = {"+x": 0, "+y": 1, "+z": 2, "-x": 3, "-y": 4, "-z": 5}
         for pid, entries in motions.motions.items():
-            k = matrices.index_of(pid)
+            k = matrices.part_order.index(pid)
             for m in entries:
                 j = kinds[m.kind]
                 expected = x_if[j, :, k].copy()
@@ -251,9 +251,9 @@ class TestGenerator:
         assert cat.by_id(1).base
         ds = build_dataset(asm, cat)
         # both storage orders pass the pairwise interference condition
-        from dsplan.constraints import order_feasible
-        assert order_feasible([1, 2], ds.matrices)
-        assert order_feasible([2, 1], ds.matrices)
+        from dsplan.objectives import check
+        assert check([1, 2], ds).order_feasible
+        assert check([2, 1], ds).order_feasible
 
     def test_five_part_counts(self):
         asm, cat = generate_synthetic(2, 1, seed=7)

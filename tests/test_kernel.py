@@ -1,8 +1,8 @@
 """Cross-checks of the population-wide evaluation kernel.
 
-A ``(P, n)`` batch must equal the row-by-row batch of one exactly, and both
-must equal the brute-force oracle: flags, per-position terms, the first
-violation, and the objectives.
+Each row of a ``(P, n)`` batch must equal the batch of that row alone
+exactly, and both must equal the brute-force oracle: flags, per-position
+terms, the first violation, and the objectives.
 """
 
 import itertools
@@ -12,13 +12,7 @@ import pytest
 
 import oracle
 from dsplan.ccg import build_ccg, ccgi_init
-from dsplan.constraints import (
-    ConstraintTables,
-    check_idx,
-    motion_terms_idx,
-    order_terms_idx,
-    stability_terms_idx,
-)
+from dsplan.constraints import TERMS, ConstraintTables
 from dsplan.model import (
     Dataset,
     Motion,
@@ -27,7 +21,7 @@ from dsplan.model import (
     PartCatalog,
     RelationMatrices,
 )
-from dsplan.objectives import Evaluator
+from dsplan.objectives import Evaluator, Score
 from conftest import make_tower
 from test_constraints import chain_product
 
@@ -71,33 +65,30 @@ def assert_kernel_matches(ds, perms, mode):
     tab = oracle.extract(ds)
     ev = Evaluator(ds, mode)
     perms = np.asarray(perms, dtype=np.int64)
-    batch = ev.evaluate_batch(perms)
+    score = ev.score(perms)
     terms = ev.kernel.terms_at(perms)
-    flags = ev.tables.kernel(mode).flags(perms)
-    assert len(batch) == len(flags) == len(perms)
+    assert all(len(column) == len(perms) for column in score)
     for p, perm in enumerate(perms):
         row = perm.tolist()
-        assert batch[p] == ev.evaluate_idx(perm)
-        assert flags[p] == ev.flags_idx(perm) == check_idx(perm, ev.tables,
-                                                           mode)
-        for name, one, ref in (
-                ("order", order_terms_idx(perm, ev.tables, mode),
-                 oracle.order_terms(row, tab, mode)),
-                ("motion", motion_terms_idx(perm, ev.tables, mode),
-                 oracle.motion_terms(row, tab, mode)),
-                ("stability", stability_terms_idx(perm, ev.tables),
-                 oracle.stability_terms(row, tab))):
-            assert terms[name][p].tolist() == one.tolist() == ref, name
-        assert flags[p].first_violation == oracle.first_violation(row, tab,
-                                                                  mode)
+        one = ev.score(perms[p:p + 1])
+        for name, column, single in zip(Score._fields, score, one):
+            assert np.array_equal(column[p], single[0]), name
+        for name, ref in (("order", oracle.order_terms(row, tab, mode)),
+                          ("motion", oracle.motion_terms(row, tab, mode)),
+                          ("stability", oracle.stability_terms(row, tab))):
+            assert terms[name][p].tolist() == ref, name
         o, m, s, objs = oracle.evaluate(row, tab, mode)
-        assert (flags[p].order_feasible, flags[p].motion_feasible,
-                flags[p].stable) == (o, m, s)
-        assert (batch[p].feasible, batch[p].stable) == (o and m, s)
-        if batch[p].available:
-            assert (batch[p].objectives == ev.objectives_idx(perm)
+        assert (score.order[p], score.motion[p], score.stable[p]) == (o, m, s)
+        assert score.feasible[p] == (o and m)
+        first = oracle.first_violation(row, tab, mode)
+        if first is None:
+            assert (score.violated[p], score.position[p]) == (-1, 0)
+        else:
+            assert (TERMS[score.violated[p]], score.position[p]) == first
+        if o and m and s:
+            assert (tuple(score.objectives[p].tolist())
                     == row_objectives(ev, perm))
-        assert batch[p].objectives == pytest.approx(objs, abs=1e-12)
+        assert score.objectives[p] == pytest.approx(objs, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -115,8 +106,8 @@ def test_ccgi_draws_of_36_part_tower(tower36, mode):
     perms = [ev.to_indices(ccgi_init(graph, rng)) for _ in range(100)]
     assert_kernel_matches(tower36, perms, mode)
     # the draws are stable, so their objectives are live in as-written mode
-    assert mode == "strict" or any(e.available
-                                   for e in ev.evaluate_batch(perms))
+    score = ev.score(np.array(perms))
+    assert mode == "strict" or (score.feasible & score.stable).any()
 
 
 def _all_perms(n):
@@ -156,9 +147,8 @@ def test_all_manual_product(mode):
     ds = Dataset(catalog, base.matrices,
                  MotionTable(base.matrices.part_order, {}))
     assert_kernel_matches(ds, _all_perms(4), mode)
-    ev = Evaluator(ds, mode)
-    assert all(e.stable == e.available
-               for e in ev.evaluate_batch(np.array(_all_perms(4))))
+    score = Evaluator(ds, mode).score(np.array(_all_perms(4)))
+    assert (score.stable == (score.feasible & score.stable)).all()
 
 
 def random_product(n, seed):

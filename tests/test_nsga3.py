@@ -13,26 +13,24 @@ from dsplan.nsga3 import (
     _Population,
     _adaptive_normalize,
     _associate,
+    _best_member,
     _cut_paste_rows,
+    _draw_cut,
+    _draw_window,
     _front_ranks,
     _make_offspring,
     _ox_rows,
     _rotate_rows,
     _select,
     _swap_rows,
-    best_solution,
-    break_and_join,
-    crossover,
     crowding_distance,
     crowding_select,
-    cut_and_paste,
     das_dennis_points,
-    mutate,
     niche_select,
     non_dominated_sort,
     run,
 )
-from dsplan.objectives import PENALTY, Evaluation
+from dsplan.objectives import PENALTY
 from test_ccg import criterion12_tower
 
 
@@ -272,56 +270,45 @@ def _perm(n, seed):
     return np.random.default_rng(seed).permutation(np.arange(1, n + 1))
 
 
+def ox_pair(a, b, i, j):
+    """Both order-crossover children of ``a`` and ``b`` over window i:j."""
+    return _ox_rows(np.stack((a, b)), np.stack((b, a)), [i, i], [j, j])
+
+
 class TestOperators:
     def test_identical_parents_clone(self):
         a = _perm(8, 0)
-        c1, c2 = crossover(a, a.copy(), np.random.default_rng(1))
+        c1, c2 = ox_pair(a, a.copy(), *_draw_window(
+            np.random.default_rng(1), 8))
         assert (c1 == a).all() and (c2 == a).all()
 
     def test_whole_window_clones(self):
         a, b = _perm(6, 2), _perm(6, 3)
-
-        class FullWindow:       # the window's two ends: 0, then n
-            ends = iter((0, 6))
-
-            def integers(self, k):
-                return next(self.ends)
-        c1, c2 = crossover(a, b, FullWindow())
+        c1, c2 = ox_pair(a, b, 0, 6)
         assert (c1 == a).all() and (c2 == b).all()
 
     def test_swap_same_position_identity(self):
         s = _perm(5, 4)
-
-        class SameIdx:
-            def integers(self, k):
-                return 2
-        assert (mutate(s, SameIdx()) == s).all()
+        assert (_swap_rows(s[None], [2], [2])[0] == s).all()
 
     def test_break_at_ends_identity(self):
         s = _perm(5, 5)
-
-        class AtZero:
-            def integers(self, k):
-                return 0
-
-        class AtEnd:
-            def integers(self, k):
-                return k - 1
-        assert (break_and_join(s, AtZero()) == s).all()
-        assert (break_and_join(s, AtEnd()) == s).all()
+        assert (_rotate_rows(s[None], [0])[0] == s).all()
+        assert (_rotate_rows(s[None], [5])[0] == s).all()
 
     def test_multiset_preservation_bulk(self):
         rng = np.random.default_rng(6)
         base = np.arange(1, 11)
-        for _ in range(10_000):
-            a = rng.permutation(base)
-            b = rng.permutation(base)
-            c1, c2 = crossover(a, b, rng)
-            assert sorted(c1.tolist()) == list(range(1, 11))
-            assert sorted(c2.tolist()) == list(range(1, 11))
-            for op in (mutate, cut_and_paste, break_and_join):
-                out = op(a, rng)
-                assert sorted(out.tolist()) == list(range(1, 11))
+        a = np.array([rng.permutation(base) for _ in range(10_000)])
+        b = np.array([rng.permutation(base) for _ in range(10_000)])
+        i, j = np.sort(rng.integers(0, 11, size=(2, 10_000)), axis=0)
+        g = rng.integers(0, 11 - (j - i))
+        outs = [_ox_rows(a, b, i, j), _ox_rows(b, a, i, j),
+                _swap_rows(a, *rng.integers(0, 10, size=(2, 10_000))),
+                _cut_paste_rows(a, i, j, g),
+                _rotate_rows(a, rng.integers(0, 11, size=10_000))]
+        for out in outs:
+            assert (np.sort(out, axis=1) == base).all()
 
     @given(st.integers(2, 30), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -329,9 +316,11 @@ class TestOperators:
         rng = np.random.default_rng(seed)
         a = rng.permutation(np.arange(1, n + 1))
         b = rng.permutation(np.arange(1, n + 1))
-        c1, c2 = crossover(a, b, rng)
-        outs = [c1, c2, mutate(a, rng), cut_and_paste(a, rng),
-                break_and_join(a, rng)]
+        c1, c2 = ox_pair(a, b, *_draw_window(rng, n))
+        outs = [c1, c2,
+                _swap_rows(a[None], [rng.integers(n)], [rng.integers(n)])[0],
+                _cut_paste_rows(a[None], *([v] for v in _draw_cut(rng, n)))[0],
+                _rotate_rows(a[None], [rng.integers(n + 1)])[0]]
         for out in outs:
             assert sorted(out.tolist()) == list(range(1, n + 1))
 
@@ -355,7 +344,8 @@ class TestOperators:
 
         i, j = sorted(np.random.default_rng(seed).integers(
             0, len(ids) + 1, size=2))
-        c1, c2 = crossover(a, b, np.random.default_rng(seed))
+        c1, c2 = ox_pair(a, b, *_draw_window(np.random.default_rng(seed),
+                                             len(ids)))
         assert (c1 == ox(a, b, i, j)).all()
         assert (c2 == ox(b, a, i, j)).all()
 
@@ -452,25 +442,6 @@ class TestBatchedOperators:
                                                 g[r])).all()
             assert (rotated[r] == ref_break_and_join(rows[r], p[r])).all()
 
-    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_per_pair_functions_match_references(self, n, seed):
-        a = np.random.default_rng(seed).permutation(n)
-        b = np.random.default_rng(seed + 1).permutation(n)
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        i, j = sorted(ref.integers(0, n + 1, size=2))
-        c1, c2 = crossover(a, b, rng)
-        assert (c1 == ref_ox(a, b, i, j)).all()
-        assert (c2 == ref_ox(b, a, i, j)).all()
-        assert (mutate(a, rng) == ref_swap(
-            a, *ref.integers(0, n, size=2))).all()
-        i, j = sorted(ref.integers(0, n + 1, size=2))
-        g = int(ref.integers(0, n - (j - i) + 1))
-        assert (cut_and_paste(a, rng) == ref_cut_and_paste(a, i, j, g)).all()
-        assert (break_and_join(a, rng) == ref_break_and_join(
-            a, int(ref.integers(0, n + 1)))).all()
-        assert rng.integers(2**62) == ref.integers(2**62)
-
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_offspring_match_child_by_child_reference(self, data):
@@ -504,41 +475,42 @@ class TestBatchedOperators:
         assert rng.integers(2**62) == ref.integers(2**62)
 
 
-def _eval(available, objs):
-    if not available:
-        return Evaluation(False, False, False, (1.0, 1.0, 1.0, 1.0))
-    return Evaluation(True, True, True, tuple(objs))
+def best(members, objectives=("d", "e", "p", "a")):
+    """``_best_member``'s index over ``(feasible, stable, objectives)``
+    members; ``objectives`` None is an unavailable member's penalty."""
+    feasible, stable, objs = zip(*members)
+    objs = np.array([PENALTY if v is None else v for v in objs])
+    mask = GaConfig(objectives=objectives).objective_mask()
+    return _best_member(np.array(feasible), np.array(stable), objs, mask)[0]
 
 
 class TestBestSolution:
     def test_single_member(self):
-        assert best_solution([_eval(True, (0.5, 0.5, 0.5, 0.5))]) == 0
+        assert best([(True, True, (0.5, 0.5, 0.5, 0.5))]) == 0
 
     def test_sum_ordering(self):
-        evals = [_eval(True, (0.3, 0.3, 0.3, 0.3)),
-                 _eval(True, (0.2, 0.2, 0.2, 0.3))]
-        assert best_solution(evals) == 1
+        assert best([(True, True, (0.3, 0.3, 0.3, 0.3)),
+                     (True, True, (0.2, 0.2, 0.2, 0.3))]) == 1
 
     def test_available_beats_unavailable(self):
-        evals = [_eval(False, None), _eval(True, (0.9, 0.9, 0.9, 0.9))]
-        assert best_solution(evals) == 1
+        assert best([(False, False, None),
+                     (True, True, (0.9, 0.9, 0.9, 0.9))]) == 1
 
     def test_ties_break_lexicographic_then_index(self):
-        evals = [_eval(True, (0.4, 0.2, 0.2, 0.2)),
-                 _eval(True, (0.2, 0.4, 0.2, 0.2)),
-                 _eval(True, (0.2, 0.4, 0.2, 0.2))]
-        assert best_solution(evals) == 1
+        assert best([(True, True, (0.4, 0.2, 0.2, 0.2)),
+                     (True, True, (0.2, 0.4, 0.2, 0.2)),
+                     (True, True, (0.2, 0.4, 0.2, 0.2))]) == 1
 
     def test_fewest_violations_when_none_available(self):
-        both_bad = Evaluation(False, False, False, (1.0,) * 4)
-        one_bad = Evaluation(True, False, False, (1.0,) * 4)
-        assert best_solution([both_bad, one_bad]) == 1
+        both_bad = (False, False, None)
+        one_bad = (True, False, None)
+        assert best([both_bad, one_bad]) == 1
 
     def test_subset_objectives(self):
-        evals = [_eval(True, (0.1, 0.9, 0.0, 0.0)),
-                 _eval(True, (0.2, 0.1, 0.0, 0.0))]
-        assert best_solution(evals, objectives=("d",)) == 0
-        assert best_solution(evals, objectives=("e",)) == 1
+        members = [(True, True, (0.1, 0.9, 0.0, 0.0)),
+                   (True, True, (0.2, 0.1, 0.0, 0.0))]
+        assert best(members, objectives=("d",)) == 0
+        assert best(members, objectives=("e",)) == 1
 
 
 class TestRun:

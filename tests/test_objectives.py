@@ -24,9 +24,12 @@ from test_constraints import chain_product
 
 
 def objective(ds, seq, key):
-    """One objective of an id sequence, assuming it is available."""
+    """One objective of an id sequence, assuming it is available: the
+    objective half of ``Evaluator.score``, before the penalty."""
     ev = Evaluator(ds)
-    return ev.objectives_idx(ev.to_indices(seq))[OBJECTIVE_KEYS.index(key)]
+    perms = ev.to_indices(seq)[None]
+    degree = ev.kernel.counts(perms)["degree"]
+    return ev._objectives(perms, degree)[0, OBJECTIVE_KEYS.index(key)]
 
 
 def custom_product(specs, cs_pairs=None):
@@ -195,9 +198,10 @@ class TestEvaluate:
         tab = oracle.extract(tower7)
         ev = Evaluator(tower7)
         rng = np.random.default_rng(5)
+        ids = np.array(tower7.matrices.part_order)
         for _ in range(200):
             perm = rng.permutation(7)
-            mine = ev.evaluate_idx(perm)
+            mine = ev.evaluate(ids[perm])
             o, m, s, objs = oracle.evaluate(list(perm), tab, "as-written")
             assert mine.feasible == (o and m)
             assert mine.stable == s
@@ -220,10 +224,9 @@ class TestEvaluate:
             swapped = perm.copy()
             a, b = np.flatnonzero((perm == 0) | (perm == 1))
             swapped[a], swapped[b] = swapped[b], swapped[a]
-            e1 = ev.evaluate_idx(perm)
-            e2 = ev.evaluate_idx(swapped)
-            np.testing.assert_allclose(e1.objectives, e2.objectives,
-                                       atol=1e-15)
+            score = ev.score(np.stack((perm, swapped)))
+            np.testing.assert_allclose(score.objectives[0],
+                                       score.objectives[1], atol=1e-15)
 
     def test_invalid_evaluation_rejected(self):
         with pytest.raises(ValueError):
