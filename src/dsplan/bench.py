@@ -228,22 +228,15 @@ def summary_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, out_dir: str | Path,
-                formats: tuple[str, ...] = ("csv", "txt")) -> list[Path]:
-    """Write summary and per-method generation curves; returns the paths."""
+def emit_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
+    """Write the csv and text summaries and the per-method generation
+    curves; returns the paths, the csv summary first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "csv" in formats:
-        p = out / f"{report.kind}_summary.csv"
-        p.write_text(summary_csv(report), encoding="utf-8")
-        written.append(p)
-    if "txt" in formats:
-        p = out / f"{report.kind}_summary.txt"
-        p.write_text(summary_text(report), encoding="utf-8")
-        written.append(p)
+    files = {f"{report.kind}_summary.csv": summary_csv(report),
+             f"{report.kind}_summary.txt": summary_text(report)}
     for method, rows in sorted(report.curves.items()):
-        p = out / f"{report.kind}_curve_{method}.csv"
-        p.write_text(history_csv(rows), encoding="utf-8")
-        written.append(p)
-    return written
+        files[f"{report.kind}_curve_{method}.csv"] = history_csv(rows)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in files]

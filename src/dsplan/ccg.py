@@ -21,6 +21,8 @@ from .constraints import ConstraintTables
 from .model import FIXING_LABELS, PartCatalog, RelationMatrices
 
 _INF = float("inf")
+# fr/sfr give up on a draw that has not settled after this many passes
+_MAX_PASSES = 50
 
 
 class DisconnectedProduct(Exception):
@@ -194,7 +196,7 @@ def random_init(catalog: PartCatalog,
 
 
 def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
-               max_passes: int, with_stability: bool,
+               with_stability: bool,
                tables: ConstraintTables | None) -> np.ndarray:
     if tables is None:
         tables = ConstraintTables(matrices)
@@ -205,7 +207,7 @@ def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
     perm = [tables.index[int(x)] for x in rng.permutation(ids)]
     n = len(perm)
     where = np.argsort(perm).tolist()
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         swapped = False
         # bit b of ``below``: part b sits at a position below k
         below = (1 << n) - 1
@@ -234,21 +236,21 @@ def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
 
 
 def fr_init(catalog: PartCatalog, matrices: RelationMatrices,
-            rng: np.random.Generator, max_passes: int = 50, *,
+            rng: np.random.Generator, *,
             tables: ConstraintTables | None = None) -> np.ndarray:
     """Random permutation repaired toward interference feasibility.
 
     Scans positions last-to-second; a violating part is swapped to a random
     earlier (later-removed) slot.  The result may still violate.
     """
-    return _rearrange(matrices, rng, max_passes, False, tables)
+    return _rearrange(matrices, rng, False, tables)
 
 
 def sfr_init(catalog: PartCatalog, matrices: RelationMatrices,
-             rng: np.random.Generator, max_passes: int = 50, *,
+             rng: np.random.Generator, *,
              tables: ConstraintTables | None = None) -> np.ndarray:
     """Like fr_init but also repairs the connection (stability) terms."""
-    return _rearrange(matrices, rng, max_passes, True, tables)
+    return _rearrange(matrices, rng, True, tables)
 
 
 INIT_METHODS = ("ri", "fr", "sfr", "ccgi")

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,28 +48,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_out() -> str:
-    return os.environ.get(OUT_DIR_ENV, ".")
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: drawn from entropy, echoed)")
-    p.add_argument("--out", default=_default_out(),
+    p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."),
                    help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     p.add_argument("-v", "--verbose", action="store_true")
 
 
+def _rates(text: str) -> dict[str, float]:
+    """The ``--rates`` value as the four ``GaConfig`` rate fields."""
+    values = text.split(",")
+    if len(values) != 4:
+        raise argparse.ArgumentTypeError("needs four comma-separated values")
+    try:
+        return dict(zip(("crossover_rate", "mutation_rate", "cut_paste_rate",
+                         "break_join_rate"), map(float, values)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _objectives(text: str) -> tuple[str, ...]:
+    return tuple(k for k in text.split(",") if k)
+
+
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
+    """GA flags; each one's dest is the ``GaConfig`` field it sets."""
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--pop", type=int, default=None)
+    p.add_argument("--pop", dest="pop_size", metavar="POP", type=int,
+                   default=None)
     p.add_argument("--divisions", type=int, default=None)
-    p.add_argument("--rates", default=None, metavar="CX,MUT,CAP,BAJ",
+    p.add_argument("--rates", type=_rates, default=None,
+                   metavar="CX,MUT,CAP,BAJ",
                    help="operator rates, comma separated")
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--objectives", default=None, metavar="d,e,p,a",
-                   help="enabled objective subset")
+    p.add_argument("--objectives", type=_objectives, default=None,
+                   metavar="d,e,p,a", help="enabled objective subset")
     p.add_argument("--init", choices=INIT_METHODS, default=None)
     p.add_argument("--selection", choices=SELECTION_METHODS, default=None)
     p.add_argument("--mating", choices=MATING_METHODS, default=None)
@@ -138,36 +153,15 @@ def _resolve_seed(args) -> int:
     return int(np.random.SeedSequence().entropy % (2 ** 32))
 
 
-def _ga_config(args, seed: int) -> GaConfig:
-    cfg = GaConfig(seed=seed)
-    if args.generations is not None:
-        cfg.generations = args.generations
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.pop is not None:
-        cfg.pop_size = args.pop
-    if args.divisions is not None:
-        cfg.divisions = args.divisions
-    if args.rates is not None:
-        parts = args.rates.split(",")
-        if len(parts) != 4:
-            raise _UsageError("--rates needs four comma-separated values")
-        try:
-            (cfg.crossover_rate, cfg.mutation_rate,
-             cfg.cut_paste_rate, cfg.break_join_rate) = map(float, parts)
-        except ValueError as exc:
-            raise _UsageError(f"--rates: {exc}") from exc
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.objectives is not None:
-        cfg.objectives = tuple(k for k in args.objectives.split(",") if k)
-    if args.init is not None:
-        cfg.init = args.init
-    if args.selection is not None:
-        cfg.selection = args.selection
-    if args.mating is not None:
-        cfg.mating = args.mating
-    cfg.parallel = bool(args.parallel)
+def _ga_config(args) -> GaConfig:
+    """The GA flags that were given, with ``--trials`` as ``iterations``,
+    over the ``GaConfig`` defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(GaConfig)
+             if getattr(args, f.name, None) is not None}
+    given.update(args.rates or {})
+    if getattr(args, "trials", None) is not None:
+        given["iterations"] = args.trials
+    cfg = GaConfig(**{**given, "seed": _resolve_seed(args)})
     try:
         cfg.validate()
     except ValueError as exc:
@@ -222,19 +216,17 @@ def _cmd_gen_synthetic(args) -> int:
                 "priority_count": 0, "pitch": 1.0, "clearance": None,
                 "angle": 5.0}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _UsageError(f"--config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise _UsageError(f"--config {args.config}: not a JSON object")
+        except (OSError, ValueError) as exc:   # unreadable or not JSON
+            raise _UsageError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict) or loaded.keys() - settings.keys():
+            raise _UsageError(f"--config {args.config}: not a JSON object "
+                              f"of the settings {sorted(settings)}")
         settings.update(loaded)
-    for key in ("layers", "screws", "manual_fraction", "priority_count",
-                "pitch", "clearance", "angle"):
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            settings[key] = flag
+    settings.update({key: getattr(args, key) for key in settings
+                     if getattr(args, key) is not None})
     seed = _resolve_seed(args)
     _log_provenance(seed, None, {"generator": settings})
     try:
@@ -250,8 +242,7 @@ def _cmd_gen_synthetic(args) -> int:
     except (TypeError, ValueError) as exc:   # a bad or mistyped setting
         raise _UsageError(f"generator settings: {exc}") from exc
     out_path = Path(args.dataset_out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out_path)
     log.info("wrote %s (%d parts)", out_path, len(catalog))
     print(out_path)
@@ -259,13 +250,12 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = _ga_config(args, seed)
+    cfg = _ga_config(args)
     digest = dataset_digest(args.dataset)
-    _log_provenance(seed, args.dataset, {"config": asdict(cfg)})
+    _log_provenance(cfg.seed, args.dataset, {"config": asdict(cfg)})
     dataset = load_dataset(args.dataset)
     result = run(dataset, cfg)
-    text = _plan_text(result, seed, digest)
+    text = _plan_text(result, cfg.seed, digest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "plan_result.txt").write_text(text, encoding="utf-8")
@@ -290,30 +280,17 @@ def _cmd_init_bench(args) -> int:
     return _emit(report, args.out)
 
 
-def _apply_trials_alias(args, cfg: GaConfig) -> None:
-    if getattr(args, "trials", None) is not None:
-        cfg.iterations = args.trials
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-
-
 def _cmd_ablate(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = _ga_config(args, seed)
-    _apply_trials_alias(args, cfg)
-    _log_provenance(seed, args.dataset, {"config": asdict(cfg)})
+    cfg = _ga_config(args)
+    _log_provenance(cfg.seed, args.dataset, {"config": asdict(cfg)})
     dataset = load_dataset(args.dataset)
     report = ablation_run(dataset, cfg)
     return _emit(report, args.out)
 
 
 def _cmd_single_obj(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = _ga_config(args, seed)
-    _apply_trials_alias(args, cfg)
-    _log_provenance(seed, args.dataset,
+    cfg = _ga_config(args)
+    _log_provenance(cfg.seed, args.dataset,
                     {"objective": args.objective, "config": asdict(cfg)})
     dataset = load_dataset(args.dataset)
     report = single_objective_run(dataset, cfg, args.objective)
@@ -343,17 +320,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(name)s: %(message)s")
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(name)s: %(message)s")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

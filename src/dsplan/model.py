@@ -189,64 +189,54 @@ class RelationMatrices:
         n = self.n
         if len(set(self.part_order)) != n:
             raise ValidationError("part_order contains duplicate ids")
-        if catalog is not None:
-            if sorted(self.part_order) != sorted(catalog.non_ignored_ids()):
-                raise ValidationError(
-                    "part_order must list exactly the non-ignored part ids")
-        for name, arr, layers in (
-                ("x_if", self.interference_free, N_TRANSLATIONS),
-                ("x_cf", self.constraint_free, N_DIRECTIONS)):
-            if arr.shape != (layers, n, n):
-                raise ValidationError(
-                    f"{name} must have shape ({layers}, {n}, {n}), "
-                    f"got {arr.shape}", matrix=name)
-            bad = (arr != 0) & (arr != 1)
-            if bad.any():
-                j, i, k = map(int, np.argwhere(bad)[0])
-                raise ValidationError(
-                    f"{name} layer {j + 1} has non-binary entry at ({i}, {k})",
-                    matrix=name, index=(j, i, k))
-        if self.contact.shape != (n, n):
-            raise ValidationError(f"x_ct must be {n}x{n}", matrix="x_ct")
-        if ((self.contact != 0) & (self.contact != 1)).any():
-            raise ValidationError("x_ct has non-binary entries", matrix="x_ct")
-        for j in range(3):
-            for name, arr in (("x_if", self.interference_free),
-                              ("x_cf", self.constraint_free)):
-                diff = arr[j + 3] != arr[j].T
-                if diff.any():
-                    i, k = map(int, np.argwhere(diff)[0])
-                    raise TransposeViolation(
-                        f"{name} layer {j + 4} != transpose of layer {j + 1} "
-                        f"at ({i}, {k})", matrix=name, index=(j + 3, i, k))
-        if (self.contact != self.contact.T).any():
-            i, k = map(int, np.argwhere(self.contact != self.contact.T)[0])
+        if catalog is not None and (sorted(self.part_order)
+                                    != sorted(catalog.non_ignored_ids())):
             raise ValidationError(
-                f"x_ct is not symmetric at ({i}, {k})",
-                matrix="x_ct", index=(i, k))
-        if np.diag(self.contact).any():
-            raise ValidationError("x_ct diagonal must be zero", matrix="x_ct")
+                "part_order must list exactly the non-ignored part ids")
+        for name, arr, shape in (
+                ("x_if", self.interference_free, (N_TRANSLATIONS, n, n)),
+                ("x_cf", self.constraint_free, (N_DIRECTIONS, n, n)),
+                ("x_ct", self.contact, (n, n))):
+            if arr.shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, "
+                                      f"got {arr.shape}", matrix=name)
+            _raise_at((arr != 0) & (arr != 1), name, lambda *index: (
+                f"{name}{''.join(f'[{i}]' for i in index)} must be 0 or 1, "
+                f"got {arr[index]}"))
+        for name, arr in (("x_if", self.interference_free),
+                          ("x_cf", self.constraint_free)):
+            # in each block of six layers (translations, then rotations),
+            # layer j + 3 is the transpose of layer j for j = 0, 1, 2
+            pairs = arr.reshape(len(arr) // 6, 2, 3, n, n)
+            bad = np.zeros(arr.shape, dtype=bool)
+            bad.reshape(pairs.shape)[:, 1] = (
+                pairs[:, 1] != pairs[:, 0].transpose(0, 1, 3, 2))
+            _raise_at(bad, name, lambda j, i, k: (
+                f"{name} layer {j + 1} != transpose of layer {j - 2} "
+                f"at ({i}, {k})"), TransposeViolation)
+        _raise_at(self.contact != self.contact.T, "x_ct",
+                  lambda i, k: f"x_ct is not symmetric at ({i}, {k})")
+        _raise_at(np.eye(n, dtype=bool) & (self.contact == 1), "x_ct",
+                  lambda i, k: f"x_ct diagonal must be zero, violated at "
+                               f"({i}, {k})")
+        # with every twin checked, the derived degree is symmetric, and so
+        # is an x_cs equal to it
         derived = derive_constraint_degree(self.constraint_free)
-        diff = self.constraint_degree != derived
-        if diff.any():
-            i, k = map(int, np.argwhere(diff)[0])
-            raise ValidationError(
-                f"x_cs({i}, {k}) = {int(self.constraint_degree[i, k])} does "
-                f"not match the value {int(derived[i, k])} derived from x_cf",
-                matrix="x_cs", index=(i, k))
-        if (self.constraint_degree != self.constraint_degree.T).any():
-            bad = self.constraint_degree != self.constraint_degree.T
-            i, k = map(int, np.argwhere(bad)[0])
-            raise ValidationError(
-                f"x_cs is not symmetric at ({i}, {k})",
-                matrix="x_cs", index=(i, k))
-        hidden = (self.contact == 1) & (self.constraint_degree < 1)
-        np.fill_diagonal(hidden, False)
-        if hidden.any():
-            i, k = map(int, np.argwhere(hidden)[0])
-            raise ValidationError(
-                f"parts in contact must have constraint degree >= 1, "
-                f"violated at ({i}, {k})", matrix="x_cs", index=(i, k))
+        _raise_at(self.constraint_degree != derived, "x_cs", lambda i, k: (
+            f"x_cs({i}, {k}) = {int(self.constraint_degree[i, k])} does "
+            f"not match the value {int(derived[i, k])} derived from x_cf"))
+        _raise_at((self.contact == 1) & (self.constraint_degree < 1), "x_cs",
+                  lambda i, k: ("parts in contact must have constraint "
+                                f"degree >= 1, violated at ({i}, {k})"))
+
+
+def _raise_at(bad: np.ndarray, matrix: str, message,
+              error: type[ValidationError] = ValidationError) -> None:
+    """Raise ``error`` at the first true entry of ``bad``, if there is one;
+    ``message`` maps that entry's index to the error text."""
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise error(message(*index), matrix=matrix, index=index)
 
 
 def derive_constraint_degree(constraint_free: np.ndarray) -> np.ndarray:
@@ -343,28 +333,21 @@ def _part_to_json(p: Part) -> dict:
     return out
 
 
-def _com_from_json(part_id, value) -> tuple[float, float, float]:
-    try:
-        com = tuple(float(c) for c in value)
-    except (TypeError, ValueError):
-        com = ()
-    if len(com) != 3 or not all(math.isfinite(c) for c in com):
-        raise SchemaError(f"part {part_id}: com must be three finite "
-                          f"numbers, got {value!r}")
-    return com
-
-
-def _int_from_json(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where} must be an integer, got {value!r}")
+def _typed_from_json(value, kind: type, where: str):
+    """``value`` when it is a JSON integer (``kind`` int) or boolean (bool);
+    a boolean is not an integer here."""
+    if type(value) is not kind:
+        what = "an integer" if kind is int else "a boolean"
+        raise SchemaError(f"{where} must be {what}, got {value!r}")
     return value
 
 
-def _list_from_json(value, where: str) -> list:
+def _items_from_json(value, where: str) -> list[tuple[str, object]]:
+    """(location, item) pairs of the JSON list ``value``."""
     if not isinstance(value, list):
         raise SchemaError(
             f"{where} must be a list, got {type(value).__name__}")
-    return value
+    return [(f"{where}[{j}]", item) for j, item in enumerate(value)]
 
 
 def _fields_from_json(obj, fields, where: str) -> dict:
@@ -375,6 +358,24 @@ def _fields_from_json(obj, fields, where: str) -> dict:
         if name not in obj:
             raise SchemaError(f"{where} missing field {name!r}")
     return obj
+
+
+def _finite_from_json(value, where: str, count: int | None = None):
+    """A finite JSON number as a float or, when ``count`` is given, a list
+    of ``count`` of them as a tuple of floats."""
+    items = [value] if count is None else value
+    floats = ()
+    if isinstance(items, list) and not any(
+            type(x) not in (int, float) for x in items):
+        try:
+            floats = tuple(map(float, items))
+        except OverflowError:      # an integer beyond the float range
+            pass
+    if len(floats) != (count or 1) or not all(map(math.isfinite, floats)):
+        what = ("a finite number" if count is None
+                else f"{count} finite numbers")
+        raise SchemaError(f"{where} must be {what}, got {value!r}")
+    return floats[0] if count is None else floats
 
 
 def _misfit(value, shape, where: str) -> str | None:
@@ -416,32 +417,23 @@ def _array_from_json(value, shape, dtype, where: str) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _size_from_json(value, where: str) -> float | None:
-    if value is None:
-        return None
-    try:
-        size = float(value)
-    except (TypeError, ValueError, OverflowError):
-        size = math.nan
-    if not math.isfinite(size):
-        raise SchemaError(f"{where} must be a finite number, got {value!r}")
-    return size
-
-
 def _part_from_json(obj, where: str) -> Part:
     obj = _fields_from_json(obj, ("id", "name", "labels", "com"), where)
     labels = _fields_from_json(obj["labels"], ("task",), f"{where}.labels")
-    part_id = _int_from_json(obj["id"], f"{where}.id")
+    part_id = _typed_from_json(obj["id"], int, f"{where}.id")
+    flags = {key: _typed_from_json(labels.get(key, False), bool,
+                                   f"{where}.labels.{key}")
+             for key in ("priority", "base", "ignore")}
+    size = obj.get("size")
     return Part(
         id=part_id,
         name=str(obj["name"]),
         task_label=str(labels["task"]),
-        priority=bool(labels.get("priority", False)),
-        base=bool(labels.get("base", False)),
-        ignore=bool(labels.get("ignore", False)),
-        com=_com_from_json(part_id, obj["com"]),
+        com=_finite_from_json(obj["com"], f"part {part_id}: com", 3),
         eef=obj.get("eef"),
-        size=_size_from_json(obj.get("size"), f"{where}.size"),
+        size=None if size is None else _finite_from_json(size,
+                                                         f"{where}.size"),
+        **flags,
     )
 
 
@@ -478,26 +470,24 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:      # not UTF-8, or not JSON
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
     version = doc.get("version")
-    if version != DATASET_VERSION:
+    if type(version) is not int or version != DATASET_VERSION:
         raise SchemaError(
             f"unsupported dataset version {version!r}, "
             f"expected {DATASET_VERSION}")
-    for key in ("parts", "part_order", "x_if", "x_cf", "x_ct", "motions"):
-        if key not in doc:
-            raise SchemaError(f"missing top-level field {key!r}")
+    _fields_from_json(doc, ("parts", "part_order", "x_if", "x_cf", "x_ct",
+                            "motions"), "dataset")
 
     catalog = PartCatalog(tuple(
-        _part_from_json(p, f"parts[{j}]")
-        for j, p in enumerate(_list_from_json(doc["parts"], "parts"))))
+        _part_from_json(p, where)
+        for where, p in _items_from_json(doc["parts"], "parts")))
     part_order = tuple(
-        _int_from_json(pid, f"part_order[{j}]")
-        for j, pid in enumerate(_list_from_json(doc["part_order"],
-                                                "part_order")))
+        _typed_from_json(pid, int, where)
+        for where, pid in _items_from_json(doc["part_order"], "part_order"))
     n = len(part_order)
 
     def as_array(key, shape, dtype):
@@ -506,7 +496,7 @@ def load_dataset(path: str | Path) -> Dataset:
     x_if = as_array("x_if", (N_TRANSLATIONS, n, n), np.uint8)
     x_cf = as_array("x_cf", (N_DIRECTIONS, n, n), np.uint8)
     x_ct = as_array("x_ct", (n, n), np.uint8)
-    if "x_cs" in doc and doc["x_cs"] is not None:
+    if doc.get("x_cs") is not None:
         x_cs = as_array("x_cs", (n, n), np.int16)
     else:
         x_cs = derive_constraint_degree(x_cf)
@@ -521,11 +511,12 @@ def load_dataset(path: str | Path) -> Dataset:
             pid = int(key)
         except ValueError as exc:
             raise SchemaError(f"motion key {key!r} is not a part id") from exc
+        if pid in fields:
+            raise SchemaError(f"motion key {key!r} repeats part id {pid}")
         fields[pid] = []
-        for j, m in enumerate(_list_from_json(entries, f"motions[{key!r}]")):
-            where = f"motions[{key!r}][{j}]"
+        for where, m in _items_from_json(entries, f"motions[{key!r}]"):
             m = _fields_from_json(m, ("id", "kind", "row"), where)
-            fields[pid].append((_int_from_json(m["id"], f"{where}.id"),
+            fields[pid].append((_typed_from_json(m["id"], int, f"{where}.id"),
                                 str(m["kind"]), m["row"], where))
     # every row in one conversion; when it fails, the rows are converted
     # one at a time so that the error names the first bad motion

@@ -6,11 +6,9 @@ the voxel generator.  Budget-sensitive criteria carry wall-clock guards.
 
 import itertools
 import json
-import math
 import time
 
 import numpy as np
-import pytest
 
 import oracle
 from dsplan.bench import ablation_run, emit_report, init_benchmark, single_objective_run

@@ -9,7 +9,6 @@ from dsplan.bench import (
     emit_report,
     init_benchmark,
     single_objective_run,
-    summary_csv,
 )
 from dsplan.ccg import INIT_METHODS, make_initializer
 from dsplan.nsga3 import GaConfig

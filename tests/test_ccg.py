@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -17,8 +16,6 @@ from dsplan.ccg import (
     sfr_init,
 )
 from dsplan.model import (
-    Motion,
-    MotionTable,
     Part,
     PartCatalog,
     RelationMatrices,

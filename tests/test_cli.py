@@ -1,9 +1,28 @@
+import copy
+import functools
 import json
+import operator
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dsplan.cli import main
-from dsplan.model import load_dataset, save_dataset
+from dsplan.model import (
+    Dataset,
+    DatasetError,
+    MotionTable,
+    Part,
+    PartCatalog,
+    RelationMatrices,
+    dataset_to_json,
+    derive_constraint_degree,
+    load_dataset,
+    save_dataset,
+)
 from conftest import MALFORMED, make_tower
 
 
@@ -106,6 +125,8 @@ class TestGenSynthetic:
         ('{"layers": null}', []),
         ('{"clearance": "x"}', []),
         (None, ["--layers", "0"]),
+        (None, ["--config", "no-such-dir/cfg.json"]),   # unreadable
+        ('{"layer": 2}', []),       # misspelled setting
     ])
     def test_bad_settings_are_usage_errors(self, tmp_path, capsys, config,
                                            flags):
@@ -152,6 +173,25 @@ class TestPlan:
         doc = json.loads((out / "plan_result.json").read_text())
         assert doc["config"]["objectives"] == ["d", "e"]
 
+    def test_every_ga_flag_sets_its_config_field(self, dataset_file,
+                                                 tmp_path):
+        out = tmp_path / "r"
+        assert main(["plan", "--dataset", str(dataset_file),
+                     "--generations", "1", "--iterations", "1", "--pop", "8",
+                     "--divisions", "3", "--rates", "0.1,0.2,0.3,0.4",
+                     "--mode", "strict", "--objectives", "d,a",
+                     "--init", "fr", "--selection", "crowding",
+                     "--mating", "random", "--parallel", "--seed", "4",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "plan_result.json").read_text())["config"]
+        assert config == {
+            "generations": 1, "iterations": 1, "pop_size": 8,
+            "divisions": 3, "crossover_rate": 0.1, "mutation_rate": 0.2,
+            "cut_paste_rate": 0.3, "break_join_rate": 0.4, "mode": "strict",
+            "objectives": ["d", "a"], "init": "fr", "selection": "crowding",
+            "mating": "random", "parallel": True, "seed": 4,
+            "adaptive_normalize": False}
+
 
 class TestBenchCommands:
     def test_init_bench_csv(self, dataset_file, tmp_path, capsys):
@@ -179,9 +219,149 @@ class TestBenchCommands:
         csv = (tmp_path / "s" / "single-objective_summary.csv").read_text()
         assert "w_p," in csv
 
+    def test_trials_overrides_iterations(self, dataset_file, tmp_path):
+        # --trials is applied before the config is validated, so the 0
+        # that it replaces is never seen
+        assert main(["ablate", "--dataset", str(dataset_file), "--pop", "8",
+                     "--generations", "1", "--iterations", "0",
+                     "--trials", "2", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / "ablation_summary.csv").read_text()
+        assert "proposed,2," in csv
+
     def test_out_dir_env_default(self, dataset_file, tmp_path, monkeypatch):
         monkeypatch.setenv("DSPLAN_OUT_DIR", str(tmp_path / "env_out"))
         assert main(["init-bench", "--dataset", str(dataset_file),
                      "--trials", "10", "--seed", "0",
                      "--methods", "ccgi"]) == 0
         assert (tmp_path / "env_out" / "init-bench_summary.csv").exists()
+
+
+# the canonical 5-part tower document
+_DOC = json.loads(dataset_to_json(make_tower(2, 1, seed=7)))
+
+
+def _one_part_doc():
+    x_cf = np.ones((12, 1, 1), dtype=np.uint8)
+    matrices = RelationMatrices((1,), np.ones((6, 1, 1), dtype=np.uint8),
+                                x_cf, np.zeros((1, 1), dtype=np.uint8),
+                                derive_constraint_degree(x_cf))
+    catalog = PartCatalog((Part(1, "block_plate_base", "plate", base=True),))
+    return json.loads(dataset_to_json(
+        Dataset(catalog, matrices, MotionTable((1,), {}))))
+
+
+def _all_x_if_blocked_doc():
+    doc = copy.deepcopy(_DOC)
+    doc["x_if"] = [[[0] * len(row) for row in layer] for layer in doc["x_if"]]
+    return doc
+
+
+def _no_motions_doc():
+    doc = copy.deepcopy(_DOC)
+    doc["motions"] = {}
+    return doc
+
+
+class TestDegenerateProducts:
+    """Products with one part, with no part free to move, or with no
+    candidate motion run every command to a verdict."""
+
+    @pytest.mark.parametrize("make_doc, available", [
+        (_one_part_doc, True),
+        (_all_x_if_blocked_doc, False),
+        (_no_motions_doc, False),
+    ])
+    def test_commands_exit_zero(self, tmp_path, capsys, make_doc, available):
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(make_doc()))
+        common = ["--dataset", str(path), "--seed", "1"]
+        assert main(["validate", *common]) == 0
+        for mode in ("as-written", "strict"):
+            capsys.readouterr()
+            assert main(["plan", *common, "--mode", mode, "--pop", "8",
+                         "--generations", "2", "--iterations", "1",
+                         "--out", str(tmp_path / mode)]) == 0
+            verdict = f"available: {str(available).lower()}"
+            assert verdict in capsys.readouterr().out
+        assert main(["init-bench", *common, "--trials", "10",
+                     "--out", str(tmp_path / "bench")]) == 0
+
+
+def _paths(value, path=()):
+    if isinstance(value, (dict, list)):
+        keys = value if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            yield path + (key,)
+            yield from _paths(value[key], path + (key,))
+
+
+def _at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+_PATHS = list(_paths(_DOC))
+_LIST_PATHS = [p for p in _PATHS if isinstance(_at(_DOC, p), list)]
+
+
+class _Edit(NamedTuple):
+    """Drop the value at ``path``, replace it with ``value`` ("set"), or
+    append a copy of a list's last item or remove it ("grow"/"shrink")."""
+
+    path: tuple
+    op: str
+    value: object = None
+
+    def __call__(self, doc) -> None:
+        parent, key = _at(doc, self.path[:-1]), self.path[-1]
+        if self.op == "drop":
+            del parent[key]
+        elif self.op == "set":
+            parent[key] = self.value
+        elif self.op == "grow":
+            parent[key].append(copy.deepcopy(parent[key][-1])
+                               if parent[key] else 0)
+        elif parent[key]:
+            parent[key].pop()
+
+
+_EDITS = st.one_of(
+    st.builds(_Edit, st.sampled_from(_PATHS), st.just("drop")),
+    st.builds(_Edit, st.sampled_from(_PATHS), st.just("set"),
+              st.sampled_from([None, True, "1", [], {}, 10**20,
+                               float("nan")])),
+    st.builds(_Edit, st.sampled_from(_LIST_PATHS),
+              st.sampled_from(["grow", "shrink"])))
+
+
+def _malformed_examples(test):
+    for name in sorted(MALFORMED):
+        test = example(edit=MALFORMED[name])(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestEditedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(edit=_EDITS)
+    @_malformed_examples
+    def test_loads_or_is_a_dataset_error(self, fuzz_dir, edit):
+        """One edit of the canonical tower document either loads or raises
+        a DatasetError, and ``validate`` exits 0 or 2; a MALFORMED edit
+        must raise, with the text it returns."""
+        doc = copy.deepcopy(_DOC)
+        expected = edit(doc)
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+            path = Path(tmp) / "edited.json"
+            path.write_text(json.dumps(doc))
+            try:
+                load_dataset(path)
+            except DatasetError as exc:
+                assert expected is None or expected in str(exc)
+            else:
+                assert expected is None
+            assert main(["validate", "--dataset", str(path)]) in (0, 2)

@@ -15,7 +15,6 @@ from dsplan.model import (
     derive_constraint_degree,
 )
 from dsplan.objectives import Evaluator, check
-from conftest import make_tower
 
 
 def chain_product(n, contacts=None):

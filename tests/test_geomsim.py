@@ -11,7 +11,6 @@ from dsplan.geomsim import (
     contact_matrix,
     generate_synthetic,
     interference_free_matrices,
-    synth_motion_table,
 )
 from dsplan.model import (
     Part,

@@ -176,6 +176,22 @@ class TestDatasetIO:
         assert err.value.matrix == "x_if"
         assert err.value.index is not None
 
+    @pytest.mark.parametrize("with_x_cs", [True, False])
+    def test_rotation_twin_violation_reported(self, tmp_path, with_x_cs):
+        # layer 10 (-ry) must be the transpose of layer 7 (+ry); without
+        # x_cs in the file the error must still name x_cf, not x_cs
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["x_cf"][9][0][1] ^= 1
+        if not with_x_cs:
+            del doc["x_cs"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        message = "x_cf layer 10 != transpose of layer 7"
+        with pytest.raises(TransposeViolation, match=message) as err:
+            load_dataset(path)
+        assert err.value.matrix == "x_cf"
+        assert err.value.index == (9, 0, 1)
+
     def test_constraint_degree_cross_check(self, tmp_path):
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
@@ -203,6 +219,15 @@ class TestDatasetIO:
         path = tmp_path / "v.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["version"] = version
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="unsupported dataset version"):
             load_dataset(path)
 
     def test_missing_field(self, tmp_path):
@@ -286,6 +311,54 @@ class TestDatasetIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=r"parts\[2\]\.size must be"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("flag", ["priority", "base", "ignore"])
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_label_flag_must_be_boolean(self, tmp_path, flag, value):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["parts"][1]["labels"][flag] = value
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=rf"parts\[1\]\.labels\.{flag} "
+                                              "must be a boolean"):
+            load_dataset(path)
+
+    def test_repeated_motion_part_id_rejected(self, tmp_path):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        key = next(k for k, entries in sorted(doc["motions"].items())
+                   if entries)
+        doc["motions"]["0" + key] = []
+        path = tmp_path / "motions.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError,
+                           match=f"motion key '0{key}' repeats part id {key}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["part_order", "motion id"])
+    def test_boolean_id_rejected(self, tmp_path, field):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        if field == "part_order":
+            doc["part_order"][1], where = True, r"part_order\[1\]"
+        else:
+            key = next(k for k, entries in sorted(doc["motions"].items())
+                       if entries)
+            doc["motions"][key][0]["id"] = True
+            where = rf"motions\['{key}'\]\[0\]\.id"
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError,
+                           match=where + " must be an integer, got True"):
+            load_dataset(path)
+
+    def test_asymmetric_contact_rejected(self, tmp_path):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["x_ct"][0][1] ^= 1
+        path = tmp_path / "contact.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=r"x_ct is not symmetric at \(0, 1\)") as err:
+            load_dataset(path)
+        assert err.value.index == (0, 1)
 
     def test_contact_without_constraint_rejected(self):
         order = (1, 2)
