@@ -169,13 +169,19 @@ def _ga_config(args) -> GaConfig:
     return cfg
 
 
-def _log_provenance(seed: int, dataset_path: str | None, extra: dict) -> None:
+def _log_provenance(seed: int, dataset_path: str | None,
+                    extra: dict) -> str | None:
+    """Log the run's version, seed, dataset digest and ``extra``; return
+    the digest (None without a dataset)."""
     log.info("version %s", __version__)
     log.info("seed %d", seed)
+    digest = None
     if dataset_path:
-        log.info("dataset sha256:%s", dataset_digest(dataset_path))
+        digest = dataset_digest(dataset_path)
+        log.info("dataset sha256:%s", digest)
     for key, value in extra.items():
         log.info("%s %s", key, value)
+    return digest
 
 
 def _emit(report: ExperimentReport, out_dir: str) -> int:
@@ -251,8 +257,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_plan(args) -> int:
     cfg = _ga_config(args)
-    digest = dataset_digest(args.dataset)
-    _log_provenance(cfg.seed, args.dataset, {"config": asdict(cfg)})
+    digest = _log_provenance(cfg.seed, args.dataset, {"config": asdict(cfg)})
     dataset = load_dataset(args.dataset)
     result = run(dataset, cfg)
     text = _plan_text(result, cfg.seed, digest)
@@ -330,7 +335,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, DisconnectedProduct, FileNotFoundError) as exc:
+    except (DatasetError, DisconnectedProduct) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 2
 

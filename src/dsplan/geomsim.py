@@ -10,8 +10,12 @@ box of the planned parts: a cell holds the index of the part occupying it,
 or -1.  A relation is a gather of moved cell coordinates into that grid and
 a scatter of the labels hit into an (n, n) matrix, so one gather finds every
 blocked partner of every mover and a layer costs O(cells) per displacement
-instead of a loop over part pairs.  Sweeps advance one cell at a time; a
-single end-pose teleport could tunnel through thin walls.
+instead of a loop over part pairs.  The grid has a border of one empty cell
+on every side, so a gather clips moved coordinates onto it instead of
+masking the cells that left the box.  Sweeps advance one cell at a time; a
+single end-pose teleport could tunnel through thin walls.  Only the last
+cell of each run of a part along the sweep axis is moved, and
+``build_dataset`` sweeps ``x_if`` once and reads the motion rows from it.
 """
 
 from __future__ import annotations
@@ -101,9 +105,11 @@ class _LabelGrid:
     """The parts of ``part_order`` on a dense grid over their occupied box.
 
     ``grid`` holds each cell's part index into ``order`` (-1 where no listed
-    part is), ``cells`` every occupied cell in assembly coordinates and
-    ``labels`` its part index.  Parts left out of ``part_order`` (ignored
-    parts) are not in the grid, so they block nothing.
+    part is) over the box ``lo``..``hi`` and a border of one empty cell on
+    every side.  ``cells`` holds every occupied cell in assembly
+    coordinates, ``labels`` its part index and ``flat`` its index into
+    ``grid.ravel()``.  Parts left out of ``part_order`` (ignored parts) are
+    not in the grid, so they block nothing.
     """
 
     def __init__(self, assembly: VoxelAssembly, part_order):
@@ -116,15 +122,27 @@ class _LabelGrid:
                                 [len(c) for c in parts])
         self.lo = self.cells.min(axis=0)
         self.hi = self.cells.max(axis=0) + 1
-        self.grid = np.full(self.hi - self.lo, -1, dtype=np.int32)
-        self.grid[tuple((self.cells - self.lo).T)] = self.labels
+        self.size = self.hi - self.lo
+        self.grid = np.full(self.size + 2, -1, dtype=np.int32)
+        # the flat index step along each axis
+        self.stride = [s // self.grid.itemsize for s in self.grid.strides]
+        self.flat = self._flat(self.cells)
+        self.grid.ravel()[self.flat] = self.labels
+
+    def _flat(self, cells: np.ndarray) -> np.ndarray:
+        """Index into ``grid.ravel()`` of each of ``cells`` (M, 3).  A
+        cell outside the box is clipped onto the border: it stays outside
+        along the axis it left by, so it reads -1."""
+        flat = np.zeros(len(cells), dtype=np.int64)
+        for a, stride in enumerate(self.stride):
+            lo = int(self.lo[a]) - 1
+            coord = np.clip(cells[:, a], lo, int(self.hi[a]))
+            flat += (coord - lo) * stride
+        return flat
 
     def at(self, cells: np.ndarray) -> np.ndarray:
         """Part index at each of ``cells`` (M, 3); -1 when empty or outside."""
-        inside = np.all((cells >= self.lo) & (cells < self.hi), axis=1)
-        found = np.full(len(cells), -1, dtype=np.int32)
-        found[inside] = self.grid[tuple((cells[inside] - self.lo).T)]
-        return found
+        return self.grid.ravel()[self._flat(cells)]
 
     def hits(self, moved: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """(n, n) bool: entry (i, k) is set when a cell of part k, moved to
@@ -133,26 +151,40 @@ class _LabelGrid:
         self.mark(out, self.at(moved), labels)
         return out
 
-    def sweep(self, axis: int, steps: int, cells: np.ndarray,
-              labels: np.ndarray) -> np.ndarray:
-        """``hits`` of ``cells`` displaced 1..steps cells along +axis."""
+    def sweep(self, axis: int, steps: int) -> np.ndarray:
+        """``hits`` of every cell displaced 1..steps cells along +axis."""
         out = np.zeros((self.n, self.n), dtype=bool)
-        # no cell is still inside the box after shape - 1 steps
-        steps = min(steps, self.grid.shape[axis] - 1)
-        # cells sorted by the room left before they leave the box, so the
-        # cells still inside after t steps are a prefix
-        room = self.hi[axis] - 1 - cells[:, axis]
-        by_room = np.argsort(-room, kind="stable")
-        flat = np.ravel_multi_index(tuple((cells[by_room] - self.lo).T),
-                                    self.grid.shape)
-        labels = labels[by_room]
-        inside = np.searchsorted(-room[by_room], -np.arange(1, steps + 1),
-                                 side="right")
-        stride = self.grid.strides[axis] // self.grid.itemsize
         grid = self.grid.ravel()
+        stride = self.stride[axis]
+        # a cell followed along the axis by its own part lands, t steps on,
+        # where that successor landed one step earlier, so only the last
+        # cell of each run needs moving
+        last = grid[self.flat + stride] != self.labels
+        # no cell is still inside the box after size - 1 steps
+        size = self.size[axis]
+        steps = min(steps, size - 1)
+        # cells sorted by their offset along the axis, so the cells still
+        # inside after t steps are a prefix; numpy radix-sorts a key this
+        # narrow
+        offset = (self.cells[last, axis] - self.lo[axis]).astype(
+            np.min_scalar_type(size))
+        by_offset = np.argsort(offset, kind="stable")
+        flat = self.flat[last][by_offset]
+        labels = self.labels[last][by_offset]
+        limit = size - 1 - np.arange(1, steps + 1)
+        inside = np.searchsorted(offset[by_offset],
+                                 limit.astype(offset.dtype), side="right")
         for t, m in enumerate(inside, start=1):
             self.mark(out, grid[flat[:m] + t * stride], labels[:m])
         return out
+
+    def translations(self, steps: int) -> np.ndarray:
+        """(6, n, n) uint8 layers +x, +y, +z, -x, -y, -z: entry (i, k) is 1
+        when no cell of part k, displaced 1..steps cells along the layer's
+        direction, lands on part i.  Negative layers are the transposes."""
+        free = np.stack([~self.sweep(a, steps) for a in range(3)])
+        return np.concatenate([free, free.transpose(0, 2, 1)]).astype(
+            np.uint8)
 
     @staticmethod
     def mark(out: np.ndarray, found: np.ndarray, labels: np.ndarray) -> None:
@@ -169,20 +201,8 @@ def interference_free_matrices(assembly: VoxelAssembly,
     1 when sweeping part k cell-by-cell out of the occupied bounding box
     never overlaps part i; negative layers are the transposes.
     """
-    return _interference_free(_LabelGrid(assembly, part_order))
-
-
-def _interference_free(g: _LabelGrid) -> np.ndarray:
-    out = np.empty((6, g.n, g.n), dtype=np.uint8)
-    for a in range(3):
-        # a cell whose predecessor along the axis is its own part sweeps a
-        # subset of that predecessor's path, so only run starts need moving
-        behind = g.cells.copy()
-        behind[:, a] -= 1
-        lead = g.at(behind) != g.labels
-        out[a] = ~g.sweep(a, g.grid.shape[a], g.cells[lead], g.labels[lead])
-        out[a + 3] = out[a].T
-    return out
+    g = _LabelGrid(assembly, part_order)
+    return g.translations(int(g.size.max()))
 
 
 def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
@@ -202,11 +222,8 @@ def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
     if angle <= 0:
         raise ValueError("rotation angle must be positive")
     g = _LabelGrid(assembly, part_order)
-    steps = math.ceil(clearance / assembly.pitch)
     out = np.empty((12, g.n, g.n), dtype=np.uint8)
-    for a in range(3):
-        out[a] = ~g.sweep(a, steps, g.cells, g.labels)
-        out[a + 3] = out[a].T
+    out[:6] = g.translations(math.ceil(clearance / assembly.pitch))
     # each part's COM is the float64 mean of its own cell centers, so a
     # part's resampled pose does not depend on the other parts
     com = np.array([(assembly.cells[pid] + 0.5).mean(axis=0)
@@ -247,8 +264,8 @@ def contact_matrix(assembly: VoxelAssembly, part_order=None) -> np.ndarray:
     return (touch | touch.T).astype(np.uint8)
 
 
-def synth_motion_table(assembly: VoxelAssembly,
-                       part_order=None) -> MotionTable:
+def synth_motion_table(assembly: VoxelAssembly, x_if: np.ndarray,
+                       part_order) -> MotionTable:
     """One straight-line extraction candidate per axis direction.
 
     A direction is a candidate only when the part can slide fully out of the
@@ -256,32 +273,22 @@ def synth_motion_table(assembly: VoxelAssembly,
     the workspace bounds (a flush workspace floor therefore rules out
     downward extraction).  The per-part feasibility row marks which other
     parts the full swept volume avoids, which for straight-line extraction
-    is the part's column of the full-extent translation sweep.
+    is the part's column of the full-extent translation sweep ``x_if``, the
+    ``interference_free_matrices`` of the parts of ``part_order``.
     """
-    g = _LabelGrid(assembly, part_order)
-    x_if = _interference_free(g)
-    ws_lo = np.asarray(assembly.bounds[0])
-    ws_hi = np.asarray(assembly.bounds[1])
-
-    table: dict[int, tuple[Motion, ...]] = {}
-    for k, pid in enumerate(g.order):
-        cells = assembly.cells[pid]
-        p_lo = cells.min(axis=0)
-        p_hi = cells.max(axis=0) + 1
-        entries = []
-        for d, kind in enumerate(TRANSLATION_KINDS):
-            axis = d % 3
-            if d < 3:
-                t_exit = int(g.hi[axis] - p_lo[axis])
-                in_bounds = p_hi[axis] + t_exit <= ws_hi[axis]
-            else:
-                t_exit = int(p_hi[axis] - g.lo[axis])
-                in_bounds = p_lo[axis] - t_exit >= ws_lo[axis]
-            if in_bounds:
-                entries.append(Motion(id=len(entries), kind=kind,
-                                      row=x_if[d, :, k].copy()))
-        table[pid] = tuple(entries)
-    return MotionTable(g.order, table)
+    order = tuple(part_order)
+    p_lo = np.array([assembly.cells[pid].min(axis=0) for pid in order])
+    p_hi = np.array([assembly.cells[pid].max(axis=0) for pid in order]) + 1
+    # each part's full exit travel out of the occupied box, and whether the
+    # workspace holds it: columns +x, +y, +z, -x, -y, -z
+    ws_lo, ws_hi = assembly.bounds
+    fits = np.hstack([p_hi + p_hi.max(axis=0) - p_lo <= ws_hi,
+                      p_lo - p_hi + p_lo.min(axis=0) >= ws_lo])
+    table = {pid: tuple(Motion(id=j, kind=TRANSLATION_KINDS[d],
+                               row=x_if[d, :, k].copy())
+                        for j, d in enumerate(np.flatnonzero(fits[k])))
+             for k, pid in enumerate(order)}
+    return MotionTable(order, table)
 
 
 def _cells_of(box: np.ndarray, origin) -> np.ndarray:
@@ -418,5 +425,5 @@ def build_dataset(assembly: VoxelAssembly, catalog: PartCatalog,
     matrices = RelationMatrices(part_order, x_if, x_cf, x_ct,
                                 derive_constraint_degree(x_cf))
     matrices.validate(catalog)
-    motions = synth_motion_table(assembly, part_order)
+    motions = synth_motion_table(assembly, x_if, part_order)
     return Dataset(catalog, matrices, motions)

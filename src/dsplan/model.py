@@ -334,10 +334,10 @@ def _part_to_json(p: Part) -> dict:
 
 
 def _typed_from_json(value, kind: type, where: str):
-    """``value`` when it is a JSON integer (``kind`` int) or boolean (bool);
-    a boolean is not an integer here."""
+    """``value`` when it is a JSON integer (``kind`` int), boolean (bool) or
+    string (str); a boolean is not an integer here."""
     if type(value) is not kind:
-        what = "an integer" if kind is int else "a boolean"
+        what = {int: "an integer", bool: "a boolean", str: "a string"}[kind]
         raise SchemaError(f"{where} must be {what}, got {value!r}")
     return value
 
@@ -427,8 +427,9 @@ def _part_from_json(obj, where: str) -> Part:
     size = obj.get("size")
     return Part(
         id=part_id,
-        name=str(obj["name"]),
-        task_label=str(labels["task"]),
+        name=_typed_from_json(obj["name"], str, f"{where}.name"),
+        task_label=_typed_from_json(labels["task"], str,
+                                    f"{where}.labels.task"),
         com=_finite_from_json(obj["com"], f"part {part_id}: com", 3),
         eef=obj.get("eef"),
         size=None if size is None else _finite_from_json(size,
@@ -465,11 +466,12 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> Dataset:
     """Load and fully validate a dataset file.
 
-    Raises SchemaError for malformed or version-mismatched files and
-    ValidationError (with matrix name and indices) for invariant violations.
+    Raises DatasetError for a file that cannot be read, SchemaError for
+    malformed or version-mismatched files and ValidationError (with matrix
+    name and indices) for invariant violations.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_bytes(path).decode("utf-8"))
     except ValueError as exc:      # not UTF-8, or not JSON
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -517,7 +519,9 @@ def load_dataset(path: str | Path) -> Dataset:
         for where, m in _items_from_json(entries, f"motions[{key!r}]"):
             m = _fields_from_json(m, ("id", "kind", "row"), where)
             fields[pid].append((_typed_from_json(m["id"], int, f"{where}.id"),
-                                str(m["kind"]), m["row"], where))
+                                _typed_from_json(m["kind"], str,
+                                                 f"{where}.kind"),
+                                m["row"], where))
     # every row in one conversion; when it fails, the rows are converted
     # one at a time so that the error names the first bad motion
     raw = [row for entries in fields.values() for _, _, row, _ in entries]
@@ -537,9 +541,18 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(catalog, matrices, motions)
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of the dataset file at ``path``; a file that cannot be read
+    (missing, a directory, no permission) is a DatasetError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def dataset_digest(path: str | Path) -> str:
     """Hex SHA-256 of the dataset file bytes, for run provenance logs."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
 def dataset_content_digest(dataset: Dataset) -> str:

@@ -92,6 +92,22 @@ def _fractional_motion_row(doc):
     return f"motions['{key}'][0].row[2] must be an integer in [0, 255], got 1.7"
 
 
+def _null_part_name(doc):
+    doc["parts"][1]["name"] = None
+    return "parts[1].name must be a string, got None"
+
+
+def _numeric_task_label(doc):
+    doc["parts"][2]["labels"]["task"] = 10**20
+    return f"parts[2].labels.task must be a string, got {10**20}"
+
+
+def _list_motion_kind(doc):
+    key = next(k for k, entries in sorted(doc["motions"].items()) if entries)
+    doc["motions"][key][0]["kind"] = []
+    return f"motions['{key}'][0].kind must be a string, got []"
+
+
 # Mutations of a saved dataset document that the loader must reject with a
 # SchemaError; each edits the document in place and returns the text the
 # error message must contain.
@@ -103,4 +119,7 @@ MALFORMED = {"motion-without-row": _motion_without_row,
              "motions-not-an-object": _motions_not_an_object,
              "non-numeric-size": _non_numeric_size,
              "fractional-x_if": _fractional_x_if,
-             "fractional-motion-row": _fractional_motion_row}
+             "fractional-motion-row": _fractional_motion_row,
+             "null-part-name": _null_part_name,
+             "numeric-task-label": _numeric_task_label,
+             "list-motion-kind": _list_motion_kind}

@@ -54,6 +54,15 @@ class TestExitCodes:
     def test_dataset_error_missing_file(self, tmp_path):
         assert main(["validate", "--dataset", str(tmp_path / "no.json")]) == 2
 
+    def test_dataset_error_directory(self, tmp_path, capsys):
+        # the path is read twice, for its digest and its content; neither
+        # read may end in a traceback
+        for command in ("validate", "plan"):
+            assert main([command, "--dataset", str(tmp_path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert (f"dataset error: cannot read {tmp_path}"
+                    in capsys.readouterr().err)
+
     def test_dataset_error_invalid_content(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1}')

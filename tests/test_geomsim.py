@@ -6,6 +6,7 @@ import pytest
 import oracle
 from dsplan.geomsim import (
     VoxelAssembly,
+    _LabelGrid,
     build_dataset,
     constraint_free_matrices,
     contact_matrix,
@@ -83,6 +84,25 @@ class TestValidation:
         asm = _assembly({1: _cube(0, 0, -3, 2)})
         with pytest.raises(ValueError, match="part 1 extends outside"):
             asm.validate()
+
+
+class TestLabelGrid:
+    def test_cells_beyond_the_box_read_empty(self):
+        # a solid cube fills its whole box, so a cell that clipped onto the
+        # box's face instead of its border would read the cube
+        asm = _assembly({1: _cube(2, 3, 4, 3), 2: [(5, 4, 5)]})
+        g = _LabelGrid(asm, None)
+        assert (g.lo == (2, 3, 4)).all() and (g.hi == (6, 6, 7)).all()
+        inside = np.array(_cube(2, 3, 4, 3) + [(5, 4, 5), (5, 3, 4)])
+        assert g.at(inside).tolist() == [0] * 27 + [1, -1]
+        for a in range(3):
+            for side, edge in ((-1, g.lo[a]), (1, g.hi[a] - 1)):
+                for beyond in (1, 5, 6, 50):
+                    cells = inside.copy()
+                    cells[:, a] = edge + side * beyond
+                    assert (g.at(cells) == -1).all(), (a, side, beyond)
+        corners = np.array([[-9, -9, -9], [99, 99, 99], [-9, 4, 99]])
+        assert (g.at(corners) == -1).all()
 
 
 class TestInterferenceFree:
@@ -241,6 +261,19 @@ class TestMotionTable:
                 expected = x_if[j, :, k].copy()
                 expected[k] = 1
                 assert (m.row == expected).all()
+
+    def test_build_sweeps_x_if_once(self, monkeypatch):
+        calls = []
+        sweep = _LabelGrid.sweep
+
+        def counted(g, axis, steps, *rest):
+            calls.append((axis, steps))
+            return sweep(g, axis, steps, *rest)
+
+        monkeypatch.setattr(_LabelGrid, "sweep", counted)
+        build_dataset(*generate_synthetic(2, 1, seed=7))
+        # three full-extent axes for x_if, three one-step ones for x_cf
+        assert [steps > 1 for _, steps in calls] == [True] * 3 + [False] * 3
 
 
 class TestGenerator:
@@ -440,3 +473,11 @@ class TestGoldenDigests:
         ds = build_dataset(*generate_synthetic(*args, **kwargs))
         text = dataset_to_json(ds)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_wide_clearance_and_angle_digest(self):
+        ds = build_dataset(*generate_synthetic(
+            7, 4, manual_fraction=0.3, priority_count=2, seed=12),
+            clearance=3.0, angle=20.0)
+        text = dataset_to_json(ds)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "62b3e3356f330c3a9cabd44e5c56bdf2d3c3117000fc8a036de9346a935c44d1")
