@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-synthetic, plan, init-bench, ablate, single-obj, validate.
-Exit codes: 0 success, 1 usage error, 2 dataset error.  Sequences are
-printed in removal order (first removed first); the stored convention keeps
-the last-removed part at position 1.  Output files carry no timestamps so
-reruns with the same seed are byte-identical.
+Exit codes: 0 success, 1 usage or output error, 2 dataset error.
+Sequences are printed in removal order (first removed first); the stored
+convention keeps the last-removed part at position 1.  Output files carry
+no timestamps so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except (DatasetError, DisconnectedProduct) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:   # an output file or directory cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -62,8 +62,9 @@ class VoxelAssembly:
     def validate(self) -> None:
         """Raise ValueError for the first part, in ``cells`` order, that is
         empty, leaves the workspace or shares a cell with an earlier part."""
-        if self.pitch <= 0:
-            raise ValueError("grid pitch must be positive")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise ValueError(f"grid pitch must be a positive finite number, "
+                             f"got {self.pitch}")
         lo = np.asarray(self.bounds[0])
         hi = np.asarray(self.bounds[1])
         pids = list(self.cells)
@@ -129,26 +130,22 @@ class _LabelGrid:
         self.flat = self._flat(self.cells)
         self.grid.ravel()[self.flat] = self.labels
 
+    def term(self, axis: int, coord: np.ndarray) -> np.ndarray:
+        """Flat-index term of integer coordinates ``coord`` along ``axis``.
+        One outside the box is clipped onto the border: the cell stays
+        outside along the axis it left by, so it reads -1."""
+        lo, hi = int(self.lo[axis]) - 1, int(self.hi[axis])
+        return (np.clip(coord, lo, hi) - lo) * self.stride[axis]
+
     def _flat(self, cells: np.ndarray) -> np.ndarray:
-        """Index into ``grid.ravel()`` of each of ``cells`` (M, 3).  A
-        cell outside the box is clipped onto the border: it stays outside
-        along the axis it left by, so it reads -1."""
-        flat = np.zeros(len(cells), dtype=np.int64)
-        for a, stride in enumerate(self.stride):
-            lo = int(self.lo[a]) - 1
-            coord = np.clip(cells[:, a], lo, int(self.hi[a]))
-            flat += (coord - lo) * stride
-        return flat
+        """Index into ``grid.ravel()`` of each of ``cells`` (M, 3)."""
+        return sum(self.term(a, cells[:, a]) for a in range(3))
 
-    def at(self, cells: np.ndarray) -> np.ndarray:
-        """Part index at each of ``cells`` (M, 3); -1 when empty or outside."""
-        return self.grid.ravel()[self._flat(cells)]
-
-    def hits(self, moved: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def hits(self, flat: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """(n, n) bool: entry (i, k) is set when a cell of part k, moved to
-        its row of ``moved``, lands on part i."""
+        its entry of the flat grid indices ``flat``, lands on part i."""
         out = np.zeros((self.n, self.n), dtype=bool)
-        self.mark(out, self.at(moved), labels)
+        self.mark(out, self.grid.ravel()[flat], labels)
         return out
 
     def sweep(self, axis: int, steps: int) -> np.ndarray:
@@ -217,10 +214,12 @@ def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
     transposes of the positive ones and the derived constraint degree
     symmetric.
     """
-    if clearance < assembly.pitch:
-        raise ValueError("clearance must be at least one grid pitch")
-    if angle <= 0:
-        raise ValueError("rotation angle must be positive")
+    if not (math.isfinite(clearance) and clearance >= assembly.pitch):
+        raise ValueError(f"clearance must be a finite number of at least one "
+                         f"grid pitch, got {clearance}")
+    if not (math.isfinite(angle) and angle > 0):
+        raise ValueError(f"rotation angle must be a positive finite number, "
+                         f"got {angle}")
     g = _LabelGrid(assembly, part_order)
     out = np.empty((12, g.n, g.n), dtype=np.uint8)
     out[:6] = g.translations(math.ceil(clearance / assembly.pitch))
@@ -230,8 +229,8 @@ def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
                     for pid in g.order])[g.labels]
     rel = (g.cells + 0.5) - com
     for a in range(3):
-        plus = g.hits(_rotate(rel, com, a, angle), g.labels)
-        minus = g.hits(_rotate(rel, com, a, -angle), g.labels)
+        plus = g.hits(_rotate(g, rel, com, a, angle), g.labels)
+        minus = g.hits(_rotate(g, rel, com, a, -angle), g.labels)
         # mover k rotated +angle is the same relative motion as mover i
         # rotated -angle; block the pair if either view hits
         out[6 + a] = ~(plus | minus.T)
@@ -239,17 +238,19 @@ def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
     return out
 
 
-def _rotate(rel: np.ndarray, com: np.ndarray, axis: int,
+def _rotate(g: _LabelGrid, rel: np.ndarray, com: np.ndarray, axis: int,
             angle_deg: float) -> np.ndarray:
-    """Nearest cells of the centers ``com + rel`` rotated about ``axis``
-    through their ``com``."""
+    """Flat grid indices of the nearest cells of the centers ``com + rel``
+    of ``g.cells`` rotated about ``axis`` through their ``com``; only the
+    two coordinates across the axis move."""
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
     u, v = [i for i in range(3) if i != axis]
-    rot = rel.copy()
-    rot[:, u] = c * rel[:, u] - s * rel[:, v]
-    rot[:, v] = s * rel[:, u] + c * rel[:, v]
-    return np.rint(rot + com - 0.5).astype(np.int64)
+    flat = g.term(axis, g.cells[:, axis])
+    for w, moved in ((u, c * rel[:, u] - s * rel[:, v]),
+                     (v, s * rel[:, u] + c * rel[:, v])):
+        flat += g.term(w, np.rint(moved + com[:, w] - 0.5).astype(np.int64))
+    return flat
 
 
 def contact_matrix(assembly: VoxelAssembly, part_order=None) -> np.ndarray:

@@ -438,25 +438,76 @@ def _part_from_json(obj, where: str) -> Part:
     )
 
 
+def _rows_json(block: np.ndarray, top: int, where) -> list[str]:
+    """The entries of each last-axis row of ``block``, in C order, as JSON
+    integers joined by commas.  An entry outside 0..``top`` raises
+    ValueError naming ``where(*index)``."""
+    bad = ~((block >= 0) & (block <= top))     # NaN too
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{where(*index)} must be in 0..{top} to be "
+                         f"written, got {block[index]}")
+    # each entry is ``width`` ASCII digits and a separator byte: a comma,
+    # or a newline after the last entry of a row; leading zeros are dropped
+    values = block.reshape(-1, block.shape[-1]).astype(np.uint8)
+    width = len(str(top))
+    text = np.empty(values.shape + (width + 1,), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    for d in range(width):
+        power = 10 ** (width - 1 - d)
+        text[..., d] = values // power % 10 + ord("0")
+        if d < width - 1:
+            keep[..., d] = values >= power
+    text[..., width] = ord(",")
+    text[:, -1, width] = ord("\n")
+    return text[keep].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _block_json(block: np.ndarray, top: int, name: str) -> str:
+    """JSON text of the nested lists of the integer array ``block``."""
+    items = _rows_json(block, top, lambda *index: name + "".join(
+        f"[{i}]" for i in index))
+    # an item is the text of a list without its brackets
+    for size in reversed(block.shape[:-1]):
+        items = ["[" + "],[".join(items[i:i + size]) + "]"
+                 for i in range(0, len(items), size)]
+    return "[" + items[0] + "]"
+
+
 def dataset_to_json(dataset: Dataset) -> str:
-    """Canonical JSON text of a dataset (stable bytes for a given input)."""
+    """Canonical JSON text of a dataset: the bytes that ``json.dumps`` gives
+    for its document with sorted keys and compact separators, with every
+    integer block rendered from its array."""
     catalog, matrices, motions = dataset
-    doc = {
-        "version": DATASET_VERSION,
-        "parts": [_part_to_json(p) for p in catalog],
-        "part_order": list(matrices.part_order),
-        "x_if": matrices.interference_free.astype(int).tolist(),
-        "x_cf": matrices.constraint_free.astype(int).tolist(),
-        "x_ct": matrices.contact.astype(int).tolist(),
-        "x_cs": matrices.constraint_degree.astype(int).tolist(),
-        "motions": {
-            str(pid): [{"id": m.id, "kind": m.kind,
-                        "row": m.row.astype(int).tolist()}
-                       for m in entries]
-            for pid, entries in sorted(motions.motions.items())
-        },
+    # sorted as the strings they are written as, so "10" precedes "2"
+    keys = sorted((str(pid), pid) for pid in motions.motions)
+    listed = [(key, m) for key, pid in keys for m in motions.motions[pid]]
+    rows = iter(_rows_json(
+        np.array([m.row for _, m in listed]).reshape(len(listed), matrices.n),
+        1, lambda r, c: (f"motion {listed[r][1].id} of part {listed[r][0]} "
+                         f"row[{c}]")))
+    # motion ids and kinds repeat, so each distinct one is encoded once
+    encoded = {v: json.dumps(v)
+               for v in {v for _, m in listed for v in (m.id, m.kind)}}
+    motion_json = ",".join(
+        f'"{key}":['
+        + ",".join(f'{{"id":{encoded[m.id]},"kind":{encoded[m.kind]},'
+                   f'"row":[{next(rows)}]}}' for m in motions.motions[pid])
+        + "]" for key, pid in keys)
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    fields = {  # in sorted key order
+        "motions": "{" + motion_json + "}",
+        "part_order": json.dumps(list(matrices.part_order), **compact),
+        "parts": json.dumps([_part_to_json(p) for p in catalog], **compact),
+        "version": json.dumps(DATASET_VERSION),
+        **{name: _block_json(block, top, name) for name, block, top in (
+            ("x_cf", matrices.constraint_free, 1),
+            ("x_cs", matrices.constraint_degree, MAX_CONSTRAINT_DEGREE),
+            ("x_ct", matrices.contact, 1),
+            ("x_if", matrices.interference_free, 1))},
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "{" + ",".join(f'"{key}":{text}'
+                          for key, text in fields.items()) + "}\n"
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

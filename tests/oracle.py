@@ -2,10 +2,11 @@
 
 Deliberately independent of the library internals: operates on plain
 arrays/lists extracted from a dataset and transcribes the scoring
-definitions directly.  Used to cross-check constraint flags and objective
-values on small instances.
+definitions directly.  Used to cross-check constraint flags, objective
+values and the canonical dataset text on small instances.
 """
 
+import json
 import math
 
 import numpy as np
@@ -266,3 +267,32 @@ def rearrange_reference(matrices, rng, max_passes, with_stability):
         if not swapped:
             break
     return ids[perm]
+
+
+def dataset_json(dataset):
+    """The canonical text of a dataset as ``json.dumps`` writes its document
+    of nested lists: sorted keys, compact separators and a final newline."""
+    catalog, matrices, motions = dataset
+    parts = []
+    for p in catalog:
+        part = {"id": p.id, "name": p.name, "eef": p.eef,
+                "com": [float(c) for c in p.com],
+                "labels": {"task": p.task_label, "priority": p.priority,
+                           "base": p.base, "ignore": p.ignore}}
+        if p.size is not None:
+            part["size"] = float(p.size)
+        parts.append(part)
+    doc = {
+        "version": 1,
+        "parts": parts,
+        "part_order": list(matrices.part_order),
+        "x_if": matrices.interference_free.astype(int).tolist(),
+        "x_cf": matrices.constraint_free.astype(int).tolist(),
+        "x_ct": matrices.contact.astype(int).tolist(),
+        "x_cs": matrices.constraint_degree.astype(int).tolist(),
+        "motions": {str(pid): [{"id": m.id, "kind": m.kind,
+                                "row": m.row.astype(int).tolist()}
+                               for m in entries]
+                    for pid, entries in motions.motions.items()},
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -136,6 +136,10 @@ class TestGenSynthetic:
         (None, ["--layers", "0"]),
         (None, ["--config", "no-such-dir/cfg.json"]),   # unreadable
         ('{"layer": 2}', []),       # misspelled setting
+        (None, ["--angle", "nan"]),
+        (None, ["--pitch", "nan"]),
+        (None, ["--clearance=-inf"]),
+        ('{"angle": 1e999}', []),   # JSON's overflow to inf
     ])
     def test_bad_settings_are_usage_errors(self, tmp_path, capsys, config,
                                            flags):
@@ -147,6 +151,40 @@ class TestGenSynthetic:
         assert code == 1
         assert "usage error:" in capsys.readouterr().err
         assert not (tmp_path / "gen.json").exists()
+
+
+class TestOutputErrors:
+    """An output that cannot be written is an output error, exit 1."""
+
+    def test_gen_synthetic_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "t.json"
+        code = main(["gen-synthetic", "--layers", "1", "--screws", "0",
+                     "--seed", "0", "--dataset-out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"output error: [Errno 17] File exists: " \
+               f"'{tmp_path / 'file'}'" in err
+        assert "dataset error" not in err
+
+    def test_gen_synthetic_onto_a_directory(self, tmp_path, capsys):
+        code = main(["gen-synthetic", "--layers", "1", "--screws", "0",
+                     "--seed", "0", "--dataset-out", str(tmp_path)])
+        assert code == 1
+        assert f"output error: [Errno 21] Is a directory: '{tmp_path}'" in (
+            capsys.readouterr().err)
+
+    def test_plan_out_under_a_regular_file(self, dataset_file, tmp_path,
+                                           capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "plan"
+        code = main(["plan", "--dataset", str(dataset_file), "--pop", "8",
+                     "--generations", "1", "--iterations", "1", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "output error: [Errno 20] Not a directory: " in err
+        assert str(out) in err and "dataset error" not in err
 
 
 class TestPlan:

@@ -86,6 +86,11 @@ class TestValidation:
             asm.validate()
 
 
+def _at(g, cells):
+    """Part index at each of ``cells`` (M, 3); -1 when empty or outside."""
+    return g.grid.ravel()[g._flat(cells)]
+
+
 class TestLabelGrid:
     def test_cells_beyond_the_box_read_empty(self):
         # a solid cube fills its whole box, so a cell that clipped onto the
@@ -94,15 +99,15 @@ class TestLabelGrid:
         g = _LabelGrid(asm, None)
         assert (g.lo == (2, 3, 4)).all() and (g.hi == (6, 6, 7)).all()
         inside = np.array(_cube(2, 3, 4, 3) + [(5, 4, 5), (5, 3, 4)])
-        assert g.at(inside).tolist() == [0] * 27 + [1, -1]
+        assert _at(g, inside).tolist() == [0] * 27 + [1, -1]
         for a in range(3):
             for side, edge in ((-1, g.lo[a]), (1, g.hi[a] - 1)):
                 for beyond in (1, 5, 6, 50):
                     cells = inside.copy()
                     cells[:, a] = edge + side * beyond
-                    assert (g.at(cells) == -1).all(), (a, side, beyond)
+                    assert (_at(g, cells) == -1).all(), (a, side, beyond)
         corners = np.array([[-9, -9, -9], [99, 99, 99], [-9, 4, 99]])
-        assert (g.at(corners) == -1).all()
+        assert (_at(g, corners) == -1).all()
 
 
 class TestInterferenceFree:
@@ -201,6 +206,25 @@ class TestConstraintFree:
             constraint_free_matrices(asm, clearance=0.5)
         with pytest.raises(ValueError):
             constraint_free_matrices(asm, clearance=1.0, angle=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("setting", ["pitch", "clearance", "angle"])
+    def test_non_finite_setting_rejected(self, setting, value):
+        # every comparison with NaN is false, so a range check alone lets
+        # it through to the int casts
+        message = {
+            "pitch": "grid pitch must be a positive finite number",
+            "clearance": "clearance must be a finite number of at least one "
+                         "grid pitch",
+            "angle": "rotation angle must be a positive finite number",
+        }[setting]
+        with pytest.raises(ValueError, match=f"{message}, got {value}"):
+            if setting == "pitch":
+                generate_synthetic(1, 0, seed=0, pitch=value)
+            else:
+                asm, catalog = generate_synthetic(1, 0, seed=0)
+                build_dataset(asm, catalog, **{setting: value})
 
 
 class TestContact:
@@ -471,6 +495,22 @@ class TestGoldenDigests:
     ])
     def test_dataset_digest(self, args, kwargs, digest):
         ds = build_dataset(*generate_synthetic(*args, **kwargs))
+        text = dataset_to_json(ds)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("layers, settings, digest", [
+        (15, dict(clearance=3.0, angle=20.0),
+         "f030e961e39dd8f151866faba1425091a151b285336c203ce6191ea251f820cd"),
+        (30, {},
+         "fd366325134dd08fbf885abcb9adc6e3bf1f248ba6ed5af4f935142822e2a0ea"),
+        (30, dict(clearance=3.0, angle=20.0),
+         "13e21e728d04998487c50849b49e1e1a78d8344d613e3c3bf1e5032976ad792f"),
+    ])
+    def test_rotation_digests(self, layers, settings, digest):
+        # the 76- and 151-part towers at the settings the digests above
+        # leave out
+        ds = build_dataset(*generate_synthetic(layers, 4, 0.3, 2, seed=12),
+                           **settings)
         text = dataset_to_json(ds)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

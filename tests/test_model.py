@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
+from dsplan.geomsim import VoxelAssembly, build_dataset
 from dsplan.model import (
     Dataset,
     MissingTaskLabel,
@@ -369,6 +372,128 @@ class TestDatasetIO:
                              derive_constraint_degree(x_cf))
         with pytest.raises(ValidationError):
             m.validate()
+
+
+def _one_part_dataset():
+    assembly = VoxelAssembly(pitch=1.0, cells={1: [(0, 0, 0), (1, 0, 0)]},
+                             bounds=((-4, -4, 0), (6, 6, 6)))
+    return build_dataset(assembly, PartCatalog(
+        (Part(1, "block_graspable", "graspable"),)))
+
+
+def _without_motions(ds, table):
+    return ds._replace(motions=MotionTable(ds.matrices.part_order, table))
+
+
+def _writer_case(name):
+    """A dataset whose canonical text the writer must match."""
+    if name == "one-part":
+        return _one_part_dataset()
+    if name == "two-part":
+        return make_tower(1, 0, seed=0)
+    towers = {"tower10": (3, 2, 0.0, 0, 3), "tower36": (7, 4, 0.3, 2, 12),
+              "tower76": (15, 4, 0.3, 2, 12)}
+    if name in towers:
+        return make_tower(*towers[name])
+    ds = make_tower(3, 2, seed=3)
+    motions = dict(ds.motions.motions)
+    if name == "part-without-motions":
+        motions[10] = ()       # listed with no motions
+        del motions[4]         # not listed at all
+        return _without_motions(ds, motions)
+    if name == "empty-motion-table":
+        return _without_motions(ds, {})
+    if name == "two-digit-x_cs":
+        n = ds.matrices.n
+        degree = (np.arange(n * n) % 13).reshape(n, n).astype(np.int16)
+        return ds._replace(matrices=dataclasses.replace(
+            ds.matrices, constraint_degree=degree))
+    assert name == "escaped-text"
+    names = ['a"quote_screw', "back\\slash_plate", "new\nline_graspable",
+             "tab\t\u00e9\u2603_manual", "ctrl\x01_nut"]
+    parts = tuple(dataclasses.replace(p, name=names[j % len(names)])
+                  for j, p in enumerate(ds.catalog))
+    pid, entries = next(iter(motions.items()))
+    motions[pid] = tuple(dataclasses.replace(m, kind='k"\\\u00fc')
+                         for m in entries)
+    return Dataset(PartCatalog(parts), ds.matrices,
+                   MotionTable(ds.matrices.part_order, motions))
+
+
+class TestCanonicalText:
+    """``dataset_to_json`` renders integer blocks from their arrays; its
+    bytes must equal ``json.dumps`` of the nested-list document."""
+
+    @pytest.mark.parametrize("name", [
+        "tower10", "tower36", "tower76", "one-part", "two-part",
+        "part-without-motions", "empty-motion-table", "two-digit-x_cs",
+        "escaped-text"])
+    def test_matches_json_dumps(self, name):
+        ds = _writer_case(name)
+        assert dataset_to_json(ds) == oracle.dataset_json(ds)
+
+    def test_motion_keys_in_string_order(self):
+        text = dataset_to_json(make_tower(3, 2, seed=3))
+        motions = json.loads(text)["motions"]
+        assert list(motions) == sorted(motions) != sorted(motions, key=int)
+        assert text.index('"10":[') < text.index('"2":[')
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_blocks_match_json_dumps(self, seed):
+        # unvalidated random content: every entry value, row length and
+        # motion count the writer accepts
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 14))
+        order = tuple(int(i) for i in rng.permutation(n) + 1)
+        matrices = RelationMatrices(
+            order, rng.integers(0, 2, (6, n, n), dtype=np.uint8),
+            rng.integers(0, 2, (12, n, n), dtype=np.uint8),
+            rng.integers(0, 2, (n, n), dtype=np.uint8),
+            rng.integers(0, 13, (n, n), dtype=np.int16))
+        table = {pid: tuple(
+            Motion(j, str(rng.choice(["+x", "-z", "twist"])),
+                   rng.integers(0, 2, n, dtype=np.uint8))
+            for j in range(int(rng.integers(0, 4))))
+            for pid in order if rng.random() < 0.8}
+        catalog = PartCatalog(tuple(Part(pid, f"p{pid}_screw", "screw")
+                                    for pid in range(1, n + 1)))
+        ds = Dataset(catalog, matrices, MotionTable(order, table))
+        assert dataset_to_json(ds) == oracle.dataset_json(ds)
+
+    @pytest.mark.parametrize("field, index, value, where", [
+        ("interference_free", (2, 0, 1), 2, r"x_if\[2\]\[0\]\[1\]"),
+        ("constraint_free", (7, 1, 0), 3, r"x_cf\[7\]\[1\]\[0\]"),
+        ("contact", (0, 2), -1, r"x_ct\[0\]\[2\]"),
+        ("constraint_degree", (1, 0), 13, r"x_cs\[1\]\[0\]"),
+        ("constraint_degree", (2, 1), -1, r"x_cs\[2\]\[1\]"),
+    ])
+    def test_entry_out_of_range_writes_nothing(self, tmp_path, field, index,
+                                               value, where):
+        ds = _tiny_dataset()
+        block = getattr(ds.matrices, field).astype(np.int16)
+        block[index] = value
+        bad = ds._replace(matrices=dataclasses.replace(
+            ds.matrices, **{field: block}))
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match=where + r" must be in 0\.\.\d+ "
+                           f"to be written, got {value}"):
+            save_dataset(bad, path)
+        assert not path.exists()
+
+    def test_motion_entry_out_of_range_writes_nothing(self, tmp_path):
+        ds = _tiny_dataset()
+        motions = dict(ds.motions.motions)
+        pid = max(pid for pid, entries in motions.items() if entries)
+        first, *rest = motions[pid]
+        row = first.row.copy()
+        row[1] = 2
+        motions[pid] = (dataclasses.replace(first, row=row), *rest)
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match=rf"motion {first.id} of part "
+                                             rf"{pid} row\[1\] must be in "
+                                             r"0\.\.1 to be written, got 2"):
+            save_dataset(_without_motions(ds, motions), path)
+        assert not path.exists()
 
 
 class TestSequences:
