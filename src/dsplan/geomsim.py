@@ -5,21 +5,22 @@ constraint directions, contacts) plus straight-line extraction motions, so
 the full planning pipeline can be exercised on synthetic products without
 any CAD input.
 
-Every layer reads one dense ``int32`` label grid over the occupied bounding
-box of the planned parts: a cell holds the index of the part occupying it,
-or -1.  A relation is a gather of moved cell coordinates into that grid and
-a scatter of the labels hit into an (n, n) matrix, so one gather finds every
-blocked partner of every mover and a layer costs O(cells) per displacement
-instead of a loop over part pairs.  The grid has a border of one empty cell
-on every side, so a gather clips moved coordinates onto it instead of
-masking the cells that left the box.  Sweeps advance one cell at a time; a
-single end-pose teleport could tunnel through thin walls.  Only the last
-cell of each run of a part along the sweep axis is moved, and
-``build_dataset`` sweeps ``x_if`` once and reads the motion rows from it.
+``build_dataset`` puts the planned parts on one dense ``int32`` label grid
+over their occupied bounding box (a cell holds its part's index, or -1)
+and passes it to every layer function.  A relation is a gather of moved
+cells into that grid and a scatter of the labels hit into an (n, n)
+matrix, so a layer costs O(cells) per displacement instead of a loop over
+part pairs.  A border of one empty cell lets a gather clip moved cells onto
+it instead of masking those that left the box.  Each axis is swept once,
+one cell at a time (a teleport could tunnel through thin walls), moving
+only the last cell of each run of a part, and the sweep keeps each pair's
+first hit step: x_if (never hit), x_cf's translations (no hit within the
+clearance), the contacts (a hit at step one) and the motion rows read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,32 +104,53 @@ class VoxelAssembly:
 
 
 class _LabelGrid:
-    """The parts of ``part_order`` on a dense grid over their occupied box.
+    """The parts of ``order`` on a dense grid over their occupied box.
 
     ``grid`` holds each cell's part index into ``order`` (-1 where no listed
     part is) over the box ``lo``..``hi`` and a border of one empty cell on
     every side.  ``cells`` holds every occupied cell in assembly
-    coordinates, ``labels`` its part index and ``flat`` its index into
-    ``grid.ravel()``.  Parts left out of ``part_order`` (ignored parts) are
-    not in the grid, so they block nothing.
+    coordinates, part by part, ``labels`` its part index and ``flat`` its
+    index into ``grid.ravel()``; ``part_lo``..``part_hi`` is each part's box
+    and ``com`` the mean of its cell centers.  Parts left out of ``order``
+    (ignored parts) are not in the grid, so they block nothing.  A listed
+    part that is missing, empty, outside the workspace or sharing a cell
+    with another listed part is a ValueError.
     """
 
-    def __init__(self, assembly: VoxelAssembly, part_order):
-        self.order = (tuple(part_order) if part_order is not None
-                      else assembly.part_ids())
-        parts = [assembly.cells[pid] for pid in self.order]
+    def __init__(self, assembly: VoxelAssembly, order):
+        self.order = tuple(order)
+        self.pitch, self.bounds = assembly.pitch, assembly.bounds
+        parts = [assembly.cells.get(pid, ()) for pid in self.order]
         self.n = len(parts)
+        counts = np.array([len(c) for c in parts])
+        # ``validate`` raises the message of every fault checked here but a
+        # missing part; it runs only once a check has fired
+        if not counts.all():
+            assembly.validate()
+            raise ValueError(f"part {self.order[counts.argmin()]} has no "
+                             f"cells")
         self.cells = np.vstack(parts)
-        self.labels = np.repeat(np.arange(self.n, dtype=np.int32),
-                                [len(c) for c in parts])
-        self.lo = self.cells.min(axis=0)
-        self.hi = self.cells.max(axis=0) + 1
+        self.labels = np.repeat(np.arange(self.n, dtype=np.int32), counts)
+        starts = np.cumsum(counts) - counts
+        self.part_lo = np.minimum.reduceat(self.cells, starts)
+        self.part_hi = np.maximum.reduceat(self.cells, starts) + 1
+        if ((self.part_lo < self.bounds[0]).any()
+                or (self.part_hi > self.bounds[1]).any()):
+            assembly.validate()
+        # sums of half-integers are exact, so this is each part's own
+        # float64 mean bit for bit
+        self.com = np.add.reduceat(self.cells + 0.5, starts) / counts[:, None]
+        self.lo = self.part_lo.min(axis=0)
+        self.hi = self.part_hi.max(axis=0)
         self.size = self.hi - self.lo
         self.grid = np.full(self.size + 2, -1, dtype=np.int32)
         # the flat index step along each axis
         self.stride = [s // self.grid.itemsize for s in self.grid.strides]
         self.flat = self._flat(self.cells)
         self.grid.ravel()[self.flat] = self.labels
+        # a shared cell keeps the label of only one of its parts
+        if (self.grid.ravel()[self.flat] != self.labels).any():
+            assembly.validate()
 
     def term(self, axis: int, coord: np.ndarray) -> np.ndarray:
         """Flat-index term of integer coordinates ``coord`` along ``axis``.
@@ -141,70 +163,69 @@ class _LabelGrid:
         """Index into ``grid.ravel()`` of each of ``cells`` (M, 3)."""
         return sum(self.term(a, cells[:, a]) for a in range(3))
 
-    def hits(self, flat: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """(n, n) bool: entry (i, k) is set when a cell of part k, moved to
-        its entry of the flat grid indices ``flat``, lands on part i."""
-        out = np.zeros((self.n, self.n), dtype=bool)
-        self.mark(out, self.grid.ravel()[flat], labels)
-        return out
+    def hits(self, flat: np.ndarray, labels: np.ndarray) -> tuple:
+        """Index (i, k) into an (n, n) matrix of each cell of part k in
+        ``labels`` that, moved to its entry of the flat grid indices
+        ``flat``, lands on another part i."""
+        found = self.grid.ravel()[flat]
+        keep = (found >= 0) & (found != labels)
+        return found[keep], labels[keep]
 
-    def sweep(self, axis: int, steps: int) -> np.ndarray:
-        """``hits`` of every cell displaced 1..steps cells along +axis."""
-        out = np.zeros((self.n, self.n), dtype=bool)
+    def sweep(self, axis: int) -> np.ndarray:
+        """(n, n) first-hit steps along +axis: entry (i, k) is the fewest
+        one-cell steps after which a cell of part k lands on part i, or 0
+        when none does before every cell has left the box."""
         grid = self.grid.ravel()
         stride = self.stride[axis]
+        size = self.size[axis]
+        out = np.zeros((self.n, self.n), dtype=np.min_scalar_type(size))
         # a cell followed along the axis by its own part lands, t steps on,
         # where that successor landed one step earlier, so only the last
         # cell of each run needs moving
         last = grid[self.flat + stride] != self.labels
-        # no cell is still inside the box after size - 1 steps
-        size = self.size[axis]
-        steps = min(steps, size - 1)
         # cells sorted by their offset along the axis, so the cells still
         # inside after t steps are a prefix; numpy radix-sorts a key this
         # narrow
-        offset = (self.cells[last, axis] - self.lo[axis]).astype(
-            np.min_scalar_type(size))
+        offset = (self.cells[last, axis] - self.lo[axis]).astype(out.dtype)
         by_offset = np.argsort(offset, kind="stable")
         flat = self.flat[last][by_offset]
         labels = self.labels[last][by_offset]
-        limit = size - 1 - np.arange(1, steps + 1)
+        # no cell is still inside the box after size - 1 steps
+        steps = np.arange(size - 1, 0, -1)
         inside = np.searchsorted(offset[by_offset],
-                                 limit.astype(offset.dtype), side="right")
-        for t, m in enumerate(inside, start=1):
-            self.mark(out, grid[flat[:m] + t * stride], labels[:m])
+                                 (size - 1 - steps).astype(out.dtype),
+                                 side="right")
+        # the last step first, so each hit overwrites a later one
+        for t, m in zip(steps, inside):
+            out[self.hits(flat[:m] + t * stride, labels[:m])] = t
         return out
+
+    @functools.cached_property
+    def first_hit(self) -> np.ndarray:
+        """(3, n, n) ``sweep`` of each axis, swept on first use."""
+        return np.stack([self.sweep(a) for a in range(3)])
 
     def translations(self, steps: int) -> np.ndarray:
         """(6, n, n) uint8 layers +x, +y, +z, -x, -y, -z: entry (i, k) is 1
         when no cell of part k, displaced 1..steps cells along the layer's
         direction, lands on part i.  Negative layers are the transposes."""
-        free = np.stack([~self.sweep(a, steps) for a in range(3)])
+        free = (self.first_hit == 0) | (self.first_hit > steps)
         return np.concatenate([free, free.transpose(0, 2, 1)]).astype(
             np.uint8)
 
-    @staticmethod
-    def mark(out: np.ndarray, found: np.ndarray, labels: np.ndarray) -> None:
-        """Set out[found, labels] where ``found`` is another part."""
-        keep = (found >= 0) & (found != labels)
-        out[found[keep], labels[keep]] = True
 
-
-def interference_free_matrices(assembly: VoxelAssembly,
-                               part_order=None) -> np.ndarray:
+def interference_free_matrices(g: _LabelGrid) -> np.ndarray:
     """Six binary layers of full-extent translation freedom.
 
     Layer order +x, +y, +z, -x, -y, -z.  Entry (i, k) of a positive layer is
     1 when sweeping part k cell-by-cell out of the occupied bounding box
     never overlaps part i; negative layers are the transposes.
     """
-    g = _LabelGrid(assembly, part_order)
     return g.translations(int(g.size.max()))
 
 
-def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
-                             angle: float = 5.0,
-                             part_order=None) -> np.ndarray:
+def constraint_free_matrices(g: _LabelGrid, clearance: float,
+                             angle: float = 5.0) -> np.ndarray:
     """Twelve binary layers of small-displacement freedom.
 
     Translation layers sweep ceil(clearance / pitch) one-cell steps; rotation
@@ -214,26 +235,25 @@ def constraint_free_matrices(assembly: VoxelAssembly, clearance: float,
     transposes of the positive ones and the derived constraint degree
     symmetric.
     """
-    if not (math.isfinite(clearance) and clearance >= assembly.pitch):
+    if not (math.isfinite(clearance) and clearance >= g.pitch):
         raise ValueError(f"clearance must be a finite number of at least one "
                          f"grid pitch, got {clearance}")
     if not (math.isfinite(angle) and angle > 0):
         raise ValueError(f"rotation angle must be a positive finite number, "
                          f"got {angle}")
-    g = _LabelGrid(assembly, part_order)
     out = np.empty((12, g.n, g.n), dtype=np.uint8)
-    out[:6] = g.translations(math.ceil(clearance / assembly.pitch))
-    # each part's COM is the float64 mean of its own cell centers, so a
-    # part's resampled pose does not depend on the other parts
-    com = np.array([(assembly.cells[pid] + 0.5).mean(axis=0)
-                    for pid in g.order])[g.labels]
+    out[:6] = g.translations(math.ceil(clearance / g.pitch))
+    # each cell turns about its own part's COM, so a part's resampled pose
+    # does not depend on the other parts
+    com = g.com[g.labels]
     rel = (g.cells + 0.5) - com
     for a in range(3):
-        plus = g.hits(_rotate(g, rel, com, a, angle), g.labels)
-        minus = g.hits(_rotate(g, rel, com, a, -angle), g.labels)
         # mover k rotated +angle is the same relative motion as mover i
         # rotated -angle; block the pair if either view hits
-        out[6 + a] = ~(plus | minus.T)
+        blocked = np.zeros((g.n, g.n), dtype=bool)
+        blocked[g.hits(_rotate(g, rel, com, a, angle), g.labels)] = True
+        blocked.T[g.hits(_rotate(g, rel, com, a, -angle), g.labels)] = True
+        out[6 + a] = ~blocked
         out[9 + a] = out[6 + a].T
     return out
 
@@ -253,20 +273,14 @@ def _rotate(g: _LabelGrid, rel: np.ndarray, com: np.ndarray, axis: int,
     return flat
 
 
-def contact_matrix(assembly: VoxelAssembly, part_order=None) -> np.ndarray:
-    """Binary face-adjacency between part pairs."""
-    g = _LabelGrid(assembly, part_order)
-    touch = np.zeros((g.n, g.n), dtype=bool)
-    for a in range(3):
-        # each pair of face neighbours along the axis, compared once
-        grid = np.moveaxis(g.grid, a, 0)
-        occupied = grid[:-1] >= 0
-        g.mark(touch, grid[1:][occupied], grid[:-1][occupied])
+def contact_matrix(g: _LabelGrid) -> np.ndarray:
+    """Binary face-adjacency between part pairs: one part hits the other
+    at the first step of a sweep."""
+    touch = (g.first_hit == 1).any(axis=0)
     return (touch | touch.T).astype(np.uint8)
 
 
-def synth_motion_table(assembly: VoxelAssembly, x_if: np.ndarray,
-                       part_order) -> MotionTable:
+def synth_motion_table(g: _LabelGrid, x_if: np.ndarray) -> MotionTable:
     """One straight-line extraction candidate per axis direction.
 
     A direction is a candidate only when the part can slide fully out of the
@@ -275,21 +289,18 @@ def synth_motion_table(assembly: VoxelAssembly, x_if: np.ndarray,
     downward extraction).  The per-part feasibility row marks which other
     parts the full swept volume avoids, which for straight-line extraction
     is the part's column of the full-extent translation sweep ``x_if``, the
-    ``interference_free_matrices`` of the parts of ``part_order``.
+    ``interference_free_matrices`` of the grid's parts.
     """
-    order = tuple(part_order)
-    p_lo = np.array([assembly.cells[pid].min(axis=0) for pid in order])
-    p_hi = np.array([assembly.cells[pid].max(axis=0) for pid in order]) + 1
     # each part's full exit travel out of the occupied box, and whether the
     # workspace holds it: columns +x, +y, +z, -x, -y, -z
-    ws_lo, ws_hi = assembly.bounds
-    fits = np.hstack([p_hi + p_hi.max(axis=0) - p_lo <= ws_hi,
-                      p_lo - p_hi + p_lo.min(axis=0) >= ws_lo])
+    ws_lo, ws_hi = g.bounds
+    fits = np.hstack([g.part_hi + g.hi - g.part_lo <= ws_hi,
+                      g.part_lo - g.part_hi + g.lo >= ws_lo])
     table = {pid: tuple(Motion(id=j, kind=TRANSLATION_KINDS[d],
                                row=x_if[d, :, k].copy())
                         for j, d in enumerate(np.flatnonzero(fits[k])))
-             for k, pid in enumerate(order)}
-    return MotionTable(order, table)
+             for k, pid in enumerate(g.order)}
+    return MotionTable(g.order, table)
 
 
 def _cells_of(box: np.ndarray, origin) -> np.ndarray:
@@ -331,55 +342,34 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
              for level in range(1, n_layers + 1)]
     base_size = sizes[0] + 4
 
-    def corner_positions(level_idx):
-        off = (base_size - sizes[level_idx]) // 2
-        size = sizes[level_idx]
-        return [(off, off), (off + size - 2, off), (off, off + size - 2),
-                (off + size - 2, off + size - 2)][:screws_per_layer]
-
-    def shank_xy(corner, level_idx):
-        off = (base_size - sizes[level_idx]) // 2
-        x0, y0 = corner
-        # the inward cell of the 2x2 head footprint: an interior column,
-        # so the shank blocks its block's lateral escape in all directions
-        sx = x0 + 1 if x0 == off else x0
-        sy = y0 + 1 if y0 == off else y0
-        return sx, sy
-
     cells: dict[int, np.ndarray] = {
         1: _cells_of(np.ones((base_size, base_size, base_h), bool), (0, 0, 0))}
-
+    names = {1: "base_plate"}
     block_ids = []
-    screw_ids: dict[int, list[int]] = {}
-    next_id = 2
     zb = base_h
-    for level_idx in range(n_layers):
-        size = sizes[level_idx]
+    for level, size in enumerate(sizes, start=1):
         off = (base_size - size) // 2
+        far = off + size - 2
         block = np.ones((size, size, block_h), bool)
-        block_id = next_id
-        next_id += 1
+        block_id = max(cells) + 1
         block_ids.append(block_id)
-        screw_ids[block_id] = []
-        for corner in corner_positions(level_idx):
-            x0, y0 = corner
-            sx, sy = shank_xy(corner, level_idx)
-            # a 2x2 head on top of a two-cell shank, cut out of the block
+        corners = [(off, off), (far, off), (off, far), (far, far)]
+        for j, (x0, y0) in enumerate(corners[:screws_per_layer]):
+            # a 2x2 head on top of a two-cell shank, cut out of the block;
+            # the shank takes the head's inward cell, an interior column,
+            # so it blocks its block's lateral escape in all directions
             screw = np.zeros((2, 2, 3), bool)
             screw[:, :, 2] = True
-            screw[sx - x0, sy - y0, :2] = True
+            screw[int(x0 == off), int(y0 == off), :2] = True
             block[x0 - off:x0 - off + 2, y0 - off:y0 - off + 2] &= ~screw
-            screw_id = next_id
-            next_id += 1
-            screw_ids[block_id].append(screw_id)
-            cells[screw_id] = _cells_of(screw, (x0, y0, zb))
+            cells[block_id + 1 + j] = _cells_of(screw, (x0, y0, zb))
+            names[block_id + 1 + j] = f"fastener{level}{'abcd'[j]}_screw"
         cells[block_id] = _cells_of(block, (off, off, zb))
         zb += block_h
 
-    top_z = zb
-    margin = max(base_size, top_z) + 2
+    margin = max(base_size, zb) + 2
     bounds = ((-margin, -margin, 0),
-              (base_size + margin, base_size + margin, top_z + margin))
+              (base_size + margin, base_size + margin, zb + margin))
     assembly = VoxelAssembly(pitch=pitch, cells=cells, bounds=bounds)
     assembly.validate()
 
@@ -388,25 +378,16 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
                                    replace=False).tolist()) if manual_count else set()
     value_blocks = set(rng.choice(block_ids, size=priority_count,
                                   replace=False).tolist()) if priority_count else set()
+    for level, pid in enumerate(block_ids, start=1):
+        task = "manual" if pid in manual_blocks else "graspable"
+        name = f"block{level}_{task}"
+        names[pid] = name + "_value" if pid in value_blocks else name
 
     parts = []
     for pid in sorted(cells):
-        if pid == 1:
-            name = "base_plate"
-        elif pid in block_ids:
-            level = block_ids.index(pid) + 1
-            task = "manual" if pid in manual_blocks else "graspable"
-            name = f"block{level}_{task}"
-            if pid in value_blocks:
-                name += "_value"
-        else:
-            owner = next(b for b, screws in screw_ids.items() if pid in screws)
-            letter = chr(ord("a") + screw_ids[owner].index(pid))
-            level = block_ids.index(owner) + 1
-            name = f"fastener{level}{letter}_screw"
-        labels = parse_labels(name)
+        labels = parse_labels(names[pid])
         parts.append(Part(
-            id=pid, name=name, task_label=labels.task,
+            id=pid, name=names[pid], task_label=labels.task,
             priority=labels.priority, base=labels.base, ignore=labels.ignore,
             com=assembly.com_mm(pid), eef=_EEF_BY_TASK[labels.task],
             size=float(len(cells[pid]))))
@@ -419,12 +400,11 @@ def build_dataset(assembly: VoxelAssembly, catalog: PartCatalog,
     """Run all matrix generators over the assembly and bundle a Dataset."""
     if clearance is None:
         clearance = assembly.pitch
-    part_order = catalog.non_ignored_ids()
-    x_if = interference_free_matrices(assembly, part_order)
-    x_cf = constraint_free_matrices(assembly, clearance, angle, part_order)
-    x_ct = contact_matrix(assembly, part_order)
-    matrices = RelationMatrices(part_order, x_if, x_cf, x_ct,
+    g = _LabelGrid(assembly, catalog.non_ignored_ids())
+    x_if = interference_free_matrices(g)
+    x_cf = constraint_free_matrices(g, clearance, angle)
+    x_ct = contact_matrix(g)
+    matrices = RelationMatrices(g.order, x_if, x_cf, x_ct,
                                 derive_constraint_degree(x_cf))
     matrices.validate(catalog)
-    motions = synth_motion_table(assembly, x_if, part_order)
-    return Dataset(catalog, matrices, motions)
+    return Dataset(catalog, matrices, synth_motion_table(g, x_if))

@@ -21,7 +21,9 @@ selects no code path; it is kept because the serialized config in
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from bisect import insort
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
@@ -36,6 +38,9 @@ from .objectives import OBJECTIVE_KEYS, Evaluation, Evaluator
 
 SELECTION_METHODS = ("reference-line", "crowding")
 MATING_METHODS = ("tournament", "random")
+# _associate holds three (2 * pop_size, points) float64 arrays, 160 MB each
+# at pop 100 and this many reference points
+MAX_REFERENCE_POINTS = 100_000
 
 
 @dataclass
@@ -81,6 +86,12 @@ class GaConfig:
                 or len(set(self.objectives)) != len(self.objectives)):
             raise ValueError("objectives must be a non-empty subset of "
                              f"{OBJECTIVE_KEYS}")
+        k = len(self.objectives)
+        points = math.comb(self.divisions + k - 1, k - 1)
+        if points > MAX_REFERENCE_POINTS:
+            raise ValueError(f"divisions {self.divisions} over {k} objectives "
+                             f"make {points} reference points, more than "
+                             f"{MAX_REFERENCE_POINTS}")
         if self.init not in INIT_METHODS:
             raise ValueError(f"unknown init method {self.init!r}")
         if self.selection not in SELECTION_METHODS:
@@ -96,16 +107,12 @@ def das_dennis_points(n_objectives: int, divisions: int) -> np.ndarray:
     """Simplex lattice {k/p : sum k = p} in lexicographic order."""
     if n_objectives < 1 or divisions < 1:
         raise ValueError("need n_objectives >= 1 and divisions >= 1")
-    points: list[list[int]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], divisions, n_objectives)
+    # stars and bars: each choice of n_objectives - 1 bars among the slots,
+    # in lexicographic order, leaves k stars between two bars
+    slots = divisions + n_objectives - 1
+    points = [[b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
+              for bars in itertools.combinations(range(slots),
+                                                 n_objectives - 1)]
     return np.array(points, dtype=np.float64) / divisions
 
 

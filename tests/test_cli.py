@@ -51,6 +51,12 @@ class TestExitCodes:
                          "--rates", rates]) == 1
             assert "usage error:" in capsys.readouterr().err
 
+    def test_usage_error_lattice_too_large(self, dataset_file, capsys):
+        assert main(["plan", "--dataset", str(dataset_file),
+                     "--divisions", "1000"]) == 1
+        assert ("usage error: divisions 1000 over 4 objectives make "
+                "167668501 reference points" in capsys.readouterr().err)
+
     def test_dataset_error_missing_file(self, tmp_path):
         assert main(["validate", "--dataset", str(tmp_path / "no.json")]) == 2
 

@@ -30,6 +30,17 @@ def _assembly(parts, bounds=((-40, -40, 0), (40, 40, 40)), pitch=1.0):
                          bounds=bounds)
 
 
+def _grid(asm):
+    """The label grid of every part of ``asm``."""
+    return _LabelGrid(asm, asm.part_ids())
+
+
+def _catalog(n):
+    """Parts 1..n, all graspable."""
+    return PartCatalog(tuple(Part(pid, f"part{pid}_graspable", "graspable")
+                             for pid in range(1, n + 1)))
+
+
 def _cube(x0, y0, z0, n):
     return [(x, y, z) for x in range(x0, x0 + n)
             for y in range(y0, y0 + n) for z in range(z0, z0 + n)]
@@ -86,6 +97,32 @@ class TestValidation:
             asm.validate()
 
 
+class TestBuildRejects:
+    """``build_dataset`` raises ``validate``'s message for a bad planned
+    part instead of building from it."""
+
+    def test_shared_cell(self):
+        asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(1, 1, 1, 2)})
+        with pytest.raises(ValueError, match=r"parts 1 and 2 overlap at "
+                                             r"cell \(1, 1, 1\)"):
+            build_dataset(asm, _catalog(2))
+
+    def test_part_outside_the_workspace(self):
+        asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(0, 0, -3, 2)})
+        with pytest.raises(ValueError, match="part 2 extends outside"):
+            build_dataset(asm, _catalog(2))
+
+    def test_catalog_part_missing_from_the_assembly(self):
+        asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(0, 0, 2, 2)})
+        with pytest.raises(ValueError, match="part 3 has no cells"):
+            build_dataset(asm, _catalog(3))
+
+    def test_empty_part(self):
+        asm = _assembly({1: _cube(0, 0, 0, 2), 2: []})
+        with pytest.raises(ValueError, match="part 2 has no cells"):
+            build_dataset(asm, _catalog(2))
+
+
 def _at(g, cells):
     """Part index at each of ``cells`` (M, 3); -1 when empty or outside."""
     return g.grid.ravel()[g._flat(cells)]
@@ -96,7 +133,7 @@ class TestLabelGrid:
         # a solid cube fills its whole box, so a cell that clipped onto the
         # box's face instead of its border would read the cube
         asm = _assembly({1: _cube(2, 3, 4, 3), 2: [(5, 4, 5)]})
-        g = _LabelGrid(asm, None)
+        g = _grid(asm)
         assert (g.lo == (2, 3, 4)).all() and (g.hi == (6, 6, 7)).all()
         inside = np.array(_cube(2, 3, 4, 3) + [(5, 4, 5), (5, 3, 4)])
         assert _at(g, inside).tolist() == [0] * 27 + [1, -1]
@@ -114,7 +151,7 @@ class TestInterferenceFree:
     def test_side_by_side_cubes(self):
         # part 2 sits to the +x side of part 1
         asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(5, 0, 0, 2)})
-        x_if = interference_free_matrices(asm)
+        x_if = interference_free_matrices(_grid(asm))
         # layers: 0 +x, 1 +y, 2 +z, 3 -x, 4 -y, 5 -z; entry (i, k): k moves
         assert x_if[0, 1, 0] == 0   # left cube moving +x hits right cube
         assert x_if[3, 1, 0] == 1   # left cube escapes -x
@@ -125,7 +162,7 @@ class TestInterferenceFree:
         sleeve, peg = _peg_in_sleeve()
         asm = _assembly({1: sleeve, 2: peg})
         asm.validate()
-        x_if = interference_free_matrices(asm)
+        x_if = interference_free_matrices(_grid(asm))
         dirs = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1),
                 3: (-1, 0, 0), 4: (0, -1, 0), 5: (0, 0, -1)}
         for j, d in dirs.items():
@@ -144,7 +181,7 @@ class TestInterferenceFree:
 class TestConstraintFree:
     def test_distant_parts_fully_free(self):
         asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(10, 10, 10, 2)})
-        x_cf = constraint_free_matrices(asm, clearance=2.0)
+        x_cf = constraint_free_matrices(_grid(asm), clearance=2.0)
         assert (x_cf[:, 0, 1] == 1).all()
         assert (x_cf[:, 1, 0] == 1).all()
 
@@ -152,7 +189,7 @@ class TestConstraintFree:
         plate, pin = _pin_through_plate()
         asm = _assembly({1: plate, 2: pin})
         asm.validate()
-        x_cf = constraint_free_matrices(asm, clearance=1.0)
+        x_cf = constraint_free_matrices(_grid(asm), clearance=1.0)
         translations = x_cf[:6, 0, 1]
         assert translations[2] == 1          # +z free
         assert translations.sum() == 1       # everything else blocked
@@ -166,16 +203,16 @@ class TestConstraintFree:
                                      else 1)
 
     def test_clearance_monotonicity(self):
-        asm, _ = generate_synthetic(2, 2, seed=11)
+        g = _grid(generate_synthetic(2, 2, seed=11)[0])
         for c1, c2 in ((1.0, 2.0), (2.0, 4.0)):
-            a = constraint_free_matrices(asm, clearance=c1)
-            b = constraint_free_matrices(asm, clearance=c2)
+            a = constraint_free_matrices(g, clearance=c1)
+            b = constraint_free_matrices(g, clearance=c2)
             assert (b[:6] <= a[:6]).all()
 
     def test_single_step_equals_teleport(self):
         # with clearance = 1 pitch the sweep degenerates to one displacement
         asm, _ = generate_synthetic(2, 1, seed=3)
-        x_cf = constraint_free_matrices(asm, clearance=1.0)
+        x_cf = constraint_free_matrices(_grid(asm), clearance=1.0)
         order = asm.part_ids()
         dirs = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1),
                 3: (-1, 0, 0), 4: (0, -1, 0), 5: (0, 0, -1)}
@@ -201,11 +238,11 @@ class TestConstraintFree:
             assert (x_cf[9 + a] == x_cf[6 + a].T).all()
 
     def test_clearance_below_pitch_rejected(self):
-        asm, _ = generate_synthetic(1, 0, seed=0)
+        g = _grid(generate_synthetic(1, 0, seed=0)[0])
         with pytest.raises(ValueError):
-            constraint_free_matrices(asm, clearance=0.5)
+            constraint_free_matrices(g, clearance=0.5)
         with pytest.raises(ValueError):
-            constraint_free_matrices(asm, clearance=1.0, angle=0.0)
+            constraint_free_matrices(g, clearance=1.0, angle=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -230,9 +267,9 @@ class TestConstraintFree:
 class TestContact:
     def test_stacked_and_separated(self):
         stacked = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(0, 0, 2, 2)})
-        assert contact_matrix(stacked)[0, 1] == 1
+        assert contact_matrix(_grid(stacked))[0, 1] == 1
         apart = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(4, 0, 0, 2)})
-        assert contact_matrix(apart)[0, 1] == 0
+        assert contact_matrix(_grid(apart))[0, 1] == 0
 
     def test_tower_contact_graph_connected(self, tower10):
         ct = tower10.matrices.contact
@@ -290,14 +327,30 @@ class TestMotionTable:
         calls = []
         sweep = _LabelGrid.sweep
 
-        def counted(g, axis, steps, *rest):
-            calls.append((axis, steps))
-            return sweep(g, axis, steps, *rest)
+        def counted(g, axis, *rest):
+            calls.append(axis)
+            return sweep(g, axis, *rest)
 
         monkeypatch.setattr(_LabelGrid, "sweep", counted)
         build_dataset(*generate_synthetic(2, 1, seed=7))
-        # three full-extent axes for x_if, three one-step ones for x_cf
-        assert [steps > 1 for _, steps in calls] == [True] * 3 + [False] * 3
+        # x_if, x_cf's translations and the contacts read the same sweeps
+        assert calls == [0, 1, 2]
+
+    def test_build_makes_one_grid(self, monkeypatch):
+        product = generate_synthetic(2, 1, seed=7)
+        grids, checks = [], []
+        init = _LabelGrid.__init__
+
+        def counted(g, *args):
+            grids.append(g)
+            init(g, *args)
+
+        monkeypatch.setattr(_LabelGrid, "__init__", counted)
+        monkeypatch.setattr(VoxelAssembly, "validate",
+                            lambda asm: checks.append(asm))
+        build_dataset(*product)
+        # a valid assembly is not run through the full ``validate``
+        assert len(grids) == 1 and checks == []
 
 
 class TestGenerator:
@@ -422,8 +475,26 @@ def _spacer_assembly(with_spacer=True):
     return _assembly(parts), catalog
 
 
+def _gapped_assembly(gap, seed):
+    """Four random boxes on the workspace floor, each placed beyond the one
+    before along x, y and z in turn, ``gap`` empty cells away from it and
+    facing it across at least one cell."""
+    rng = np.random.default_rng(seed)
+    parts, lo = {}, np.zeros(3, dtype=np.int64)
+    for pid in range(1, 5):
+        size = rng.integers(2, 4, 3)
+        parts[pid] = [tuple(lo + c) for c in np.ndindex(*size)]
+        step = rng.integers(0, 2, 3)
+        step[(pid - 1) % 3] = size[(pid - 1) % 3] + gap
+        lo = lo + step
+    return _assembly(parts), _catalog(4)
+
+
 TOWERS = {"tower5": (2, 1, 0.0, 0, 7), "tower7": (2, 2, 0.5, 1, 5),
           "tower10": (3, 2, 0.0, 0, 3)}
+GAPS = {"gap0": (0, 21), "gap1": (1, 22), "gap2": (2, 23)}
+ORACLE_CASES = [*TOWERS, "peg_in_sleeve", "pin_through_plate", "spacer",
+                *GAPS]
 
 
 def _oracle_case(name):
@@ -432,6 +503,8 @@ def _oracle_case(name):
         return generate_synthetic(layers, screws, manual, priority, seed)
     if name == "spacer":
         return _spacer_assembly()
+    if name in GAPS:
+        return _gapped_assembly(*GAPS[name])
     static, mover = {"peg_in_sleeve": _peg_in_sleeve,
                      "pin_through_plate": _pin_through_plate}[name]()
     asm = _assembly({1: static, 2: mover})
@@ -440,15 +513,18 @@ def _oracle_case(name):
 
 
 class TestOracleCrossCheck:
-    @pytest.mark.parametrize("name", [*TOWERS, "peg_in_sleeve",
-                                      "pin_through_plate", "spacer"])
-    def test_every_layer_matches_the_oracle(self, name):
+    # one-step clearance keeps the case's bare name
+    @pytest.mark.parametrize("name, steps", [
+        pytest.param(name, steps, id=name if steps == 1
+                     else f"{name}-{steps}steps")
+        for steps in (1, 2, 3, 5) for name in ORACLE_CASES])
+    def test_every_layer_matches_the_oracle(self, name, steps):
         asm, catalog = _oracle_case(name)
         asm.validate()
-        ds = build_dataset(asm, catalog)
+        ds = build_dataset(asm, catalog, clearance=steps * asm.pitch)
         order = catalog.non_ignored_ids()
         x_if, x_cf, x_ct, motions = _oracle_dataset_layers(
-            asm, order, steps=1, angle=5.0)
+            asm, order, steps=steps, angle=5.0)
         assert (ds.matrices.interference_free == x_if).all()
         assert (ds.matrices.constraint_free == x_cf).all()
         assert (ds.matrices.contact == x_ct).all()
@@ -461,7 +537,7 @@ class TestOracleCrossCheck:
         order = catalog.non_ignored_ids()
         _, x_cf, _, _ = _oracle_dataset_layers(asm, order, steps=3,
                                                angle=20.0)
-        got = constraint_free_matrices(asm, 3.0, 20.0, order)
+        got = constraint_free_matrices(_LabelGrid(asm, order), 3.0, 20.0)
         assert (got == x_cf).all()
 
     def test_ignored_spacer_blocks_nothing(self):

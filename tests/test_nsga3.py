@@ -67,6 +67,17 @@ class TestConfig:
             with pytest.raises(ValueError):
                 GaConfig(**bad).validate()
 
+    def test_reference_lattice_must_fit(self):
+        # C(D + 3, 3) points over four objectives: 98,770 at D = 82 and
+        # 102,340 at D = 83; only the count is computed, never the lattice
+        GaConfig(divisions=82).validate()
+        GaConfig(divisions=1000, objectives=("d", "a")).validate()
+        for divisions, points in ((83, 102340), (1000, 167668501)):
+            with pytest.raises(ValueError, match=(
+                    f"divisions {divisions} over 4 objectives make {points} "
+                    f"reference points, more than 100000")):
+                GaConfig(divisions=divisions).validate()
+
 
 class TestNonDominatedSort:
     def test_identical_vectors_single_front(self):
