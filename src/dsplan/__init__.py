@@ -2,10 +2,10 @@
 
 Library layout: ``model`` (types, dataset I/O), ``geomsim`` (voxel
 simulator and synthetic products), ``ccg`` (contact-connection graph and
-initializers), ``constraints`` (weight rows and the term kernel),
+initializers), ``constraints`` (each term's weight rows for one mode),
 ``objectives`` (``Evaluator.score``: every verdict and the four
-normalized objectives), ``nsga3`` (the planner),
-``bench`` (experiment harness), ``cli`` (command line).
+normalized objectives from one matmul over its mode's rows), ``nsga3``
+(the planner), ``bench`` (experiment harness), ``cli`` (command line).
 """
 
 __version__ = "0.1.0"

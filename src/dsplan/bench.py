@@ -65,6 +65,8 @@ def init_benchmark(dataset: Dataset, trials: int,
     """Score feasible/stable/available rates of seeded initializer draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not methods:
+        raise ValueError("methods must name at least one initializer")
     for m in methods:
         if m not in INIT_METHODS:
             raise ValueError(f"unknown initializer {m!r}")
@@ -75,8 +77,7 @@ def init_benchmark(dataset: Dataset, trials: int,
         # stream indexed by the canonical method position so that method
         # subsets reproduce the same draws
         rng = np.random.default_rng([seed, INIT_METHODS.index(method)])
-        init = make_initializer(method, dataset.catalog, dataset.matrices,
-                                tables=evaluator.tables)
+        init = make_initializer(method, dataset.catalog, dataset.matrices)
         n_feasible = n_stable = n_available = 0
         # scored in blocks, so memory stays bounded however many trials
         with Draws(rng) as draws:
@@ -135,6 +136,20 @@ def ablation_variant_config(base: GaConfig, variant: str) -> GaConfig:
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
+def ablation_configs(base: GaConfig) -> dict[str, GaConfig]:
+    """The validated config of every variant in ``ABLATION_VARIANTS``; a
+    ``ValueError`` names the first variant that is not runnable."""
+    configs = {}
+    for variant in ABLATION_VARIANTS:
+        cfg = ablation_variant_config(base, variant)
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ValueError(f"ablation variant {variant}: {exc}") from exc
+        configs[variant] = cfg
+    return configs
+
+
 def ablation_run(dataset: Dataset, base_config: GaConfig) -> ExperimentReport:
     """Run the planner under the proposed setup and its six ablations.
 
@@ -142,12 +157,12 @@ def ablation_run(dataset: Dataset, base_config: GaConfig) -> ExperimentReport:
     mean final objective values after min-max normalizing each objective so
     the maximum over all methods except wo_ccgi equals 1.
     """
-    base_config.validate()
+    configs = ablation_configs(base_config)
     report = ExperimentReport(kind="ablation", seed=base_config.seed,
                               mode=base_config.mode,
                               dataset_digest=dataset_content_digest(dataset))
-    for variant in ABLATION_VARIANTS:
-        result = run(dataset, ablation_variant_config(base_config, variant))
+    for variant, cfg in configs.items():
+        result = run(dataset, cfg)
         report.rows.append(_run_row(variant, result))
         report.curves[variant] = result.history
 

@@ -2,9 +2,10 @@
 
 Four initializers are provided: graph-guided (ccgi), uniform random (ri),
 and two rearrangement repairs (fr fixes interference violations, sfr fixes
-interference and stability).  The repairs scan bit masks of the constraint
-kernel's own strict order and stability rows.  Strict, because the literal
-per-pair term is sequence-independent and would make the repair a no-op.
+interference and stability).  The repairs scan bit masks packed from
+``constraints``' own strict order rows and stability rows, once per
+``make_initializer`` call.  Strict, because the literal per-pair term is
+sequence-independent and would make the repair a no-op.
 The initializers take a ``Generator`` or a ``draws.Draws`` reader over
 one, and draw the same sequences from either (per numpy version, NEP 19).
 """
@@ -14,10 +15,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import ConstraintTables
+from .constraints import order_rows, stability_rows
 from .model import FIXING_LABELS, PartCatalog, RelationMatrices
 
 _INF = float("inf")
@@ -195,17 +197,38 @@ def random_init(catalog: PartCatalog,
     return rng.permutation(ids)
 
 
+def _pack_rows(rows: np.ndarray) -> list[list[int]]:
+    """Boolean weight rows ``W[a, m, b]`` as Python ints: ``out[a][m]`` has
+    bit b set when ``W[a, m, b]`` is, so a term check against a bit mask of
+    the parts below costs one integer AND per option."""
+    packed = np.packbits(rows, axis=2, bitorder="little")
+    return [[int.from_bytes(row.tobytes(), "little") for row in options]
+            for options in packed]
+
+
+class RepairMasks(NamedTuple):
+    """What fr/sfr read of one product, by part index: the strict order
+    rows and the contact (stability) row as bit masks, and the contacts as
+    index lists."""
+
+    order: list[list[int]]
+    support: list[int]
+    touching: list[list[int]]
+
+    @classmethod
+    def of(cls, matrices: RelationMatrices) -> "RepairMasks":
+        return cls(_pack_rows(order_rows(matrices, "strict")),
+                   [rows[0] for rows in _pack_rows(stability_rows(matrices))],
+                   [np.flatnonzero(row).tolist() for row in matrices.contact])
+
+
 def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
-               with_stability: bool,
-               tables: ConstraintTables | None) -> np.ndarray:
-    if tables is None:
-        tables = ConstraintTables(matrices)
-    order = tables.bit_rows("order", "strict")
-    support = [rows[0] for rows in tables.bit_rows("stability", "strict")]
-    touching = tables.touching
+               with_stability: bool, masks: RepairMasks | None) -> np.ndarray:
+    order, support, touching = masks or RepairMasks.of(matrices)
     ids = np.array(matrices.part_order, dtype=np.int64)
-    perm = [tables.index[int(x)] for x in rng.permutation(ids)]
-    n = len(perm)
+    n = len(ids)
+    # the same draws as ``rng.permutation(ids)``, as indices into ids
+    perm = rng.permutation(n).tolist()
     where = np.argsort(perm).tolist()
     for _ in range(_MAX_PASSES):
         swapped = False
@@ -237,41 +260,36 @@ def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
 
 def fr_init(catalog: PartCatalog, matrices: RelationMatrices,
             rng: np.random.Generator, *,
-            tables: ConstraintTables | None = None) -> np.ndarray:
+            masks: RepairMasks | None = None) -> np.ndarray:
     """Random permutation repaired toward interference feasibility.
 
     Scans positions last-to-second; a violating part is swapped to a random
-    earlier (later-removed) slot.  The result may still violate.
+    earlier (later-removed) slot.  The result may still violate.  ``masks``
+    of the same product spare building them on every draw.
     """
-    return _rearrange(matrices, rng, False, tables)
+    return _rearrange(matrices, rng, False, masks)
 
 
 def sfr_init(catalog: PartCatalog, matrices: RelationMatrices,
              rng: np.random.Generator, *,
-             tables: ConstraintTables | None = None) -> np.ndarray:
+             masks: RepairMasks | None = None) -> np.ndarray:
     """Like fr_init but also repairs the connection (stability) terms."""
-    return _rearrange(matrices, rng, True, tables)
+    return _rearrange(matrices, rng, True, masks)
 
 
 INIT_METHODS = ("ri", "fr", "sfr", "ccgi")
 
 
 def make_initializer(method: str, catalog: PartCatalog,
-                     matrices: RelationMatrices, *,
-                     tables: ConstraintTables | None = None):
-    """Bind an initializer name to a ``f(rng) -> sequence`` callable.
-
-    ``tables`` of the same product, when the caller already holds them,
-    spare fr/sfr building their own; the draws are the same either way.
-    """
+                     matrices: RelationMatrices):
+    """Bind an initializer name to a ``f(rng) -> sequence`` callable."""
     if method == "ri":
         return lambda rng: random_init(catalog, rng)
     if method in ("fr", "sfr"):
-        if tables is None:
-            tables = ConstraintTables(matrices)
+        masks = RepairMasks.of(matrices)
         if method == "fr":
-            return lambda rng: fr_init(catalog, matrices, rng, tables=tables)
-        return lambda rng: sfr_init(catalog, matrices, rng, tables=tables)
+            return lambda rng: fr_init(catalog, matrices, rng, masks=masks)
+        return lambda rng: sfr_init(catalog, matrices, rng, masks=masks)
     if method == "ccgi":
         graph = build_ccg(catalog, matrices)
         return lambda rng: ccgi_init(graph, rng)

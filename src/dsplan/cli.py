@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .bench import (
     ExperimentReport,
+    ablation_configs,
     ablation_run,
     emit_report,
     init_benchmark,
@@ -49,11 +50,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="random seed (default: drawn from entropy, echoed)")
     p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."),
                    help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     p.add_argument("-v", "--verbose", action="store_true")
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` value: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _rates(text: str) -> dict[str, float]:
@@ -149,7 +158,7 @@ def build_parser() -> _Parser:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return int(args.seed)
+        return args.seed
     return int(np.random.SeedSequence().entropy % (2 ** 32))
 
 
@@ -275,6 +284,8 @@ def _cmd_init_bench(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
+    if not methods:
+        raise _UsageError("--methods names no initializer")
     for m in methods:
         if m not in INIT_METHODS:
             raise _UsageError(f"unknown method {m!r}")
@@ -287,6 +298,10 @@ def _cmd_init_bench(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _ga_config(args)
+    try:
+        ablation_configs(cfg)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     _log_provenance(cfg.seed, args.dataset, {"config": asdict(cfg)})
     dataset = load_dataset(args.dataset)
     report = ablation_run(dataset, cfg)

@@ -471,8 +471,7 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     offspring generation, across the configured iterations."""
     config.validate()
     evaluator = Evaluator(dataset, config.mode)
-    init = make_initializer(config.init, dataset.catalog, dataset.matrices,
-                            tables=evaluator.tables)
+    init = make_initializer(config.init, dataset.catalog, dataset.matrices)
     mask = config.objective_mask()
     refs = das_dennis_points(int(mask.sum()), config.divisions)
 

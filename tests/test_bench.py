@@ -31,6 +31,10 @@ class TestInitBenchmark:
         with pytest.raises(ValueError):
             init_benchmark(tower5, trials=5, methods=("zzz",))
 
+    def test_no_method_rejected(self, tower5):
+        with pytest.raises(ValueError, match="at least one initializer"):
+            init_benchmark(tower5, trials=5, methods=())
+
     def test_ccgi_perfectly_stable(self, tower10):
         report = init_benchmark(tower10, trials=300, methods=("ccgi",),
                                 seed=4)
@@ -82,6 +86,16 @@ class TestAblation:
             "e", "p", "a")
         with pytest.raises(ValueError):
             ablation_variant_config(base, "wo_zz")
+
+    def test_unrunnable_variant_rejected_before_any_run(self, tower5,
+                                                        monkeypatch):
+        # wo_fd of a d-only config has no objective left
+        runs = []
+        monkeypatch.setattr(bench, "run", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match="ablation variant wo_fd: "
+                           "objectives must be a non-empty subset"):
+            ablation_run(tower5, small_cfg(objectives=("d",)))
+        assert runs == []
 
     def test_report_structure_and_determinism(self, tower10_labeled):
         r1 = ablation_run(tower10_labeled, small_cfg(seed=3))

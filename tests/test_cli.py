@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dsplan.ccg import INIT_METHODS
 from dsplan.cli import main
+from dsplan.constraints import MODES
 from dsplan.model import (
     Dataset,
     DatasetError,
@@ -23,6 +25,8 @@ from dsplan.model import (
     load_dataset,
     save_dataset,
 )
+from dsplan.nsga3 import MATING_METHODS, SELECTION_METHODS
+from dsplan.objectives import OBJECTIVE_KEYS
 from conftest import MALFORMED, make_tower
 
 
@@ -113,6 +117,48 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+
+SUBCOMMANDS = ("gen-synthetic", "plan", "init-bench", "ablate", "single-obj",
+               "validate")
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_negative_seed_is_a_usage_error(self, dataset_file, tmp_path,
+                                            capsys, command):
+        inputs = {"gen-synthetic": ["--dataset-out", str(tmp_path / "t.json")],
+                  "single-obj": ["--dataset", str(dataset_file),
+                                 "--objective", "d"]}.get(
+            command, ["--dataset", str(dataset_file)])
+        assert main([command, *inputs, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert ("usage error: argument --seed: must be a non-negative "
+                "integer, got '-1'" in err)
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_ablate_without_objectives_left(self, dataset_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "a"
+        assert main(["ablate", "--dataset", str(dataset_file),
+                     "--objectives", "d", "--pop", "8", "--generations", "1",
+                     "--iterations", "1", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert ("usage error: ablation variant wo_fd: objectives must be a "
+                "non-empty subset" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_init_bench_without_methods(self, dataset_file, tmp_path, capsys,
+                                        methods):
+        assert main(["init-bench", "--dataset", str(dataset_file),
+                     "--methods", methods, "--trials", "5", "--seed", "1",
+                     "--out", str(tmp_path / "ib")]) == 1
+        assert ("usage error: --methods names no initializer"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ib").exists()
 
 
 class TestGenSynthetic:
@@ -418,3 +464,112 @@ class TestEditedDocuments:
             else:
                 assert expected is None
             assert main(["validate", "--dataset", str(path)]) in (0, 2)
+
+
+# placeholders that the argv fuzz replaces by real paths
+DATASET, OUT = "<dataset>", "<out>"
+
+
+class _Flag(NamedTuple):
+    """One flag of the argv fuzz: a strategy for its good values and a list
+    of bad ones, where None leaves the flag out.  A ``given`` flag is
+    always passed a value, because its default is a full-length run."""
+
+    name: str
+    good: st.SearchStrategy
+    bad: tuple = ()
+    given: bool = False
+
+
+def _argv(command, *flags):
+    """Argv of ``command``: every flag good, or one flag bad."""
+    breakable = [f for f in flags if f.bad]
+
+    @st.composite
+    def build(draw):
+        broken = (draw(st.sampled_from(breakable)) if draw(st.booleans())
+                  else None)
+        argv = [command]
+        for flag in flags:
+            if flag is broken:
+                value = draw(st.sampled_from(flag.bad))
+            elif flag.given or draw(st.booleans()):
+                value = draw(flag.good)
+            else:
+                value = None
+            # a switch draws True or False; 0 is a value, not False
+            if value is True:
+                argv.append(flag.name)
+            elif value is not None and value is not False:
+                argv += [flag.name, str(value)]
+        return argv
+    return build()
+
+
+def _one_of(*values):
+    return st.sampled_from(values)
+
+
+_COMMON = (_Flag("--seed", st.integers(0, 2 ** 70), (-1, -3, "x")),
+           _Flag("-v", st.booleans()))
+_DATASET = _Flag("--dataset", st.just(DATASET),
+                 (DATASET + "/missing.json", OUT, None), given=True)
+_MODE = _Flag("--mode", _one_of(*MODES), ("bogus",))
+_GA = (_Flag("--generations", st.integers(0, 3), (-1, "two"), given=True),
+       _Flag("--iterations", st.integers(1, 2), (0, -1), given=True),
+       # small sizes only: a population too large to fit is not bounded
+       _Flag("--pop", st.integers(4, 16), (3, -1), given=True),
+       _Flag("--divisions", st.integers(1, 8), (0, 1000)),
+       _Flag("--rates", _one_of("0.9,0.3,0.2,0.2", "1,1,1,1", "0,0,0,0"),
+             ("2,0,0,0", "nan,0,0,0", "0.5,0.5", "a,b,c,d")),
+       _MODE,
+       _Flag("--objectives", _one_of("d", "e", "d,a", "p,a", "d,e,p,a"),
+             (",", "", "d,d", "x")),
+       _Flag("--init", _one_of(*INIT_METHODS), ("nope",)),
+       _Flag("--selection", _one_of(*SELECTION_METHODS), ("nope",)),
+       _Flag("--mating", _one_of(*MATING_METHODS), ("nope",)),
+       _Flag("--parallel", st.booleans()))
+_TRIALS = _Flag("--trials", st.integers(1, 2), (0, -1))
+
+_ARGV = st.one_of(
+    _argv("gen-synthetic",
+          _Flag("--layers", st.integers(1, 2), (0, -1), given=True),
+          _Flag("--screws", st.integers(0, 4), (5, -1)),
+          _Flag("--manual-fraction", _one_of(0, 0.5, 1), (2, "nan")),
+          _Flag("--priority-count", st.integers(0, 1), (3, -1)),
+          _Flag("--pitch", _one_of(1, 0.5), (0, -1, "nan")),
+          _Flag("--clearance", _one_of(1, 3), (0.5, 0, "inf")),
+          _Flag("--angle", _one_of(5, 20, 90, 720), (0, -5, "nan")),
+          _Flag("--dataset-out", st.just(OUT + "/t.json"), (OUT, None),
+                given=True),
+          *_COMMON),
+    _argv("plan", _DATASET, *_GA, *_COMMON),
+    _argv("init-bench", _DATASET,
+          _Flag("--methods", _one_of("ri", "fr,sfr", "ccgi", "ri,ri"),
+                (",", "", "nope")),
+          _Flag("--trials", st.integers(1, 20), (0, -1), given=True),
+          _MODE, *_COMMON),
+    _argv("ablate", _DATASET, _TRIALS, *_GA, *_COMMON),
+    _argv("single-obj", _DATASET, _TRIALS,
+          _Flag("--objective", _one_of(*OBJECTIVE_KEYS), ("z", None),
+                given=True),
+          *_GA, *_COMMON),
+    _argv("validate", _DATASET, *_COMMON))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_ARGV)
+    @example(argv=["plan", "--dataset", DATASET, "--seed", "-1",
+                   "--pop", "8", "--generations", "1", "--iterations", "1"])
+    @example(argv=["ablate", "--dataset", DATASET, "--objectives", "d",
+                   "--pop", "8", "--generations", "1", "--iterations", "1"])
+    @example(argv=["init-bench", "--dataset", DATASET, "--methods", ",",
+                   "--trials", "5"])
+    def test_every_argv_exits_0_1_or_2(self, dataset_file, fuzz_dir, argv):
+        """A subcommand with small sizes and any mix of good and bad flag
+        values exits 0, 1 or 2 and raises nothing."""
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+            argv = [a.replace(DATASET, str(dataset_file)).replace(OUT, tmp)
+                    for a in argv]
+            assert main([*argv, "--out", tmp]) in (0, 1, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from dsplan.constraints import MODES, TERMS, ConstraintFlags
+from dsplan.constraints import MODES, TERMS, ConstraintFlags, positions
 from dsplan.model import (
     Dataset,
     Motion,
@@ -45,7 +45,8 @@ def chain_product(n, contacts=None):
 def terms_at(ds, perms, mode="as-written"):
     """``(P, n)`` per-position terms of index permutations, by term."""
     perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
-    return Evaluator(ds, mode).kernel.terms_at(perms)
+    ev = Evaluator(ds, mode)
+    return ev.terms_at(perms, ev.counts(positions(perms)))
 
 
 ALL_5 = np.array(list(itertools.permutations(range(5))))

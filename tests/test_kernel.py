@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 import oracle
-from dsplan.ccg import build_ccg, ccgi_init
-from dsplan.constraints import TERMS, ConstraintTables
+from dsplan.ccg import RepairMasks, _pack_rows, build_ccg, ccgi_init
+from dsplan.constraints import (
+    TERMS,
+    motion_rows,
+    order_rows,
+    positions,
+    stability_rows,
+)
 from dsplan.model import (
     Dataset,
     Motion,
@@ -54,9 +60,9 @@ def row_objectives(ev, perm):
     pos[perm] = np.arange(1, n + 1)
     f_p = (1.0 - float(pos[ev.priority_idx].sum()) / ev.r_max
            if len(ev.priority_idx) else 0.0)
-    mpos = pos[ev.manual_idx]
+    mpos = pos[ev.manual]
     f_a = (float(mpos.max() - mpos.min()) / (n - 1)
-           if len(ev.manual_idx) >= 2 else 0.0)
+           if ev.manual.sum() >= 2 else 0.0)
     return (peak / (12.0 * (n - 1)), (changes / (n - 1) + dist_term) / 2.0,
             f_p, f_a)
 
@@ -66,7 +72,7 @@ def assert_kernel_matches(ds, perms, mode):
     ev = Evaluator(ds, mode)
     perms = np.asarray(perms, dtype=np.int64)
     score = ev.score(perms)
-    terms = ev.kernel.terms_at(perms)
+    terms = ev.terms_at(perms, ev.counts(positions(perms)))
     assert all(len(column) == len(perms) for column in score)
     for p, perm in enumerate(perms):
         row = perm.tolist()
@@ -185,13 +191,22 @@ def test_bit_rows_match_weight_rows(product, request):
     ds = {"tower36": lambda: request.getfixturevalue("tower36"),
           "random": lambda: random_product(9, 11),
           "single": lambda: chain_product(1)}[product]()
-    tables = ConstraintTables(ds.matrices, ds.catalog, ds.motions)
-    n = tables.n
-    for (term, mode), weights in tables.weights.items():
-        rows = tables.bit_rows(term, mode)
-        bits = [[[bool(mask >> b & 1) for b in range(n)] for mask in options]
-                for options in rows]
-        assert np.array_equal(np.array(bits, dtype=bool).reshape(n, -1, n),
-                              weights), (term, mode)
-        assert all(mask >> n == 0 for options in rows for mask in options)
-        assert tables.bit_rows(term, mode) is rows
+    n = ds.matrices.n
+    for mode in MODES:
+        for term, weights in (
+                ("order", order_rows(ds.matrices, mode)),
+                ("motion", motion_rows(ds.motions, mode)),
+                ("stability", stability_rows(ds.matrices))):
+            rows = _pack_rows(weights)
+            bits = [[[bool(mask >> b & 1) for b in range(n)]
+                     for mask in options] for options in rows]
+            assert np.array_equal(
+                np.array(bits, dtype=bool).reshape(n, -1, n),
+                weights), (term, mode)
+            assert all(mask >> n == 0 for options in rows for mask in options)
+    masks = RepairMasks.of(ds.matrices)
+    assert masks.order == _pack_rows(order_rows(ds.matrices, "strict"))
+    assert masks.support == [
+        options[0] for options in _pack_rows(stability_rows(ds.matrices))]
+    assert masks.touching == [np.flatnonzero(ds.matrices.contact[a]).tolist()
+                              for a in range(n)]

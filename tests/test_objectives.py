@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from dsplan.constraints import positions
 from dsplan.model import (
     Dataset,
     Motion,
@@ -28,8 +29,9 @@ def objective(ds, seq, key):
     objective half of ``Evaluator.score``, before the penalty."""
     ev = Evaluator(ds)
     perms = ev.to_indices(seq)[None]
-    degree = ev.kernel.counts(perms)["degree"]
-    return ev._objectives(perms, degree)[0, OBJECTIVE_KEYS.index(key)]
+    pos = positions(perms)
+    degree = ev.counts(pos)["degree"]
+    return ev._objectives(perms, pos, degree)[0, OBJECTIVE_KEYS.index(key)]
 
 
 def custom_product(specs, cs_pairs=None):
