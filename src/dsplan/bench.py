@@ -59,17 +59,25 @@ class ExperimentReport:
         raise KeyError(method)
 
 
+def check_methods(methods: tuple[str, ...]) -> None:
+    """Raise ValueError unless ``methods`` names at least one initializer,
+    each known and none twice (a report holds one row per method)."""
+    if not methods:
+        raise ValueError("methods must name at least one initializer")
+    for j, m in enumerate(methods):
+        if m not in INIT_METHODS:
+            raise ValueError(f"unknown initializer {m!r}")
+        if m in methods[:j]:
+            raise ValueError(f"initializer {m!r} is named twice")
+
+
 def init_benchmark(dataset: Dataset, trials: int,
                    methods: tuple[str, ...] = INIT_METHODS,
                    seed: int = 0, mode: str = "as-written") -> ExperimentReport:
     """Score feasible/stable/available rates of seeded initializer draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not methods:
-        raise ValueError("methods must name at least one initializer")
-    for m in methods:
-        if m not in INIT_METHODS:
-            raise ValueError(f"unknown initializer {m!r}")
+    check_methods(methods)
     evaluator = Evaluator(dataset, mode)
     report = ExperimentReport(kind="init-bench", seed=seed, mode=mode,
                               dataset_digest=dataset_content_digest(dataset))

@@ -24,6 +24,7 @@ from .bench import (
     ExperimentReport,
     ablation_configs,
     ablation_run,
+    check_methods,
     emit_report,
     init_benchmark,
     single_objective_run,
@@ -44,9 +45,18 @@ class _UsageError(Exception):
     pass
 
 
+class _Printed(Exception):
+    """``-h`` or ``--version`` printed its text, which ends the command."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # argparse exits here only after -h or --version, because ``error``
+        # raises first
+        raise _Printed
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -286,9 +296,10 @@ def _cmd_init_bench(args) -> int:
         raise _UsageError("--trials must be >= 1")
     if not methods:
         raise _UsageError("--methods names no initializer")
-    for m in methods:
-        if m not in INIT_METHODS:
-            raise _UsageError(f"unknown method {m!r}")
+    try:
+        check_methods(methods)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     _log_provenance(seed, args.dataset,
                     {"methods": methods, "trials": args.trials})
     dataset = load_dataset(args.dataset)
@@ -347,6 +358,8 @@ def main(argv=None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(name)s: %(message)s")
         return _COMMANDS[args.command](args)
+    except _Printed:
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,10 @@ Conventions used across the package:
 * Translation layers are ordered +x, +y, +z, -x, -y, -z; the twelve
   constraint-direction layers append +rx, +ry, +rz, -rx, -ry, -rz
   (rotations about the object axes through the moving part's COM).
+* ``save_dataset`` writes canonical JSON text rendered from the arrays.
+  ``load_dataset`` reads that text back from its arrays and keeps the result
+  only when it renders back to the same bytes; any other JSON, and every
+  error, goes through ``json.loads``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -283,6 +288,11 @@ class MotionTable:
     def validate(self) -> None:
         n = len(self.part_order)
         known = set(self.part_order)
+        # one 0/1 check over every row of length n, read in table order
+        rows = [m.row for entries in self.motions.values() for m in entries
+                if m.row.shape == (n,)]
+        rows = np.array(rows).reshape(len(rows), n)
+        non_binary = iter(((rows != 0) & (rows != 1)).any(axis=1).tolist())
         for pid, entries in self.motions.items():
             if pid not in known:
                 raise ValidationError(
@@ -292,7 +302,7 @@ class MotionTable:
                     raise ValidationError(
                         f"motion {m.id} of part {pid} has row length "
                         f"{m.row.shape[0]}, expected {n}")
-                if ((m.row != 0) & (m.row != 1)).any():
+                if next(non_binary):
                     raise ValidationError(
                         f"motion {m.id} of part {pid} has non-binary entries")
 
@@ -520,11 +530,85 @@ def load_dataset(path: str | Path) -> Dataset:
     Raises DatasetError for a file that cannot be read, SchemaError for
     malformed or version-mismatched files and ValidationError (with matrix
     name and indices) for invariant violations.
+
+    Text laid out as ``dataset_to_json`` writes it is read from its arrays
+    (``_canonical_doc``), and that dataset is returned only when it renders
+    back to the same bytes.  Any other text, and every error, goes through
+    ``json.loads``, so both ways give the same dataset or the same error.
     """
+    data = _read_bytes(path)
+    doc = _canonical_doc(data)
+    if doc is not None:
+        try:
+            dataset = _dataset_from_doc(doc)
+        except DatasetError:
+            pass        # the json.loads path names the error
+        else:
+            if dataset_to_json(dataset).encode() == data:
+                return dataset
+    return _dataset_from_doc(_json_doc(data))
+
+
+def _json_doc(data: bytes):
+    """The document of any JSON text, through ``json.loads``."""
     try:
-        doc = json.loads(_read_bytes(path).decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:      # not UTF-8, or not JSON
         raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+# a motion row in the canonical text; a quote inside a JSON string is
+# escaped, so this never matches inside a name or a kind
+_ROW = re.compile(rb'"row":\[([^\]]*)\]')
+
+
+def _canonical_doc(data: bytes) -> dict | None:
+    """The document of ``data`` read as ``dataset_to_json`` lays it out, or
+    None when it is not laid out so.
+
+    The 0/1 blocks (x_cf, x_ct, x_if, the last keys but x_cs) and the motion
+    rows are read as digits, one numpy pass each; ``json.loads`` reads only
+    the rest.  Nothing here checks what it cuts out: the caller accepts the
+    result only when it renders back to ``data``.
+    """
+    # where each of the four blocks starts, then the end of the last one,
+    # before the closing "}\n"
+    cuts = [len(data) - 2]
+    for key in (b"x_if", b"x_ct", b"x_cs", b"x_cf"):
+        cuts.insert(0, data.rfind(b',"' + key + b'":', 0, cuts[0]))
+    if not data.startswith(b'{"motions":{') or min(cuts) < 0:
+        return None
+    # text and rows alternate; each row is kept as the placeholder 0
+    head = _ROW.split(data[:cuts[0]])
+    try:
+        doc = json.loads(b'"row":0'.join(head[::2]) + data[cuts[1]:cuts[2]]
+                         + b"}")
+        n = len(doc["part_order"])
+        rows = _digits(b",".join(head[1::2]), (len(head) // 2, n))
+        motions = [m for entries in doc["motions"].values() for m in entries]
+        for motion, row in zip(motions, rows):
+            motion["row"] = row
+        for key, shape, start, stop in (
+                ("x_cf", (N_DIRECTIONS, n, n), *cuts[0:2]),
+                ("x_ct", (n, n), *cuts[2:4]),
+                ("x_if", (N_TRANSLATIONS, n, n), *cuts[3:5])):
+            doc[key] = _digits(data[start + len(key) + 4:stop], shape)
+    except (ValueError, TypeError, AttributeError, KeyError, RecursionError):
+        return None
+    return doc
+
+
+def _digits(text: bytes, shape) -> np.ndarray:
+    """``text`` without its brackets and commas, one byte per entry, as
+    uint8 digit values in ``shape``; ValueError when the count does not fit
+    it.  A byte that is not a digit reads as a value above 9."""
+    return (np.frombuffer(text.translate(None, b"[],"), dtype=np.uint8)
+            - ord("0")).reshape(shape)
+
+
+def _dataset_from_doc(doc) -> Dataset:
+    """The dataset of a parsed document, built and validated; the one place
+    that checks a document.  A block may be nested lists or an array."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
     version = doc.get("version")

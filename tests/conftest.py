@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dsplan.geomsim import build_dataset, generate_synthetic
+from dsplan.model import DatasetError, dataset_to_json, load_dataset
 
 
 def make_tower(layers, screws, manual=0.0, priority=0, seed=0):
@@ -13,6 +15,44 @@ def make_tower(layers, screws, manual=0.0, priority=0, seed=0):
         n_layers=layers, screws_per_layer=screws, manual_fraction=manual,
         priority_count=priority, seed=seed)
     return build_dataset(assembly, catalog)
+
+
+def canonical_text(doc) -> str:
+    """``doc`` laid out as ``dataset_to_json`` lays out a dataset: sorted
+    keys, compact separators and a trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: the dataset's canonical text, or the
+    error's type, text, matrix and index."""
+    try:
+        return dataset_to_json(load_dataset(path))
+    except DatasetError as exc:
+        return (type(exc), str(exc), getattr(exc, "matrix", None),
+                getattr(exc, "index", None))
+
+
+def write_both(doc, directory) -> tuple[Path, Path]:
+    """``doc`` written as ``json.dumps`` writes it by default and in the
+    canonical layout, which the loader reads from its arrays.  The canonical
+    file must load to the same dataset, or fail with the same error, as the
+    same keys in the same order with ``json.dumps``'s default separators,
+    which the loader reads through ``json.loads``.  (A repeated motion key
+    is named in key order, so the comparison sorts the keys too.)"""
+    paths = [Path(directory) / name for name in (
+        "default.json", "canonical.json", "spaced.json")]
+    paths[0].write_text(json.dumps(doc))
+    paths[1].write_text(canonical_text(doc))
+    paths[2].write_text(json.dumps(doc, sort_keys=True))
+    assert load_outcome(paths[1]) == load_outcome(paths[2])
+    return paths[0], paths[1]
+
+
+def load_both(doc, directory):
+    """Load ``doc`` from both renderings of ``write_both``: the dataset of
+    the default one, or its error."""
+    return load_dataset(write_both(doc, directory)[0])
 
 
 @pytest.fixture(scope="session")

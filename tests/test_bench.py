@@ -35,6 +35,12 @@ class TestInitBenchmark:
         with pytest.raises(ValueError, match="at least one initializer"):
             init_benchmark(tower5, trials=5, methods=())
 
+    def test_repeated_method_rejected(self, tower5):
+        # a report holds one row per method
+        with pytest.raises(ValueError, match="initializer 'ri' is named "
+                                             "twice"):
+            init_benchmark(tower5, trials=5, methods=("ri", "ri"))
+
     def test_ccgi_perfectly_stable(self, tower10):
         report = init_benchmark(tower10, trials=300, methods=("ccgi",),
                                 seed=4)

@@ -1,7 +1,9 @@
 import copy
+import errno
 import functools
 import json
 import operator
+import os
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dsplan import __version__
 from dsplan.ccg import INIT_METHODS
 from dsplan.cli import main
 from dsplan.constraints import MODES
@@ -27,7 +30,7 @@ from dsplan.model import (
 )
 from dsplan.nsga3 import MATING_METHODS, SELECTION_METHODS
 from dsplan.objectives import OBJECTIVE_KEYS
-from conftest import MALFORMED, make_tower
+from conftest import MALFORMED, make_tower, write_both
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +121,30 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv, printed", [
+        (["--version"], f"dsplan {__version__}"),
+        (["-h"], "usage: dsplan"),
+        (["plan", "-h"], "usage: dsplan plan"),
+        (["validate", "--help"], "usage: dsplan validate")])
+    def test_help_and_version_return_zero(self, argv, printed, capsys):
+        assert main(argv) == 0
+        assert printed in capsys.readouterr().out
+
+    def test_dataset_error_unreadable_file(self, dataset_file, monkeypatch,
+                                           capsys):
+        # a file without read permission, which a process running as root
+        # could still read
+        def refuse(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(path))
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(dataset_file)
+        assert str(err.value) == f"cannot read {dataset_file}: Permission denied"
+        assert main(["validate", "--dataset", str(dataset_file)]) == 2
+        assert (f"dataset error: cannot read {dataset_file}: Permission "
+                "denied" in capsys.readouterr().err)
+
 
 SUBCOMMANDS = ("gen-synthetic", "plan", "init-bench", "ablate", "single-obj",
                "validate")
@@ -157,6 +184,14 @@ class TestBadArguments:
                      "--methods", methods, "--trials", "5", "--seed", "1",
                      "--out", str(tmp_path / "ib")]) == 1
         assert ("usage error: --methods names no initializer"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ib").exists()
+
+    def test_init_bench_repeated_method(self, dataset_file, tmp_path, capsys):
+        assert main(["init-bench", "--dataset", str(dataset_file),
+                     "--methods", "ri,ccgi,ri", "--trials", "5", "--seed",
+                     "1", "--out", str(tmp_path / "ib")]) == 1
+        assert ("usage error: initializer 'ri' is named twice"
                 in capsys.readouterr().err)
         assert not (tmp_path / "ib").exists()
 
@@ -451,19 +486,21 @@ class TestEditedDocuments:
     def test_loads_or_is_a_dataset_error(self, fuzz_dir, edit):
         """One edit of the canonical tower document either loads or raises
         a DatasetError, and ``validate`` exits 0 or 2; a MALFORMED edit
-        must raise, with the text it returns."""
+        must raise, with the text it returns.  Its canonical rendering
+        loads or fails alike."""
         doc = copy.deepcopy(_DOC)
         expected = edit(doc)
         with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
-            path = Path(tmp) / "edited.json"
-            path.write_text(json.dumps(doc))
+            # the canonical rendering must load as the json.loads path does
+            paths = write_both(doc, tmp)
             try:
-                load_dataset(path)
+                load_dataset(paths[0])
             except DatasetError as exc:
                 assert expected is None or expected in str(exc)
             else:
                 assert expected is None
-            assert main(["validate", "--dataset", str(path)]) in (0, 2)
+            codes = [main(["validate", "--dataset", str(p)]) for p in paths]
+            assert codes[0] in (0, 2) and codes[1] == codes[0]
 
 
 # placeholders that the argv fuzz replaces by real paths
@@ -511,7 +548,11 @@ def _one_of(*values):
 
 
 _COMMON = (_Flag("--seed", st.integers(0, 2 ** 70), (-1, -3, "x")),
-           _Flag("-v", st.booleans()))
+           _Flag("-v", st.booleans()),
+           # help, or a subcommand's unknown --version, ends the command
+           # before it runs, so each is drawn rarely
+           _Flag("-h", _one_of(False, False, False, True)),
+           _Flag("--version", _one_of(False, False, False, True)))
 _DATASET = _Flag("--dataset", st.just(DATASET),
                  (DATASET + "/missing.json", OUT, None), given=True)
 _MODE = _Flag("--mode", _one_of(*MODES), ("bogus",))
@@ -545,8 +586,8 @@ _ARGV = st.one_of(
           *_COMMON),
     _argv("plan", _DATASET, *_GA, *_COMMON),
     _argv("init-bench", _DATASET,
-          _Flag("--methods", _one_of("ri", "fr,sfr", "ccgi", "ri,ri"),
-                (",", "", "nope")),
+          _Flag("--methods", _one_of("ri", "fr,sfr", "ccgi", "ri,ccgi"),
+                (",", "", "nope", "ri,ri")),
           _Flag("--trials", st.integers(1, 20), (0, -1), given=True),
           _MODE, *_COMMON),
     _argv("ablate", _DATASET, _TRIALS, *_GA, *_COMMON),
@@ -566,6 +607,10 @@ class TestArgvFuzz:
                    "--pop", "8", "--generations", "1", "--iterations", "1"])
     @example(argv=["init-bench", "--dataset", DATASET, "--methods", ",",
                    "--trials", "5"])
+    @example(argv=["init-bench", "--dataset", DATASET, "--methods", "ri,ri",
+                   "--trials", "5"])
+    @example(argv=["--version"])
+    @example(argv=["plan", "--dataset", DATASET, "-h"])
     def test_every_argv_exits_0_1_or_2(self, dataset_file, fuzz_dir, argv):
         """A subcommand with small sizes and any mix of good and bad flag
         values exits 0, 1 or 2 and raises nothing."""

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracle
+from dsplan import model
 from dsplan.geomsim import VoxelAssembly, build_dataset
 from dsplan.model import (
     Dataset,
@@ -26,7 +28,13 @@ from dsplan.model import (
     save_dataset,
     validate_sequence,
 )
-from conftest import MALFORMED, make_tower
+from conftest import (
+    MALFORMED,
+    canonical_text,
+    load_both,
+    load_outcome,
+    make_tower,
+)
 
 
 class TestParseLabels:
@@ -172,10 +180,8 @@ class TestDatasetIO:
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
         doc["x_if"][3][0][1] ^= 1
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(TransposeViolation) as err:
-            load_dataset(path)
+            load_both(doc, tmp_path)
         assert err.value.matrix == "x_if"
         assert err.value.index is not None
 
@@ -187,11 +193,9 @@ class TestDatasetIO:
         doc["x_cf"][9][0][1] ^= 1
         if not with_x_cs:
             del doc["x_cs"]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
         message = "x_cf layer 10 != transpose of layer 7"
         with pytest.raises(TransposeViolation, match=message) as err:
-            load_dataset(path)
+            load_both(doc, tmp_path)
         assert err.value.matrix == "x_cf"
         assert err.value.index == (9, 0, 1)
 
@@ -199,19 +203,15 @@ class TestDatasetIO:
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
         doc["x_cs"][0][1] += 1
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError) as err:
-            load_dataset(path)
+            load_both(doc, tmp_path)
         assert err.value.matrix == "x_cs"
 
     def test_missing_x_cs_is_rederived(self, tmp_path):
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
         del doc["x_cs"]
-        path = tmp_path / "nocs.json"
-        path.write_text(json.dumps(doc))
-        loaded = load_dataset(path)
+        loaded = load_both(doc, tmp_path)
         assert (loaded.matrices.constraint_degree
                 == ds.matrices.constraint_degree).all()
 
@@ -219,28 +219,22 @@ class TestDatasetIO:
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
         doc["version"] = 99
-        path = tmp_path / "v.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_an_integer(self, tmp_path, version):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc["version"] = version
-        path = tmp_path / "v.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="unsupported dataset version"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     def test_missing_field(self, tmp_path):
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
         del doc["x_ct"]
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -255,19 +249,15 @@ class TestDatasetIO:
         ds = _tiny_dataset()
         doc = json.loads(dataset_to_json(ds))
         doc["parts"][1]["com"] = com
-        path = tmp_path / "com.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="part 2: com"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     @pytest.mark.parametrize("mutation", sorted(MALFORMED))
     def test_malformed_field_rejected(self, tmp_path, mutation):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         message = MALFORMED[mutation](doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
-            load_dataset(path)
+            load_both(doc, tmp_path)
         assert message in str(err.value)
 
     @pytest.mark.parametrize("key, value, bound", [
@@ -279,10 +269,8 @@ class TestDatasetIO:
                                                bound):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc[key][0][1] = value
-        path = tmp_path / "entry.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
-            load_dataset(path)
+            load_both(doc, tmp_path)
         assert str(err.value).startswith(
             f"{key}[0][1] must be an integer in [")
         assert f", {bound}], got {value!r}" in str(err.value)
@@ -290,10 +278,8 @@ class TestDatasetIO:
     def test_string_matrix_entry_rejected(self, tmp_path):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc["x_if"][1][2][0] = "1"
-        path = tmp_path / "entry.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=r"x_if\[1\]\[2\]\[0\] does not"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     def test_integral_floats_and_booleans_load_as_integers(self, tmp_path):
         ds = _tiny_dataset()
@@ -301,41 +287,33 @@ class TestDatasetIO:
         doc["x_if"] = [[[float(v) for v in row] for row in layer]
                        for layer in doc["x_if"]]
         doc["x_ct"] = [[bool(v) for v in row] for row in doc["x_ct"]]
-        path = tmp_path / "floats.json"
-        path.write_text(json.dumps(doc))
-        assert dataset_to_json(load_dataset(path)) == dataset_to_json(ds)
+        assert dataset_to_json(load_both(doc, tmp_path)) == dataset_to_json(ds)
 
     @pytest.mark.parametrize("size", ["abc", float("nan"), float("inf"),
                                       [1.0], {}])
     def test_bad_size_rejected(self, tmp_path, size):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc["parts"][2]["size"] = size
-        path = tmp_path / "size.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=r"parts\[2\]\.size must be"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     @pytest.mark.parametrize("flag", ["priority", "base", "ignore"])
     @pytest.mark.parametrize("value", ["false", 1, None])
     def test_label_flag_must_be_boolean(self, tmp_path, flag, value):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc["parts"][1]["labels"][flag] = value
-        path = tmp_path / "flag.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=rf"parts\[1\]\.labels\.{flag} "
                                               "must be a boolean"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     def test_repeated_motion_part_id_rejected(self, tmp_path):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         key = next(k for k, entries in sorted(doc["motions"].items())
                    if entries)
         doc["motions"]["0" + key] = []
-        path = tmp_path / "motions.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError,
                            match=f"motion key '0{key}' repeats part id {key}"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     @pytest.mark.parametrize("field", ["part_order", "motion id"])
     def test_boolean_id_rejected(self, tmp_path, field):
@@ -347,20 +325,16 @@ class TestDatasetIO:
                        if entries)
             doc["motions"][key][0]["id"] = True
             where = rf"motions\['{key}'\]\[0\]\.id"
-        path = tmp_path / "ids.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError,
                            match=where + " must be an integer, got True"):
-            load_dataset(path)
+            load_both(doc, tmp_path)
 
     def test_asymmetric_contact_rejected(self, tmp_path):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc["x_ct"][0][1] ^= 1
-        path = tmp_path / "contact.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError,
                            match=r"x_ct is not symmetric at \(0, 1\)") as err:
-            load_dataset(path)
+            load_both(doc, tmp_path)
         assert err.value.index == (0, 1)
 
     def test_contact_without_constraint_rejected(self):
@@ -408,6 +382,17 @@ def _writer_case(name):
         degree = (np.arange(n * n) % 13).reshape(n, n).astype(np.int16)
         return ds._replace(matrices=dataclasses.replace(
             ds.matrices, constraint_degree=degree))
+    if name == "key-text-in-names":
+        # the text that the canonical reader cuts at, inside strings
+        names = [',"x_cf":[', '"row":[0,1]', ',"x_if":[[[1]]]}\n']
+        parts = tuple(dataclasses.replace(p, name=f"{names[j % 3]}_"
+                                          f"{p.task_label}")
+                      for j, p in enumerate(ds.catalog))
+        pid, entries = next(iter(motions.items()))
+        motions[pid] = tuple(dataclasses.replace(m, kind='"row":[1]')
+                             for m in entries)
+        return Dataset(PartCatalog(parts), ds.matrices,
+                       MotionTable(ds.matrices.part_order, motions))
     assert name == "escaped-text"
     names = ['a"quote_screw', "back\\slash_plate", "new\nline_graspable",
              "tab\t\u00e9\u2603_manual", "ctrl\x01_nut"]
@@ -427,7 +412,7 @@ class TestCanonicalText:
     @pytest.mark.parametrize("name", [
         "tower10", "tower36", "tower76", "one-part", "two-part",
         "part-without-motions", "empty-motion-table", "two-digit-x_cs",
-        "escaped-text"])
+        "escaped-text", "key-text-in-names"])
     def test_matches_json_dumps(self, name):
         ds = _writer_case(name)
         assert dataset_to_json(ds) == oracle.dataset_json(ds)
@@ -494,6 +479,159 @@ class TestCanonicalText:
                                              r"0\.\.1 to be written, got 2"):
             save_dataset(_without_motions(ds, motions), path)
         assert not path.exists()
+
+
+def _doc_edit(change):
+    """The text edit that applies ``change`` to the document and writes it
+    in the canonical layout."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return canonical_text(doc)
+    return edit
+
+
+def _motion_rows(doc):
+    return [m["row"] for entries in doc["motions"].values() for m in entries]
+
+
+def _trade_entry(rows):
+    """Move the first entry of ``rows[1]`` to the end of ``rows[0]``: the
+    digits stay in the same order, but neither row has the right length."""
+    rows[0].append(rows[1].pop(0))
+
+
+def _set_entry(key, value):
+    def change(doc):
+        doc[key][0][1] = value
+    return change
+
+
+def _repeat_motion_key(text):
+    key = next(k for k, v in json.loads(text)["motions"].items() if v)
+    return text.replace('{"motions":{', f'{{"motions":{{"{key}":[],', 1)
+
+
+def _pretty(text):
+    return json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+def _float_x_ct(doc):
+    doc["x_ct"] = [[float(v) for v in row] for row in doc["x_ct"]]
+
+
+def _add_x_cs(doc):
+    doc["x_cs"][0][1] += 1
+
+
+# Edits of the tiny tower's canonical text, and the error that loading the
+# edited text raises (None: it loads).  Each must load, or fail, exactly as
+# the json.loads path does.
+_TEXT_EDITS = {
+    "key-after-x_if": (_doc_edit(lambda doc: doc.update(zz=1)), None),
+    "key-before-motions": (_doc_edit(lambda doc: doc.update(aa=[])), None),
+    "no-x_cs": (_doc_edit(lambda doc: doc.pop("x_cs")), None),
+    "no-trailing-newline": (lambda text: text[:-1], None),
+    "utf-8-bom": (lambda text: "\ufeff" + text, SchemaError),
+    "pretty-printed": (_pretty, None),
+    "float-entries": (_doc_edit(_float_x_ct), None),
+    "repeated-motion-key": (_repeat_motion_key, None),
+    "x_cs-mismatch": (_doc_edit(_add_x_cs), ValidationError),
+    "negative-x_ct": (_doc_edit(_set_entry("x_ct", -1)), SchemaError),
+    "two-digit-x_ct": (_doc_edit(_set_entry("x_ct", 10)), ValidationError),
+    "motion-rows-trade-an-entry": (
+        _doc_edit(lambda doc: _trade_entry(_motion_rows(doc))), SchemaError),
+    "x_if-rows-trade-an-entry": (
+        _doc_edit(lambda doc: _trade_entry(doc["x_if"][0])), SchemaError),
+    "motion-without-row": (_doc_edit(MALFORMED["motion-without-row"]),
+                           SchemaError),
+    "text-after-the-object": (lambda text: text + "{}", SchemaError),
+    "truncated": (lambda text: text[:-3], SchemaError),
+}
+
+
+def _json_loads_outcome(path):
+    """``load_outcome`` of ``path`` with the canonical reader off."""
+    with mock.patch.object(model, "_canonical_doc", return_value=None):
+        return load_outcome(path)
+
+
+class TestCanonicalReader:
+    """``load_dataset`` reads canonical text from its arrays and keeps that
+    dataset only when it renders back to the same bytes; any other text,
+    and every error, goes through ``json.loads``."""
+
+    @pytest.mark.parametrize("name", [
+        "tower10", "tower76", "one-part", "two-part", "part-without-motions",
+        "empty-motion-table", "escaped-text", "key-text-in-names"])
+    def test_saved_file_is_read_from_its_arrays(self, tmp_path, monkeypatch,
+                                                name):
+        path = tmp_path / "saved.json"
+        save_dataset(_writer_case(name), path)
+
+        def no_json_loads(data):
+            raise AssertionError("read through json.loads")
+        monkeypatch.setattr(model, "_json_doc", no_json_loads)
+        assert dataset_to_json(load_dataset(path)) == path.read_text()
+
+    @pytest.mark.parametrize("edit", sorted(_TEXT_EDITS))
+    def test_edited_text_loads_as_json_loads_reads_it(self, tmp_path, edit):
+        change, error = _TEXT_EDITS[edit]
+        path = tmp_path / "edited.json"
+        path.write_text(change(dataset_to_json(_tiny_dataset())),
+                        encoding="utf-8")
+        outcome = load_outcome(path)
+        assert outcome == _json_loads_outcome(path)
+        if error is None:
+            assert isinstance(outcome, str)
+        else:
+            assert outcome[0] is error
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=st.tuples(st.integers(0, 10 ** 6), st.sampled_from(
+        [b"", b"0", b"1", b"2", b"-", b".", b",", b"[", b"]", b"{", b"}",
+         b'"', b" "]), st.booleans()))
+    def test_byte_edits_load_as_json_loads_reads_them(self, tmp_path_factory,
+                                                      edit):
+        """One byte of the canonical text replaced, deleted or inserted."""
+        at, new, replace = edit
+        text = dataset_to_json(_tiny_dataset()).encode()
+        at %= len(text)
+        path = tmp_path_factory.mktemp("edit") / "edited.json"
+        path.write_bytes(text[:at] + new + text[at + replace:])
+        assert load_outcome(path) == _json_loads_outcome(path)
+
+
+class TestMotionTableValidate:
+    """One 0/1 check covers every row; the error still names the first bad
+    motion in table order."""
+
+    @staticmethod
+    def _table(*rows, unknown=False):
+        motions = {1: tuple(Motion(j, "+x", np.array(row))
+                            for j, row in enumerate(rows))}
+        if unknown:
+            motions[9] = ()
+        return MotionTable((1, 2, 3), motions)
+
+    @pytest.mark.parametrize("rows, unknown, message", [
+        (([1, 1, 0], [0, 2, 1], [1, 1]), False,
+         "motion 1 of part 1 has non-binary entries"),
+        (([1, 1, 0], [0, 1], [0, 2, 1]), False,
+         "motion 1 of part 1 has row length 2, expected 3"),
+        (([1, 1, 0], [1, 0, 1], [1, -1, 1]), False,
+         "motion 2 of part 1 has non-binary entries"),
+        (([1, 0, 1], [0.5, 1, 1]), True,
+         "motion 1 of part 1 has non-binary entries"),
+        (([1, 0, 1],), True, "motion table lists unknown part id 9"),
+    ])
+    def test_first_bad_motion_named(self, rows, unknown, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            self._table(*rows, unknown=unknown).validate()
+
+    def test_binary_rows_pass(self):
+        self._table([1, 0, 1], [0, 0, 0]).validate()
+        self._table().validate()
 
 
 class TestSequences:
