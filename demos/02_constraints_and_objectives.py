@@ -6,7 +6,7 @@ A sequence that fails any constraint scores exactly (1, 1, 1, 1)."""
 
 import numpy as np
 
-from dsplan import generate_synthetic, build_dataset, check, evaluate
+from dsplan import generate_synthetic, build_dataset, evaluate
 from dsplan.model import removal_order
 
 assembly, catalog = generate_synthetic(
@@ -19,13 +19,12 @@ good = np.array([1, 2, 3, 4, 5])      # removal: screw2, block2, screw1, ...
 bad = np.array([1, 3, 2, 4, 5])       # block1 comes out before its screw
 
 for name, seq in (("top-down", good), ("block before screw", bad)):
-    flags = check(seq, dataset)
     result = evaluate(seq, dataset)
     print(f"{name}: removal order {removal_order(seq).tolist()}")
-    print(f"  order={flags.order_feasible} motion={flags.motion_feasible} "
-          f"stable={flags.stable} -> available={flags.available}")
-    if flags.first_violation:
-        criterion, position = flags.first_violation
+    print(f"  order={result.order_feasible} motion={result.motion_feasible} "
+          f"stable={result.stable} -> available={result.available}")
+    if result.first_violation:
+        criterion, position = result.first_violation
         print(f"  first violation: {criterion} at storage position "
               f"{position}")
     d, e, p, a = result.objectives
@@ -34,6 +33,6 @@ for name, seq in (("top-down", good), ("block before screw", bad)):
 
 # the stricter reading demands one direction that clears every remaining
 # part at once; the default follows the per-obstacle formulation
-strict = check(bad, dataset, mode="strict")
+strict = evaluate(bad, dataset, mode="strict")
 print(f"strict reading of the bad order: order_feasible="
       f"{strict.order_feasible}")

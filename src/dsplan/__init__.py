@@ -4,8 +4,10 @@ Library layout: ``model`` (types, dataset I/O), ``geomsim`` (voxel
 simulator and synthetic products), ``ccg`` (contact-connection graph and
 initializers), ``constraints`` (each term's weight rows for one mode),
 ``objectives`` (``Evaluator.score``: every verdict and the four
-normalized objectives from one matmul over its mode's rows), ``nsga3``
-(the planner), ``bench`` (experiment harness), ``cli`` (command line).
+normalized objectives from one matmul over its mode's rows, as a
+``Score`` population; ``evaluate`` gives one sequence's ``Evaluation``),
+``nsga3`` (the planner), ``bench`` (experiment harness), ``cli``
+(command line).
 """
 
 __version__ = "0.1.0"
@@ -39,8 +41,7 @@ from .ccg import (
     random_init,
     sfr_init,
 )
-from .constraints import ConstraintFlags
-from .objectives import Evaluation, Evaluator, check, evaluate
+from .objectives import Evaluation, Evaluator, evaluate
 from .nsga3 import (
     GaConfig,
     PlanResult,

@@ -95,7 +95,7 @@ def init_benchmark(dataset: Dataset, trials: int,
                 s = evaluator.score(perms)
                 n_feasible += int(s.feasible.sum())
                 n_stable += int(s.stable.sum())
-                n_available += int((s.feasible & s.stable).sum())
+                n_available += int(s.available.sum())
         report.rows.append(MethodResult(
             method=method, trials=trials,
             feasible_rate=100.0 * n_feasible / trials,

@@ -84,31 +84,14 @@ def build_ccg(catalog: PartCatalog,
     nodes = tuple(matrices.part_order)
     fixing = frozenset(pid for pid in nodes
                        if catalog.by_id(pid).task_label in FIXING_LABELS)
-    contact = matrices.contact
-    edges = []
+    edges = [(nodes[i], nodes[k]) for i, k in
+             np.argwhere(np.triu(matrices.contact, 1)).tolist()]
     adj: dict[int, list[int]] = {pid: [] for pid in nodes}
-    for i, a in enumerate(nodes):
-        for k in range(i + 1, len(nodes)):
-            if contact[i, k]:
-                b = nodes[k]
-                edges.append((a, b))
-                adj[a].append(b)
-                adj[b].append(a)
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     connection = frozenset(e for e in edges
                            if e[0] in fixing or e[1] in fixing)
-
-    if nodes:
-        seen = {nodes[0]}
-        queue = deque([nodes[0]])
-        while queue:
-            for nb in adj[queue.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if len(seen) != len(nodes):
-            missing = sorted(set(nodes) - seen)
-            raise DisconnectedProduct(
-                f"contact graph is disconnected; unreachable parts {missing}")
 
     base = catalog.base_part()
     if base is not None and not base.ignore:
@@ -116,10 +99,17 @@ def build_ccg(catalog: PartCatalog,
     else:
         root = max(nodes, key=lambda pid: (catalog.by_id(pid).size or 0.0,
                                            -pid))
-    return ContactConnectionGraph(
+    graph = ContactConnectionGraph(
         nodes=nodes, fixing=fixing, edges=tuple(edges),
         connection_edges=connection, root=root,
         neighbors={pid: tuple(nbs) for pid, nbs in adj.items()})
+    missing = sorted(pid for pid, d in
+                     _hop_distances(graph, set(nodes), nodes[0]).items()
+                     if d == _INF)
+    if missing:
+        raise DisconnectedProduct(
+            f"contact graph is disconnected; unreachable parts {missing}")
+    return graph
 
 
 def _hop_distances(graph: ContactConnectionGraph, present: set[int],

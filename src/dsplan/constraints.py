@@ -20,13 +20,13 @@ Each term is a set of boolean weight rows ``W[a, m, b]``, built for one mode
 by ``order_rows``, ``motion_rows`` or ``stability_rows``: part b, still in
 place when part a is removed, counts against option m of part a.
 ``objectives.Evaluator`` counts its mode's rows over a whole population, and
-``ccg`` packs the strict order rows and the stability rows into the bit
-masks of its fr/sfr repair.
+its ``Score`` and ``Evaluation`` report the first violated criterion as
+one of ``TERMS``; this module holds no verdict of its own.  ``ccg`` packs
+the strict order rows and the stability rows into the bit masks of its
+fr/sfr repair.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +34,6 @@ from .model import MotionTable, RelationMatrices
 
 MODES = ("as-written", "strict")
 TERMS = ("order", "motion", "stability")
-
-
-@dataclass(frozen=True)
-class ConstraintFlags:
-    """Outcome of the full constraint check for one sequence."""
-
-    order_feasible: bool
-    motion_feasible: bool
-    stable: bool
-    available: bool
-    first_violation: tuple[str, int] | None = None
-
-    def __post_init__(self):
-        if self.available != (self.order_feasible and self.motion_feasible
-                              and self.stable):
-            raise ValueError("available must equal the conjunction of the "
-                             "three criteria")
 
 
 def _check_mode(mode: str) -> None:

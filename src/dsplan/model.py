@@ -434,14 +434,15 @@ def _part_from_json(obj, where: str) -> Part:
     flags = {key: _typed_from_json(labels.get(key, False), bool,
                                    f"{where}.labels.{key}")
              for key in ("priority", "base", "ignore")}
-    size = obj.get("size")
+    eef, size = obj.get("eef"), obj.get("size")
     return Part(
         id=part_id,
         name=_typed_from_json(obj["name"], str, f"{where}.name"),
         task_label=_typed_from_json(labels["task"], str,
                                     f"{where}.labels.task"),
         com=_finite_from_json(obj["com"], f"part {part_id}: com", 3),
-        eef=obj.get("eef"),
+        eef=None if eef is None else _typed_from_json(eef, str,
+                                                      f"{where}.eef"),
         size=None if size is None else _finite_from_json(size,
                                                          f"{where}.size"),
         **flags,
@@ -553,7 +554,8 @@ def _json_doc(data: bytes):
     """The document of any JSON text, through ``json.loads``."""
     try:
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:      # not UTF-8, or not JSON
+    # not UTF-8, not JSON, or nested deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
 
 

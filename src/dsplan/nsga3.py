@@ -1,17 +1,18 @@
 """Many-objective GA: non-dominated sorting, reference-line niching, the
 four permutation operators, and the outer iteration / generation loops.
 
-A population is held as arrays: ``(P, n)`` index permutations (positions
-into part_order; part ids appear only at the API boundary), the feasible
-and stable flags and the ``(P, 4)`` objectives, all from one
-``Evaluator.score`` call.  Each generation sorts once: survivor selection
+A population is the ``objectives.Score`` of one ``Evaluator.score`` call:
+``(P, n)`` index permutations (positions into part_order; part ids appear
+only at the API boundary) with each row's flags, first violation and
+``(P, 4)`` objectives.  Each generation sorts once: survivor selection
 admits whole fronts in order, so the survivors keep their pool front ranks
 and mating reuses them; only an iteration's initial population is sorted
 on its own.  Offspring are made in two passes: a scalar pass draws every
 random number in a fixed order (none depends on chromosome contents), and
 each operator's ``_*_rows`` function then applies its draws to all its
 children at once as ``(k, n)`` gathers.  The champion (``_best_member``)
-and the history rows are reductions over the arrays.  All randomness flows
+and the history rows are reductions over the arrays, and the champion's
+``Evaluation`` is its row of the ``Score``.  All randomness flows
 through one explicitly seeded generator, read scalar by scalar through one
 ``draws.Draws`` reader per ``run``, so a fixed seed gives a
 bitwise-identical result per numpy version.  ``GaConfig.parallel``
@@ -26,7 +27,6 @@ import json
 import math
 from bisect import insort
 from dataclasses import dataclass, field, asdict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .ccg import INIT_METHODS, make_initializer
 from .constraints import MODES
 from .draws import Draws
 from .model import Dataset
-from .objectives import OBJECTIVE_KEYS, Evaluation, Evaluator
+from .objectives import OBJECTIVE_KEYS, Evaluation, Evaluator, Score
 
 SELECTION_METHODS = ("reference-line", "crowding")
 MATING_METHODS = ("tournament", "random")
@@ -310,17 +310,15 @@ def _rotate_rows(rows: np.ndarray, p) -> np.ndarray:
     return np.take_along_axis(rows, src, axis=1)
 
 
-def _best_member(feasible: np.ndarray, stable: np.ndarray,
-                 objectives: np.ndarray,
-                 mask: np.ndarray) -> tuple[int, tuple]:
+def _best_member(pop: Score, mask: np.ndarray) -> tuple[int, tuple]:
     """Index of the first best member and its key as a comparable tuple.
 
     Key columns, most significant first: available before unavailable,
     then the enabled-objective sum (the number of violated criteria when
     unavailable), then the objective vector.
     """
-    available = feasible & stable
-    violations = (~feasible).astype(np.float64) + ~stable
+    available, objectives = pop.available, pop.objectives
+    violations = (~pop.feasible).astype(np.float64) + ~pop.stable
     keys = (~available,
             np.where(available, objectives[:, mask].sum(axis=1), violations),
             *objectives.T)
@@ -407,26 +405,6 @@ class PlanResult:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _Population(NamedTuple):
-    """Index permutations ``(P, n)`` with their flags and ``(P, 4)``
-    objectives (the penalty vector where unavailable)."""
-
-    perms: np.ndarray
-    feasible: np.ndarray
-    stable: np.ndarray
-    objectives: np.ndarray
-
-    def take(self, idx: np.ndarray) -> "_Population":
-        return _Population(*(a[idx] for a in self))
-
-    def concat(self, other: "_Population") -> "_Population":
-        return _Population(*map(np.concatenate, zip(self, other)))
-
-    def evaluation(self, i: int) -> Evaluation:
-        f, s = bool(self.feasible[i]), bool(self.stable[i])
-        return Evaluation(f, s, f and s, tuple(self.objectives[i].tolist()))
-
-
 class _Champion:
     """Best-so-far tracker; earlier discoveries win ties."""
 
@@ -436,12 +414,11 @@ class _Champion:
         self.perm: np.ndarray | None = None
         self.evaluation: Evaluation | None = None
 
-    def offer(self, key: tuple, perm: np.ndarray,
-              evaluation: Evaluation) -> None:
+    def offer(self, key: tuple, pop: Score, i: int) -> None:
         if self.key is None or key < self.key:
             self.key = key
-            self.perm = perm.copy()
-            self.evaluation = evaluation
+            self.perm = pop.perms[i].copy()
+            self.evaluation = pop.evaluation(i)
 
     @property
     def best_sum(self) -> float:
@@ -475,24 +452,19 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     mask = config.objective_mask()
     refs = das_dennis_points(int(mask.sum()), config.divisions)
 
-    def score(perms: np.ndarray) -> _Population:
-        s = evaluator.score(perms)
-        return _Population(perms, s.feasible, s.stable, s.objectives)
+    def offer(pop: Score) -> None:
+        i, key = _best_member(pop, mask)
+        iter_champ.offer(key, pop, i)
+        global_champ.offer(key, pop, i)
 
-    def offer(pop: _Population) -> None:
-        i, key = _best_member(pop.feasible, pop.stable, pop.objectives, mask)
-        evaluation = pop.evaluation(i)
-        iter_champ.offer(key, pop.perms[i], evaluation)
-        global_champ.offer(key, pop.perms[i], evaluation)
-
-    def stats_row(iteration, generation, pop: _Population) -> HistoryRow:
+    def stats_row(iteration, generation, pop: Score) -> HistoryRow:
         arr = pop.objectives
         pct = 100.0 / len(arr)
         return HistoryRow(
             iteration=iteration, generation=generation,
             feasible_rate=int(pop.feasible.sum()) * pct,
             stable_rate=int(pop.stable.sum()) * pct,
-            available_rate=int((pop.feasible & pop.stable).sum()) * pct,
+            available_rate=int(pop.available.sum()) * pct,
             mean_fd=float(arr[:, 0].mean()), mean_fe=float(arr[:, 1].mean()),
             mean_fp=float(arr[:, 2].mean()), mean_fa=float(arr[:, 3].mean()),
             best_sum=global_champ.best_sum,
@@ -505,8 +477,8 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
 
     with Draws(np.random.default_rng(config.seed)) as rng:
         for iteration in range(1, config.iterations + 1):
-            pop = score(np.array([evaluator.to_indices(init(rng))
-                                  for _ in range(config.pop_size)]))
+            pop = evaluator.score(np.array([evaluator.to_indices(init(rng))
+                                            for _ in range(config.pop_size)]))
             iter_champ = _Champion(mask)
             offer(pop)
             history.append(stats_row(iteration, 0, pop))
@@ -514,8 +486,8 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
                                 config.pop_size)
 
             for generation in range(1, config.generations + 1):
-                offspring = score(_make_offspring(pop, rank, config, mask,
-                                                  refs, rng))
+                offspring = evaluator.score(_make_offspring(
+                    pop, rank, config, mask, refs, rng))
                 offer(offspring)
                 pool = pop.concat(offspring)
                 keep, rank = _select(pool.objectives[:, mask], config, refs,
@@ -539,7 +511,7 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
         config=config)
 
 
-def _make_offspring(pop: _Population, rank: np.ndarray, config: GaConfig,
+def _make_offspring(pop: Score, rank: np.ndarray, config: GaConfig,
                     mask: np.ndarray, refs: np.ndarray, rng) -> np.ndarray:
     """Binary tournament on (front rank, niche distance) plus the four
     operators at their configured rates; always emits pop_size children.

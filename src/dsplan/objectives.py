@@ -6,8 +6,9 @@ difficulty, efficiency, prioritization, allocability.  ``Evaluator.score``
 holds the one implementation of every verdict over a whole population at
 once: the three constraint criteria, the first violation and the
 objectives, counted from the ``constraints`` rows of the evaluator's mode
-and the f_d degree rows in one matmul.  ``check`` and ``evaluate`` are row
-0 of it.
+and the f_d degree rows in one matmul.  Its ``Score`` is the population the
+planner carries, and ``Score.evaluation`` reads one row of it as an
+``Evaluation``; ``evaluate`` is row 0 of a population of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .constraints import (
     TERMS,
-    ConstraintFlags,
     before_matrix,
     motion_rows,
     order_rows,
@@ -34,16 +34,20 @@ PENALTY = (1.0, 1.0, 1.0, 1.0)
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Constraint flags plus the four-objective vector of one sequence."""
+    """The verdict on one sequence: its three constraint criteria, the
+    first violation (criterion in ``TERMS``, 1-based storage position) when
+    it is unavailable, and its four-objective vector."""
 
-    feasible: bool
+    order_feasible: bool
+    motion_feasible: bool
     stable: bool
-    available: bool
     objectives: tuple[float, float, float, float]
+    first_violation: tuple[str, int] | None = None
 
     def __post_init__(self):
-        if self.available != (self.feasible and self.stable):
-            raise ValueError("available must equal feasible and stable")
+        if (self.first_violation is None) != self.available:
+            raise ValueError("first_violation must be given exactly when "
+                             "the sequence is unavailable")
         if not self.available and self.objectives != PENALTY:
             raise ValueError("unavailable sequences must score exactly "
                              f"{PENALTY}")
@@ -51,12 +55,21 @@ class Evaluation:
             raise ValueError("objective values must lie in [0, 1]")
 
     @property
+    def feasible(self) -> bool:
+        return self.order_feasible and self.motion_feasible
+
+    @property
+    def available(self) -> bool:
+        return self.feasible and self.stable
+
+    @property
     def objective_sum(self) -> float:
         return float(sum(self.objectives))
 
 
 class Score(NamedTuple):
-    """Verdicts of every row of a ``(P, n)`` population.
+    """A population of ``(P, n)`` index permutations ``perms`` and their
+    verdicts.
 
     ``order``, ``motion`` and ``stable`` are one ``(P,)`` flag per
     criterion.  ``violated`` indexes ``TERMS`` for the first criterion a
@@ -65,6 +78,7 @@ class Score(NamedTuple):
     ``objectives`` is ``(P, 4)``, the penalty vector where unavailable.
     """
 
+    perms: np.ndarray
     order: np.ndarray
     motion: np.ndarray
     stable: np.ndarray
@@ -75,6 +89,24 @@ class Score(NamedTuple):
     @property
     def feasible(self) -> np.ndarray:
         return self.order & self.motion
+
+    @property
+    def available(self) -> np.ndarray:
+        return self.feasible & self.stable
+
+    def take(self, idx: np.ndarray) -> "Score":
+        return Score(*(a[idx] for a in self))
+
+    def concat(self, other: "Score") -> "Score":
+        return Score(*map(np.concatenate, zip(self, other)))
+
+    def evaluation(self, i: int) -> Evaluation:
+        """Row ``i`` as an ``Evaluation``; the one place that builds one."""
+        v = int(self.violated[i])
+        return Evaluation(
+            bool(self.order[i]), bool(self.motion[i]), bool(self.stable[i]),
+            tuple(self.objectives[i].tolist()),
+            None if v < 0 else (TERMS[v], int(self.position[i])))
 
 
 class Evaluator:
@@ -203,30 +235,15 @@ class Evaluator:
         position = np.where(available, 0, first + 1)
         objectives = self._objectives(perms, pos, counts["degree"])
         objectives[~available] = PENALTY
-        return Score(*ok.T, violated, position, objectives)
-
-    def _score_one(self, seq) -> Score:
-        """The ``Score`` of the id sequence ``seq`` as a population of one."""
-        seq = validate_sequence(seq, self.dataset.catalog)
-        return self.score(self.to_indices(seq)[None])
+        return Score(perms, *ok.T, violated, position, objectives)
 
     def evaluate(self, seq) -> Evaluation:
-        s = self._score_one(seq)
-        feasible, stable = bool(s.feasible[0]), bool(s.stable[0])
-        return Evaluation(feasible, stable, feasible and stable,
-                          tuple(s.objectives[0].tolist()))
+        """The verdict on the id sequence ``seq``."""
+        seq = validate_sequence(seq, self.dataset.catalog)
+        return self.score(self.to_indices(seq)[None]).evaluation(0)
 
 
 def evaluate(seq, dataset: Dataset, mode: str = "as-written") -> Evaluation:
-    """Constraint check plus objectives; the all-ones penalty when blocked."""
+    """The flags, first violation and objectives of an id sequence; the
+    all-ones penalty when it is unavailable."""
     return Evaluator(dataset, mode).evaluate(seq)
-
-
-def check(seq, dataset: Dataset, mode: str = "as-written") -> ConstraintFlags:
-    """Full constraint check of an id sequence against a dataset."""
-    s = Evaluator(dataset, mode)._score_one(seq)
-    order, motion, stable = (bool(a[0]) for a in (s.order, s.motion, s.stable))
-    first = (None if s.violated[0] < 0
-             else (TERMS[s.violated[0]], int(s.position[0])))
-    return ConstraintFlags(order, motion, stable, order and motion and stable,
-                           first)

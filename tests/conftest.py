@@ -148,6 +148,16 @@ def _list_motion_kind(doc):
     return f"motions['{key}'][0].kind must be a string, got []"
 
 
+def _numeric_eef(doc):
+    doc["parts"][1]["eef"] = 7
+    return "parts[1].eef must be a string, got 7"
+
+
+def _list_eef(doc):
+    doc["parts"][1]["eef"] = [1, {"a": 2}]
+    return "parts[1].eef must be a string, got [1, {'a': 2}]"
+
+
 # Mutations of a saved dataset document that the loader must reject with a
 # SchemaError; each edits the document in place and returns the text the
 # error message must contain.
@@ -162,4 +172,6 @@ MALFORMED = {"motion-without-row": _motion_without_row,
              "fractional-motion-row": _fractional_motion_row,
              "null-part-name": _null_part_name,
              "numeric-task-label": _numeric_task_label,
-             "list-motion-kind": _list_motion_kind}
+             "list-motion-kind": _list_motion_kind,
+             "numeric-eef": _numeric_eef,
+             "list-eef": _list_eef}

@@ -12,7 +12,7 @@ from dsplan.bench import (
 )
 from dsplan.ccg import INIT_METHODS, make_initializer
 from dsplan.nsga3 import GaConfig
-from dsplan.objectives import check
+from dsplan.objectives import evaluate
 
 
 def small_cfg(seed=0, **kw):
@@ -71,7 +71,7 @@ class TestInitBenchmark:
             rng = np.random.default_rng([8, INIT_METHODS.index(row.method)])
             init = make_initializer(row.method, tower10.catalog,
                                     tower10.matrices)
-            flags = [check(init(rng), tower10) for _ in range(20)]
+            flags = [evaluate(init(rng), tower10) for _ in range(20)]
             assert row.counts == (
                 sum(f.order_feasible and f.motion_feasible for f in flags),
                 sum(f.stable for f in flags),

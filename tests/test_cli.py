@@ -104,6 +104,16 @@ class TestExitCodes:
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
+    def test_dataset_error_deep_nesting(self, dataset_file, tmp_path,
+                                        capsys):
+        doc = json.loads(dataset_file.read_text())
+        doc["parts"][0]["eef"] = "deep"
+        bad = tmp_path / "deep.json"
+        bad.write_text(json.dumps(doc).replace(
+            '"deep"', "[" * 100_000 + "]" * 100_000))
+        assert main(["validate", "--dataset", str(bad)]) == 2
+        assert "dataset error: not valid JSON" in capsys.readouterr().err
+
     def test_validate_rejects_disconnected_contact_graph(
             self, dataset_file, tmp_path, capsys):
         doc = json.loads(dataset_file.read_text())

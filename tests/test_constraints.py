@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from dsplan.constraints import MODES, TERMS, ConstraintFlags, positions
+from dsplan.constraints import MODES, TERMS, positions
 from dsplan.model import (
     Dataset,
     Motion,
@@ -14,7 +14,7 @@ from dsplan.model import (
     RelationMatrices,
     derive_constraint_degree,
 )
-from dsplan.objectives import Evaluator, check
+from dsplan.objectives import Evaluation, Evaluator, evaluate
 
 
 def chain_product(n, contacts=None):
@@ -55,13 +55,13 @@ ALL_5 = np.array(list(itertools.permutations(range(5))))
 class TestOrderFeasibility:
     def test_single_part_vacuous(self):
         ds = chain_product(1)
-        assert check([1], ds).order_feasible
-        assert check([1], ds, mode="strict").order_feasible
+        assert evaluate([1], ds).order_feasible
+        assert evaluate([1], ds, mode="strict").order_feasible
 
     def test_all_free_every_permutation(self):
         ds = chain_product(4)
         for perm in itertools.permutations([1, 2, 3, 4]):
-            assert check(list(perm), ds).order_feasible
+            assert evaluate(list(perm), ds).order_feasible
 
     def test_matches_oracle_on_five_part_fixture(self, tower5):
         tab = oracle.extract(tower5)
@@ -74,7 +74,7 @@ class TestOrderFeasibility:
         # each unordered pair is tested once, so the verdict is shared by
         # all permutations of a given product
         ids = list(tower5.matrices.part_order)
-        verdicts = {check(list(p), tower5).order_feasible
+        verdicts = {evaluate(list(p), tower5).order_feasible
                     for p in itertools.permutations(ids)}
         assert len(verdicts) == 1
 
@@ -96,7 +96,7 @@ class TestOrderFeasibility:
             block_first = any(
                 seq.index(block) > seq.index(s)
                 for block, screws in screws_of.items() for s in screws)
-            feasible = check(seq, tower5, mode="strict").order_feasible
+            feasible = evaluate(seq, tower5, mode="strict").order_feasible
             if block_first:
                 assert not feasible
                 n_checked += 1
@@ -104,20 +104,20 @@ class TestOrderFeasibility:
 
     def test_bad_mode_rejected(self, tower5):
         with pytest.raises(ValueError):
-            check([1, 2, 3, 4, 5], tower5, mode="weird")
+            evaluate([1, 2, 3, 4, 5], tower5, mode="weird")
 
 
 class TestMotionFeasibility:
     def test_all_ones_motion_row_never_fails(self):
         ds = chain_product(3)
         for perm in itertools.permutations([1, 2, 3]):
-            assert check(list(perm), ds).motion_feasible
+            assert evaluate(list(perm), ds).motion_feasible
 
     def test_bottom_block_before_top_false_in_both_modes(self, tower10):
         # bottom block (id 2) removed first, top block (id 8) last-ish
         seq = [1, 8, 9, 10, 5, 6, 7, 3, 4, 2]
         for mode in MODES:
-            assert not check(seq, tower10, mode=mode).motion_feasible
+            assert not evaluate(seq, tower10, mode=mode).motion_feasible
 
     def test_zero_motion_part_fails_at_checked_position(self):
         ds = chain_product(3)
@@ -128,8 +128,8 @@ class TestMotionFeasibility:
         })
         ds = Dataset(ds.catalog, ds.matrices, motions)
         # part 3 checked whenever it is not at position 1
-        assert not check([1, 2, 3], ds).motion_feasible
-        assert check([3, 1, 2], ds).motion_feasible
+        assert not evaluate([1, 2, 3], ds).motion_feasible
+        assert evaluate([3, 1, 2], ds).motion_feasible
 
     def test_manual_parts_exempt(self):
         parts = (Part(1, "a_graspable", "graspable"),
@@ -141,8 +141,8 @@ class TestMotionFeasibility:
             2: (),   # no robot motion exists for the manual part
         })
         ds = Dataset(catalog, base.matrices, motions)
-        assert check([1, 2], ds).motion_feasible
-        assert check([2, 1], ds).motion_feasible
+        assert evaluate([1, 2], ds).motion_feasible
+        assert evaluate([2, 1], ds).motion_feasible
 
     def test_matches_oracle_both_modes(self, tower5):
         tab = oracle.extract(tower5)
@@ -181,12 +181,12 @@ class TestStability:
     def test_chain_leaf_first(self):
         ds = chain_product(3)
         # removal c, b, a  -> storage (a, b, c)
-        assert check([1, 2, 3], ds).stable
+        assert evaluate([1, 2, 3], ds).stable
 
     def test_middle_first_order(self):
         ds = chain_product(3)
         # storage (a, c, b): removal b, c, a; c touches nothing remaining
-        assert not check([1, 3, 2], ds).stable
+        assert not evaluate([1, 3, 2], ds).stable
 
     def test_matches_oracle(self, tower5):
         tab = oracle.extract(tower5)
@@ -198,8 +198,8 @@ class TestStability:
 class TestCheck:
     def test_flags_compose(self, tower5):
         for perm in ALL_5:
-            flags = check(np.array(tower5.matrices.part_order)[perm],
-                          tower5, mode="as-written")
+            flags = evaluate(np.array(tower5.matrices.part_order)[perm],
+                             tower5, mode="as-written")
             assert flags.available == (flags.order_feasible
                                        and flags.motion_feasible
                                        and flags.stable)
@@ -212,12 +212,13 @@ class TestCheck:
 
     def test_first_violation_position(self):
         ds = chain_product(3)
-        flags = check([1, 3, 2], ds)
+        flags = evaluate([1, 3, 2], ds)
         assert flags.first_violation == ("stability", 2)
 
     def test_inconsistent_flags_rejected(self):
         with pytest.raises(ValueError):
-            ConstraintFlags(True, True, True, False)
+            Evaluation(True, True, True, (0.5, 0.5, 0.5, 0.5),
+                       ("order", 2))
 
 
 class TestLocality:

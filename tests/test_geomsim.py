@@ -360,9 +360,9 @@ class TestGenerator:
         assert cat.by_id(1).base
         ds = build_dataset(asm, cat)
         # both storage orders pass the pairwise interference condition
-        from dsplan.objectives import check
-        assert check([1, 2], ds).order_feasible
-        assert check([2, 1], ds).order_feasible
+        from dsplan.objectives import evaluate
+        assert evaluate([1, 2], ds).order_feasible
+        assert evaluate([2, 1], ds).order_feasible
 
     def test_five_part_counts(self):
         asm, cat = generate_synthetic(2, 1, seed=7)

@@ -242,6 +242,18 @@ class TestDatasetIO:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_deep_nesting_is_not_valid_json(self, tmp_path, canonical):
+        # json.loads gives up on this depth with a RecursionError
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["parts"][0]["eef"] = "deep"
+        text = canonical_text(doc) if canonical else json.dumps(doc)
+        path = tmp_path / "deep.json"
+        path.write_text(text.replace('"deep"',
+                                     "[" * 100_000 + "]" * 100_000))
+        with pytest.raises(SchemaError, match="^not valid JSON: "):
+            load_dataset(path)
+
     @pytest.mark.parametrize("com", [
         [float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0], [1.0],
         [0.0, "x", 0.0], "abc", None])

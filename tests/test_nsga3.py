@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,6 @@ import oracle
 from dsplan.draws import Draws
 from dsplan.nsga3 import (
     GaConfig,
-    _Population,
     _adaptive_normalize,
     _associate,
     _best_member,
@@ -30,7 +30,7 @@ from dsplan.nsga3 import (
     non_dominated_sort,
     run,
 )
-from dsplan.objectives import PENALTY
+from dsplan.objectives import PENALTY, Score, evaluate
 from test_ccg import criterion12_tower
 
 
@@ -476,7 +476,8 @@ class TestBatchedOperators:
         mask = config.objective_mask()
         refs = das_dennis_points(k, 3)
         flags = np.ones(size, dtype=bool)
-        pop = _Population(perms, flags, flags, objs)
+        pop = Score(perms, flags, flags, flags, np.full(size, -1),
+                    np.zeros(size, dtype=np.int64), objs)
         rank = _front_ranks(non_dominated_sort(objs[:, mask]), size)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _make_offspring(pop, rank, config, mask, refs, rng)
@@ -492,7 +493,11 @@ def best(members, objectives=("d", "e", "p", "a")):
     feasible, stable, objs = zip(*members)
     objs = np.array([PENALTY if v is None else v for v in objs])
     mask = GaConfig(objectives=objectives).objective_mask()
-    return _best_member(np.array(feasible), np.array(stable), objs, mask)[0]
+    m = len(members)
+    pop = Score(np.zeros((m, 1), dtype=np.int64), np.array(feasible),
+                np.ones(m, dtype=bool), np.array(stable), np.zeros(m),
+                np.zeros(m), objs)
+    return _best_member(pop, mask)[0]
 
 
 class TestBestSolution:
@@ -537,6 +542,27 @@ class TestRun:
             cfg = GaConfig(pop_size=12, generations=5, iterations=1,
                            seed=seed)
             assert run(tower5, cfg).best_evaluation.available
+
+    @pytest.mark.parametrize("mode", ["as-written", "strict"])
+    def test_champion_verdict_survives_the_population(self, tower10, mode):
+        # no part can leave along any translation, so no order is available
+        # and the champion is chosen from its violations alone
+        x_if = np.zeros_like(tower10.matrices.interference_free)
+        ds = tower10._replace(matrices=dataclasses.replace(
+            tower10.matrices, interference_free=x_if))
+        cfg = GaConfig(pop_size=8, generations=3, iterations=2, seed=4,
+                       mode=mode)
+        result = run(ds, cfg)
+        tab = oracle.extract(ds)
+        order = ds.matrices.part_order
+        for seq, got in [(result.best_sequence, result.best_evaluation),
+                         *((b.sequence, b.evaluation)
+                           for b in result.iteration_bests)]:
+            assert got == evaluate(seq, ds, mode)
+            perm = [order.index(pid) for pid in seq]
+            assert got.first_violation == oracle.first_violation(perm, tab,
+                                                                 mode)
+            assert not got.available
 
     def test_history_shape_and_monotone_best(self, tower10_labeled):
         cfg = GaConfig(pop_size=24, generations=12, iterations=2, seed=3)
