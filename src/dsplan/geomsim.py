@@ -6,15 +6,17 @@ the full planning pipeline can be exercised on synthetic products without
 any CAD input.
 
 ``build_dataset`` puts the planned parts on one dense ``int32`` label grid
-over their occupied bounding box (a cell holds its part's index, or -1)
-and passes it to every layer function.  A relation is a gather of moved
-cells into that grid and a scatter of the labels hit into an (n, n)
+over their occupied bounding box (a cell holds its part's index, or -1) and
+passes it to every layer function.  Building a grid is the one check of an
+assembly (``validate``) and gives each part's center, which
+``generate_synthetic`` reads from its own grid.  A relation is a gather of
+moved cells into that grid and a scatter of the labels hit into an (n, n)
 matrix, so a layer costs O(cells) per displacement instead of a loop over
 part pairs.  A border of one empty cell lets a gather clip moved cells onto
-it instead of masking those that left the box.  Each axis is swept once,
-one cell at a time (a teleport could tunnel through thin walls), moving
-only the last cell of each run of a part, and the sweep keeps each pair's
-first hit step: x_if (never hit), x_cf's translations (no hit within the
+it instead of masking those that left the box.  Each axis is swept once, one
+cell at a time (a teleport could tunnel through thin walls), moving only
+the last cell of each run of a part, and the sweep keeps each pair's first
+hit step: x_if (never hit), x_cf's translations (no hit within the
 clearance), the contacts (a hit at step one) and the motion rows read it.
 """
 
@@ -42,6 +44,11 @@ TRANSLATION_KINDS = ("+x", "+y", "+z", "-x", "-y", "-z")
 _EEF_BY_TASK = {"screw": "E5", "bolt": "E6", "nut": "E6",
                 "plate": "E7", "graspable": "E2", "manual": None}
 
+# the most cells a label grid may hold, border included: 128 MiB of labels
+MAX_GRID_CELLS = 1 << 25
+
+_NO_CELLS = np.empty((0, 3), dtype=np.int64)
+
 
 @dataclass
 class VoxelAssembly:
@@ -63,44 +70,20 @@ class VoxelAssembly:
     def validate(self) -> None:
         """Raise ValueError for the first part, in ``cells`` order, that is
         empty, leaves the workspace or shares a cell with an earlier part."""
-        if not (math.isfinite(self.pitch) and self.pitch > 0):
-            raise ValueError(f"grid pitch must be a positive finite number, "
-                             f"got {self.pitch}")
-        lo = np.asarray(self.bounds[0])
-        hi = np.asarray(self.bounds[1])
-        pids = list(self.cells)
-        arrays = list(self.cells.values())
-        bad = next((j for j, arr in enumerate(arrays) if arr.shape[0] == 0
-                    or ((arr < lo) | (arr >= hi)).any()), len(arrays))
-        if bad:
-            # overlaps among the parts checked before the first bad one: an
-            # entry clashes when the first entry holding its cell is another
-            # part's
-            stacked = np.vstack(arrays[:bad])
-            owner = np.repeat(np.arange(bad), [len(a) for a in arrays[:bad]])
-            flat = np.ravel_multi_index(tuple((stacked - lo).T),
-                                        tuple(hi - lo))
-            _, first, cell_of = np.unique(flat, return_index=True,
-                                          return_inverse=True)
-            first = first[cell_of]
-            clash = np.flatnonzero(owner != owner[first])
-            if clash.size:
-                entry = clash[0]
-                cell = tuple(int(c) for c in stacked[entry])
-                raise ValueError(
-                    f"parts {pids[owner[first[entry]]]} and "
-                    f"{pids[owner[entry]]} overlap at cell {cell}")
-        if bad < len(arrays):
-            if arrays[bad].shape[0] == 0:
-                raise ValueError(f"part {pids[bad]} has no cells")
-            raise ValueError(f"part {pids[bad]} extends outside the workspace")
+        _LabelGrid(self, self.cells)
 
     def part_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.cells))
 
-    def com_mm(self, part_id: int) -> tuple[float, float, float]:
-        centers = self.cells[part_id] + 0.5
-        return tuple(float(c) for c in centers.mean(axis=0) * self.pitch)
+
+def _check_box(size) -> None:
+    """Raise ValueError when the label grid over an occupied box of extent
+    ``size`` would hold more than ``MAX_GRID_CELLS`` cells."""
+    cells = math.prod(int(s) + 2 for s in size)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"the occupied box {tuple(map(int, size))} needs a "
+                         f"label grid of {cells} cells, more than "
+                         f"{MAX_GRID_CELLS}")
 
 
 class _LabelGrid:
@@ -112,45 +95,59 @@ class _LabelGrid:
     coordinates, part by part, ``labels`` its part index and ``flat`` its
     index into ``grid.ravel()``; ``part_lo``..``part_hi`` is each part's box
     and ``com`` the mean of its cell centers.  Parts left out of ``order``
-    (ignored parts) are not in the grid, so they block nothing.  A listed
-    part that is missing, empty, outside the workspace or sharing a cell
-    with another listed part is a ValueError.
+    (ignored parts) are not in the grid, so they block nothing.  A bad
+    pitch, a grid over ``MAX_GRID_CELLS``, a shared cell or a listed part
+    that is missing, empty or outside the workspace is a ValueError.
     """
 
     def __init__(self, assembly: VoxelAssembly, order):
+        if not (math.isfinite(assembly.pitch) and assembly.pitch > 0):
+            raise ValueError(f"grid pitch must be a positive finite number, "
+                             f"got {assembly.pitch}")
         self.order = tuple(order)
         self.pitch, self.bounds = assembly.pitch, assembly.bounds
-        parts = [assembly.cells.get(pid, ()) for pid in self.order]
+        parts = [assembly.cells.get(pid, _NO_CELLS) for pid in self.order]
         self.n = len(parts)
-        counts = np.array([len(c) for c in parts])
-        # ``validate`` raises the message of every fault checked here but a
-        # missing part; it runs only once a check has fired
-        if not counts.all():
-            assembly.validate()
-            raise ValueError(f"part {self.order[counts.argmin()]} has no "
-                             f"cells")
-        self.cells = np.vstack(parts)
+        counts = np.array([len(c) for c in parts], dtype=np.intp)
+        self.cells = np.vstack(parts) if parts else _NO_CELLS
         self.labels = np.repeat(np.arange(self.n, dtype=np.int32), counts)
-        starts = np.cumsum(counts) - counts
+        # a part with no cells has no box, so it gives reduceat no start
+        starts = (np.cumsum(counts) - counts)[counts > 0]
         self.part_lo = np.minimum.reduceat(self.cells, starts)
         self.part_hi = np.maximum.reduceat(self.cells, starts) + 1
-        if ((self.part_lo < self.bounds[0]).any()
-                or (self.part_hi > self.bounds[1]).any()):
-            assembly.validate()
-        # sums of half-integers are exact, so this is each part's own
-        # float64 mean bit for bit
-        self.com = np.add.reduceat(self.cells + 0.5, starts) / counts[:, None]
-        self.lo = self.part_lo.min(axis=0)
-        self.hi = self.part_hi.max(axis=0)
+        # the first part missing, empty or outside; only those before it go in
+        faulty = counts == 0
+        faulty[~faulty] = ((self.part_lo < self.bounds[0])
+                           | (self.part_hi > self.bounds[1])).any(axis=1)
+        bad = int(faulty.argmax()) if faulty.any() else self.n
+        # exact sums of half-integers: each part's float64 mean bit for bit;
+        # made before the grid, whose fill then reuses the temporary's pages
+        self.com = (np.add.reduceat(self.cells + 0.5, starts)
+                    / counts[counts > 0, None])
+        self.lo = self.part_lo[:bad].min(axis=0) if bad else np.zeros(3, int)
+        self.hi = self.part_hi[:bad].max(axis=0) if bad else self.lo
         self.size = self.hi - self.lo
+        _check_box(self.size)
         self.grid = np.full(self.size + 2, -1, dtype=np.int32)
         # the flat index step along each axis
         self.stride = [s // self.grid.itemsize for s in self.grid.strides]
-        self.flat = self._flat(self.cells)
-        self.grid.ravel()[self.flat] = self.labels
+        placed = counts[:bad].sum()
+        self.flat = self._flat(self.cells[:placed])
+        self.grid.ravel()[self.flat] = self.labels[:placed]
         # a shared cell keeps the label of only one of its parts
-        if (self.grid.ravel()[self.flat] != self.labels).any():
-            assembly.validate()
+        if (self.grid.ravel()[self.flat] != self.labels[:placed]).any():
+            # the first entry whose cell an entry of another part took first
+            _, first, cell_of = np.unique(self.flat, return_index=True,
+                                          return_inverse=True)
+            owner = self.labels[first[cell_of]]
+            entry = np.flatnonzero(owner != self.labels[:placed])[0]
+            raise ValueError(f"parts {self.order[owner[entry]]} and "
+                             f"{self.order[self.labels[entry]]} overlap at "
+                             f"cell {tuple(map(int, self.cells[entry]))}")
+        if bad < self.n:
+            what = "extends outside the workspace" if counts[bad] else (
+                "has no cells")
+            raise ValueError(f"part {self.order[bad]} {what}")
 
     def term(self, axis: int, coord: np.ndarray) -> np.ndarray:
         """Flat-index term of integer coordinates ``coord`` along ``axis``.
@@ -338,16 +335,16 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
     rng = np.random.default_rng(seed)
     shrink = 2 if screws_per_layer > 0 else 0
     block_h, base_h, top_size = 3, 2, 6
-    sizes = [top_size + 2 * shrink * (n_layers - level)
-             for level in range(1, n_layers + 1)]
-    base_size = sizes[0] + 4
+    base_size = top_size + 2 * shrink * (n_layers - 1) + 4
+    _check_box((base_size, base_size, base_h + block_h * n_layers))
 
     cells: dict[int, np.ndarray] = {
         1: _cells_of(np.ones((base_size, base_size, base_h), bool), (0, 0, 0))}
     names = {1: "base_plate"}
     block_ids = []
     zb = base_h
-    for level, size in enumerate(sizes, start=1):
+    for level in range(1, n_layers + 1):
+        size = top_size + 2 * shrink * (n_layers - level)
         off = (base_size - size) // 2
         far = off + size - 2
         block = np.ones((size, size, block_h), bool)
@@ -371,7 +368,8 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
     bounds = ((-margin, -margin, 0),
               (base_size + margin, base_size + margin, zb + margin))
     assembly = VoxelAssembly(pitch=pitch, cells=cells, bounds=bounds)
-    assembly.validate()
+    # the grid checks the assembly; ``cells`` is not in part id order
+    com = dict(zip(cells, _LabelGrid(assembly, cells).com * pitch))
 
     manual_count = int(round(manual_fraction * n_layers))
     manual_blocks = set(rng.choice(block_ids, size=manual_count,
@@ -389,7 +387,7 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
         parts.append(Part(
             id=pid, name=names[pid], task_label=labels.task,
             priority=labels.priority, base=labels.base, ignore=labels.ignore,
-            com=assembly.com_mm(pid), eef=_EEF_BY_TASK[labels.task],
+            com=tuple(map(float, com[pid])), eef=_EEF_BY_TASK[labels.task],
             size=float(len(cells[pid]))))
     return assembly, PartCatalog(tuple(parts))
 

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -348,7 +349,8 @@ def _typed_from_json(value, kind: type, where: str):
     string (str); a boolean is not an integer here."""
     if type(value) is not kind:
         what = {int: "an integer", bool: "a boolean", str: "a string"}[kind]
-        raise SchemaError(f"{where} must be {what}, got {value!r}")
+        raise SchemaError(f"{where} must be {what}, got "
+                          f"{reprlib.repr(value)}")
     return value
 
 
@@ -384,7 +386,8 @@ def _finite_from_json(value, where: str, count: int | None = None):
     if len(floats) != (count or 1) or not all(map(math.isfinite, floats)):
         what = ("a finite number" if count is None
                 else f"{count} finite numbers")
-        raise SchemaError(f"{where} must be {what}, got {value!r}")
+        raise SchemaError(f"{where} must be {what}, got "
+                          f"{reprlib.repr(value)}")
     return floats[0] if count is None else floats
 
 

@@ -41,6 +41,9 @@ MATING_METHODS = ("tournament", "random")
 # _associate holds three (2 * pop_size, points) float64 arrays, 160 MB each
 # at pop 100 and this many reference points
 MAX_REFERENCE_POINTS = 100_000
+# non_dominated_sort holds three (m, m) bool planes, m = 2 * pop_size for a
+# pool of parents and offspring: 1 GiB at a pop_size of about 9,459
+MAX_SORT_BYTES = 1 << 30
 
 
 @dataclass
@@ -71,6 +74,11 @@ class GaConfig:
     def validate(self) -> None:
         if self.pop_size < 4:
             raise ValueError("pop_size must be >= 4")
+        sort_bytes = 3 * (2 * self.pop_size) ** 2
+        if sort_bytes > MAX_SORT_BYTES:
+            raise ValueError(f"pop_size {self.pop_size} makes a pool sort of "
+                             f"about {sort_bytes} bytes, more than "
+                             f"{MAX_SORT_BYTES}")
         for name in ("crossover_rate", "mutation_rate", "cut_paste_rate",
                      "break_join_rate"):
             v = getattr(self, name)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dsplan import __version__
+from dsplan import __version__, cli, geomsim
 from dsplan.ccg import INIT_METHODS
 from dsplan.cli import main
 from dsplan.constraints import MODES
@@ -80,6 +80,29 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1}')
         assert main(["validate", "--dataset", str(bad)]) == 2
+
+    def test_pretty_printed_copy_gives_the_same_verdict(
+            self, dataset_file, tmp_path, capsys):
+        # an indented file is not in the canonical layout, so it loads
+        # through json.loads
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(dataset_file.read_text()),
+                                     indent=4))
+        verdicts = []
+        for path in (dataset_file, pretty):
+            assert main(["validate", "--dataset", str(path)]) == 0
+            verdicts.append(capsys.readouterr().out)
+        assert verdicts[0] == verdicts[1] and verdicts[0].startswith("ok:")
+
+    def test_dataset_error_constraint_degree_in_canonical_layout(
+            self, dataset_file, tmp_path, capsys):
+        # an x_cs entry that x_cf does not give, read from the arrays
+        doc = json.loads(dataset_file.read_text())
+        doc["x_cs"][0][1] += 1
+        bad = write_both(doc, tmp_path)[1]
+        assert main(["validate", "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "dataset error: " in err and "x_cs" in err
 
     @pytest.mark.parametrize("command", ["validate", "plan"])
     def test_dataset_error_bad_com(self, dataset_file, tmp_path, command,
@@ -197,6 +220,29 @@ class TestBadArguments:
                 in capsys.readouterr().err)
         assert not (tmp_path / "ib").exists()
 
+    def test_non_integer_pop_is_a_usage_error(self, dataset_file, tmp_path,
+                                              capsys):
+        assert main(["plan", "--dataset", str(dataset_file), "--pop", "two",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("usage error: argument --pop: invalid int value: 'two'"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    def test_pool_sort_over_budget_is_a_usage_error(
+            self, dataset_file, tmp_path, capsys, monkeypatch):
+        # rejected from the count before the dataset is read or a
+        # population is made
+        def refuse(*args):
+            raise AssertionError("ran before the config was checked")
+
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        monkeypatch.setattr(cli, "run", refuse)
+        assert main(["plan", "--dataset", str(dataset_file), "--pop",
+                     "20000", "--out", str(tmp_path / "out")]) == 1
+        assert ("usage error: pop_size 20000 makes a pool sort of about "
+                "4800000000 bytes" in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
     def test_init_bench_repeated_method(self, dataset_file, tmp_path, capsys):
         assert main(["init-bench", "--dataset", str(dataset_file),
                      "--methods", "ri,ccgi,ri", "--trials", "5", "--seed",
@@ -214,6 +260,29 @@ class TestGenSynthetic:
         assert code == 0
         ds = load_dataset(out)
         assert len(ds.catalog) == 5
+
+    def test_wide_clearance_and_angle(self, tmp_path):
+        # a clearance of three cells reads the sweeps' first hits past step
+        # one
+        out = tmp_path / "wide.json"
+        assert main(["gen-synthetic", "--layers", "2", "--screws", "1",
+                     "--seed", "1", "--clearance", "3", "--angle", "20",
+                     "--dataset-out", str(out)]) == 0
+        assert main(["validate", "--dataset", str(out)]) == 0
+
+    def test_workspace_over_the_cell_limit(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("cells made before the box was checked")
+
+        monkeypatch.setattr(geomsim, "_cells_of", no_cells)
+        out = tmp_path / "huge.json"
+        assert main(["gen-synthetic", "--layers", "3000", "--screws", "4",
+                     "--seed", "0", "--dataset-out", str(out)]) == 1
+        assert ("usage error: generator settings: the occupied box "
+                "(12006, 12006, 9002) needs a label grid of"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -568,7 +637,8 @@ _DATASET = _Flag("--dataset", st.just(DATASET),
 _MODE = _Flag("--mode", _one_of(*MODES), ("bogus",))
 _GA = (_Flag("--generations", st.integers(0, 3), (-1, "two"), given=True),
        _Flag("--iterations", st.integers(1, 2), (0, -1), given=True),
-       # small sizes only: a population too large to fit is not bounded
+       # small sizes only: a population too large to sort is rejected
+       # before a run, which TestBadArguments tests without allocating it
        _Flag("--pop", st.integers(4, 16), (3, -1), given=True),
        _Flag("--divisions", st.integers(1, 8), (0, 1000)),
        _Flag("--rates", _one_of("0.9,0.3,0.2,0.2", "1,1,1,1", "0,0,0,0"),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracle
+from dsplan import geomsim
 from dsplan.geomsim import (
+    MAX_GRID_CELLS,
     VoxelAssembly,
     _LabelGrid,
     build_dataset,
@@ -96,6 +98,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="part 1 extends outside"):
             asm.validate()
 
+    def test_no_parts_pass(self):
+        _assembly({}).validate()
+
+    def test_grid_over_the_cell_limit_rejected(self):
+        # two cells far apart: the check reads the part boxes and allocates
+        # no grid
+        asm = _assembly({1: [(0, 0, 0)], 2: [(400, 400, 400)]},
+                        bounds=((0, 0, 0), (401, 401, 401)))
+        assert 403 ** 3 > MAX_GRID_CELLS
+        with pytest.raises(ValueError, match=(
+                r"the occupied box \(401, 401, 401\) needs a label grid of "
+                f"{403 ** 3} cells, more than {MAX_GRID_CELLS}")):
+            asm.validate()
+
 
 class TestBuildRejects:
     """``build_dataset`` raises ``validate``'s message for a bad planned
@@ -120,6 +136,21 @@ class TestBuildRejects:
     def test_empty_part(self):
         asm = _assembly({1: _cube(0, 0, 0, 2), 2: []})
         with pytest.raises(ValueError, match="part 2 has no cells"):
+            build_dataset(asm, _catalog(2))
+
+    @pytest.mark.parametrize("pitch", [0.0, -1.0])
+    def test_pitch_not_positive(self, pitch):
+        asm = _assembly({1: _cube(0, 0, 0, 2), 2: _cube(0, 0, 2, 2)},
+                        pitch=pitch)
+        with pytest.raises(ValueError, match="grid pitch must be a positive "
+                                             f"finite number, got {pitch}"):
+            build_dataset(asm, _catalog(2))
+
+    def test_first_faulty_part_in_catalog_order(self):
+        # the assembly lists the stray part 2 before the empty part 1, but
+        # the catalog plans part 1 first
+        asm = _assembly({2: _cube(0, 0, -3, 2), 1: []})
+        with pytest.raises(ValueError, match="part 1 has no cells"):
             build_dataset(asm, _catalog(2))
 
 
@@ -396,6 +427,29 @@ class TestGenerator:
         for p in manuals + values:
             assert not p.base
             assert p.task_label != "screw"
+
+    def test_centers_are_each_parts_mean(self):
+        asm, cat = generate_synthetic(3, 2, seed=3, pitch=0.37)
+        for part in cat:
+            centers = asm.cells[part.id] + 0.5
+            assert part.com == tuple(centers.mean(axis=0) * 0.37)
+
+    def test_workspace_over_the_cell_limit_rejected(self, monkeypatch):
+        # a 12006 x 12006 x 2 base plate: the box is checked from the
+        # parameters before any cell is made
+        def no_cells(*args):
+            raise AssertionError("cells made before the box was checked")
+
+        monkeypatch.setattr(geomsim, "_cells_of", no_cells)
+        with pytest.raises(ValueError, match=(
+                r"the occupied box \(12006, 12006, 9002\) needs a label grid "
+                f"of {12008 * 12008 * 9004} cells")):
+            generate_synthetic(3000, 4)
+
+    def test_151_part_tower_fits_the_grid_limit(self):
+        # 151 parts on a 128 x 128 x 94 grid
+        asm, cat = generate_synthetic(30, 4, seed=12)
+        assert len(cat) == 151
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

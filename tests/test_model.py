@@ -341,6 +341,24 @@ class TestDatasetIO:
                            match=where + " must be an integer, got True"):
             load_both(doc, tmp_path)
 
+    @pytest.mark.parametrize("field, where", [
+        ("name", r"parts\[1\]\.name must be a string"),
+        ("com", "part 2: com must be 3 finite numbers"),
+        ("size", r"parts\[1\]\.size must be a finite number")],
+        ids=["name", "com", "size"])
+    def test_huge_bad_value_gives_a_short_message(self, tmp_path, field,
+                                                  where):
+        # the value's repr is shortened, not printed whole (689 KB here)
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        doc["parts"][1][field] = list(range(100_000))
+        shortened = r", got \[0, 1, 2, 3, 4, 5, \.\.\.\]$"
+        with pytest.raises(SchemaError, match=f"^{where}{shortened}"):
+            load_both(doc, tmp_path)
+        doc["parts"][1][field] = {str(k): k for k in range(100_000)}
+        with pytest.raises(SchemaError) as err:
+            load_both(doc, tmp_path)
+        assert len(str(err.value)) < 200
+
     def test_asymmetric_contact_rejected(self, tmp_path):
         doc = json.loads(dataset_to_json(_tiny_dataset()))
         doc["x_ct"][0][1] ^= 1

@@ -78,6 +78,16 @@ class TestConfig:
                     f"reference points, more than 100000")):
                 GaConfig(divisions=divisions).validate()
 
+    def test_pool_sort_must_fit(self):
+        # three (2 * pop, 2 * pop) bool planes: 1,073,672,172 bytes at pop
+        # 9,459 and 1,073,899,200 at 9,460; only the count is computed
+        GaConfig(pop_size=9459).validate()
+        for pop, estimate in ((9460, 1073899200), (20000, 4800000000)):
+            with pytest.raises(ValueError, match=(
+                    f"pop_size {pop} makes a pool sort of about {estimate} "
+                    f"bytes, more than 1073741824")):
+                GaConfig(pop_size=pop).validate()
+
 
 class TestNonDominatedSort:
     def test_identical_vectors_single_front(self):
