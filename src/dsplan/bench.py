@@ -19,9 +19,10 @@ from .model import Dataset, dataset_content_digest
 from .nsga3 import GaConfig, HistoryRow, PlanResult, history_csv, run
 from .objectives import OBJECTIVE_KEYS, Evaluator
 
-# rows per kernel call in init_benchmark; its position matrix is
-# 4 * n * n * rows bytes
-_SCORE_BLOCK = 1000
+# draws held at once by init_benchmark: all of them at once would be a list
+# of ``trials`` arrays and then a (trials, n) int64 array, unbounded in
+# ``--trials``
+_DRAW_BLOCK = 1000
 
 ABLATION_VARIANTS = ("proposed", "wo_ccgi", "wo_nsga3",
                      "wo_fd", "wo_fe", "wo_fp", "wo_fa")
@@ -59,9 +60,12 @@ class ExperimentReport:
         raise KeyError(method)
 
 
-def check_methods(methods: tuple[str, ...]) -> None:
-    """Raise ValueError unless ``methods`` names at least one initializer,
-    each known and none twice (a report holds one row per method)."""
+def check_methods(methods: tuple[str, ...], trials: int) -> None:
+    """Raise ValueError unless ``trials`` is positive and ``methods`` names
+    at least one initializer, each known and none twice (a report holds one
+    row per method)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if not methods:
         raise ValueError("methods must name at least one initializer")
     for j, m in enumerate(methods):
@@ -75,9 +79,7 @@ def init_benchmark(dataset: Dataset, trials: int,
                    methods: tuple[str, ...] = INIT_METHODS,
                    seed: int = 0, mode: str = "as-written") -> ExperimentReport:
     """Score feasible/stable/available rates of seeded initializer draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_methods(methods)
+    check_methods(methods, trials)
     evaluator = Evaluator(dataset, mode)
     report = ExperimentReport(kind="init-bench", seed=seed, mode=mode,
                               dataset_digest=dataset_content_digest(dataset))
@@ -87,11 +89,10 @@ def init_benchmark(dataset: Dataset, trials: int,
         rng = np.random.default_rng([seed, INIT_METHODS.index(method)])
         init = make_initializer(method, dataset.catalog, dataset.matrices)
         n_feasible = n_stable = n_available = 0
-        # scored in blocks, so memory stays bounded however many trials
         with Draws(rng) as draws:
-            for start in range(0, trials, _SCORE_BLOCK):
+            for start in range(0, trials, _DRAW_BLOCK):
                 perms = np.array([evaluator.to_indices(init(draws)) for _ in
-                                  range(min(_SCORE_BLOCK, trials - start))])
+                                  range(min(_DRAW_BLOCK, trials - start))])
                 s = evaluator.score(perms)
                 n_feasible += int(s.feasible.sum())
                 n_stable += int(s.stable.sum())
@@ -145,16 +146,14 @@ def ablation_variant_config(base: GaConfig, variant: str) -> GaConfig:
 
 
 def ablation_configs(base: GaConfig) -> dict[str, GaConfig]:
-    """The validated config of every variant in ``ABLATION_VARIANTS``; a
+    """The config of every variant in ``ABLATION_VARIANTS``; a
     ``ValueError`` names the first variant that is not runnable."""
     configs = {}
     for variant in ABLATION_VARIANTS:
-        cfg = ablation_variant_config(base, variant)
         try:
-            cfg.validate()
+            configs[variant] = ablation_variant_config(base, variant)
         except ValueError as exc:
             raise ValueError(f"ablation variant {variant}: {exc}") from exc
-        configs[variant] = cfg
     return configs
 
 
@@ -188,10 +187,7 @@ def single_objective_run(dataset: Dataset, config: GaConfig,
                          objective: str) -> ExperimentReport:
     """Optimize under the constraints plus a single objective; report all
     four evaluation values of the per-iteration bests."""
-    if objective not in OBJECTIVE_KEYS:
-        raise ValueError(f"objective must be one of {OBJECTIVE_KEYS}")
     cfg = replace(config, objectives=(objective,))
-    cfg.validate()
     result = run(dataset, cfg)
     report = ExperimentReport(kind="single-objective", seed=cfg.seed,
                               mode=cfg.mode,

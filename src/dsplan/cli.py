@@ -180,12 +180,10 @@ def _ga_config(args) -> GaConfig:
     given.update(args.rates or {})
     if getattr(args, "trials", None) is not None:
         given["iterations"] = args.trials
-    cfg = GaConfig(**{**given, "seed": _resolve_seed(args)})
     try:
-        cfg.validate()
+        return GaConfig(**{**given, "seed": _resolve_seed(args)})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    return cfg
 
 
 def _log_provenance(seed: int, dataset_path: str | None,
@@ -279,6 +277,13 @@ def _cmd_plan(args) -> int:
     digest = _log_provenance(cfg.seed, args.dataset, {"config": asdict(cfg)})
     dataset = load_dataset(args.dataset)
     result = run(dataset, cfg)
+    violation = result.best_evaluation.first_violation
+    if violation is not None:
+        criterion, position = violation
+        log.warning("champion unavailable: %s fails at storage position %d "
+                    "(part %d); final population available_rate %.4f%%",
+                    criterion, position, result.best_sequence[position - 1],
+                    result.history[-1].available_rate)
     text = _plan_text(result, cfg.seed, digest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -292,12 +297,8 @@ def _cmd_plan(args) -> int:
 def _cmd_init_bench(args) -> int:
     seed = _resolve_seed(args)
     methods = tuple(m for m in args.methods.split(",") if m)
-    if args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
-    if not methods:
-        raise _UsageError("--methods names no initializer")
     try:
-        check_methods(methods)
+        check_methods(methods, args.trials)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     _log_provenance(seed, args.dataset,

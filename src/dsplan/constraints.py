@@ -18,7 +18,10 @@ least one part that remains.
 
 Each term is a set of boolean weight rows ``W[a, m, b]``, built for one mode
 by ``order_rows``, ``motion_rows`` or ``stability_rows``: part b, still in
-place when part a is removed, counts against option m of part a.
+place when part a is removed, counts against option m of part a.  The
+as-written order and motion rows are derived from the strict ones in one
+place: the single option that an obstacle counts against when it blocks
+every strict option.
 ``objectives.Evaluator`` counts its mode's rows over a whole population, and
 its ``Score`` and ``Evaluation`` report the first violated criterion as
 one of ``TERMS``; this module holds no verdict of its own.  ``ccg`` packs
@@ -41,6 +44,16 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _as_written(strict: np.ndarray) -> np.ndarray:
+    """The single as-written option of the strict rows ``strict``: an
+    obstacle counts against part a when it blocks every strict option of a,
+    and no part blocks itself."""
+    rows = strict.all(axis=1, keepdims=True)
+    diagonal = np.arange(len(rows))
+    rows[diagonal, 0, diagonal] = False
+    return rows
+
+
 def order_rows(matrices: RelationMatrices, mode: str) -> np.ndarray:
     """Boolean weight rows ``W[a, m, b]`` of the order term in ``mode``.
 
@@ -48,13 +61,8 @@ def order_rows(matrices: RelationMatrices, mode: str) -> np.ndarray:
     option that every blocking obstacle counts against.
     """
     _check_mode(mode)
-    if_layers = matrices.interference_free.astype(bool)
-    if mode == "strict":
-        return ~if_layers.transpose(2, 0, 1)
-    # pair_free[i, k]: some translation layer frees mover k w.r.t. i
-    pair_free = if_layers.any(axis=0)
-    np.fill_diagonal(pair_free, True)
-    return ~pair_free.T[:, None, :]
+    strict = ~matrices.interference_free.astype(bool).transpose(2, 0, 1)
+    return strict if mode == "strict" else _as_written(strict)
 
 
 def motion_rows(motions: MotionTable, mode: str) -> np.ndarray:
@@ -71,13 +79,8 @@ def motion_rows(motions: MotionTable, mode: str) -> np.ndarray:
     for j, pid in enumerate(order):
         for r, m in enumerate(motions.motions.get(pid, ())):
             blocked[j, r] = m.row == 0
-    if mode == "strict":
-        return blocked
-    # free[k, i]: some candidate motion of part k avoids i (padding rows
-    # block every part, so they change no verdict)
-    free = ~blocked.all(axis=1)
-    np.fill_diagonal(free, True)
-    return ~free[:, None, :]
+    # padding rows block every part, so as written they change no verdict
+    return blocked if mode == "strict" else _as_written(blocked)
 
 
 def stability_rows(matrices: RelationMatrices) -> np.ndarray:

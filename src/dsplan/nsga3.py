@@ -15,9 +15,12 @@ and the history rows are reductions over the arrays, and the champion's
 ``Evaluation`` is its row of the ``Score``.  All randomness flows
 through one explicitly seeded generator, read scalar by scalar through one
 ``draws.Draws`` reader per ``run``, so a fixed seed gives a
-bitwise-identical result per numpy version.  ``GaConfig.parallel``
-selects no code path; it is kept because the serialized config in
-``plan_result.json`` records it.
+bitwise-identical result per numpy version.  A ``GaConfig`` is checked
+when it is made, by its constructor or by ``dataclasses.replace``, its
+pool's sort and association against ``MAX_POOL_BYTES`` included, so
+``run`` takes any config as runnable.
+``GaConfig.parallel`` selects no code path; it is kept because the
+serialized config in ``plan_result.json`` records it.
 """
 
 from __future__ import annotations
@@ -34,19 +37,22 @@ from .ccg import INIT_METHODS, make_initializer
 from .constraints import MODES
 from .draws import Draws
 from .model import Dataset
-from .objectives import OBJECTIVE_KEYS, Evaluation, Evaluator, Score
+from .objectives import (
+    MAX_POOL_BYTES,
+    OBJECTIVE_KEYS,
+    Evaluation,
+    Evaluator,
+    Score,
+)
 
 SELECTION_METHODS = ("reference-line", "crowding")
 MATING_METHODS = ("tournament", "random")
-# _associate holds three (2 * pop_size, points) float64 arrays, 160 MB each
-# at pop 100 and this many reference points
+# das_dennis_points builds the lattice as one Python list per point, and
+# niche_select keeps one candidate list per point
 MAX_REFERENCE_POINTS = 100_000
-# non_dominated_sort holds three (m, m) bool planes, m = 2 * pop_size for a
-# pool of parents and offspring: 1 GiB at a pop_size of about 9,459
-MAX_SORT_BYTES = 1 << 30
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaConfig:
     """Planner parameters; defaults are declared, not tuned to any source."""
 
@@ -69,16 +75,16 @@ class GaConfig:
     parallel: bool = False
 
     def __post_init__(self):
-        self.objectives = tuple(self.objectives)
-
-    def validate(self) -> None:
+        object.__setattr__(self, "objectives", tuple(self.objectives))
         if self.pop_size < 4:
             raise ValueError("pop_size must be >= 4")
+        # a pool of 2 * pop_size members; its sort and its association
+        # never hold their arrays at once, so each is bounded on its own
         sort_bytes = 3 * (2 * self.pop_size) ** 2
-        if sort_bytes > MAX_SORT_BYTES:
+        if sort_bytes > MAX_POOL_BYTES:
             raise ValueError(f"pop_size {self.pop_size} makes a pool sort of "
                              f"about {sort_bytes} bytes, more than "
-                             f"{MAX_SORT_BYTES}")
+                             f"{MAX_POOL_BYTES}")
         for name in ("crossover_rate", "mutation_rate", "cut_paste_rate",
                      "break_join_rate"):
             v = getattr(self, name)
@@ -100,6 +106,12 @@ class GaConfig:
             raise ValueError(f"divisions {self.divisions} over {k} objectives "
                              f"make {points} reference points, more than "
                              f"{MAX_REFERENCE_POINTS}")
+        assoc_bytes = 3 * 8 * 2 * self.pop_size * points
+        if assoc_bytes > MAX_POOL_BYTES:
+            raise ValueError(f"pop_size {self.pop_size} and {points} reference "
+                             f"points make a pool association of about "
+                             f"{assoc_bytes} bytes, more than "
+                             f"{MAX_POOL_BYTES}")
         if self.init not in INIT_METHODS:
             raise ValueError(f"unknown init method {self.init!r}")
         if self.selection not in SELECTION_METHODS:
@@ -454,7 +466,6 @@ def _select(objs: np.ndarray, config: GaConfig, refs: np.ndarray,
 def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     """Full planning loop: seeded populations, evaluation, sorting, niching,
     offspring generation, across the configured iterations."""
-    config.validate()
     evaluator = Evaluator(dataset, config.mode)
     init = make_initializer(config.init, dataset.catalog, dataset.matrices)
     mask = config.objective_mask()

@@ -6,9 +6,11 @@ difficulty, efficiency, prioritization, allocability.  ``Evaluator.score``
 holds the one implementation of every verdict over a whole population at
 once: the three constraint criteria, the first violation and the
 objectives, counted from the ``constraints`` rows of the evaluator's mode
-and the f_d degree rows in one matmul.  Its ``Score`` is the population the
-planner carries, and ``Score.evaluation`` reads one row of it as an
-``Evaluation``; ``evaluate`` is row 0 of a population of one.
+and the f_d degree rows in one matmul, over row blocks whose position
+matrix fits ``MAX_POOL_BYTES`` (one block for any population that fits).
+Its ``Score`` is the population the planner carries, and
+``Score.evaluation`` reads one row of it as an ``Evaluation``; ``evaluate``
+is row 0 of a population of one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .model import Dataset, validate_sequence
 
 OBJECTIVE_KEYS = ("d", "e", "p", "a")
 PENALTY = (1.0, 1.0, 1.0, 1.0)
+# bytes of one pool-sized working array: a block of ``Evaluator.score``
+# rows, and each of the planner's pool kernels (``nsga3.GaConfig``)
+MAX_POOL_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -222,8 +227,21 @@ class Evaluator:
         return out
 
     def score(self, perms: np.ndarray) -> Score:
-        """The ``Score`` of every row of the index permutations ``perms``."""
+        """The ``Score`` of every row of the index permutations ``perms``.
+
+        Rows are independent, so they are scored in blocks whose
+        ``before_matrix`` fits ``MAX_POOL_BYTES``: 4 * n * n float32 bytes
+        per row plus its n * n bool temporary.
+        """
         perms = np.asarray(perms, dtype=np.int64)
+        block = max(1, MAX_POOL_BYTES // max(5 * self.n ** 2, 1))
+        if len(perms) <= block:
+            return self._score(perms)
+        return Score(*map(np.concatenate, zip(*(
+            self._score(perms[i:i + block])
+            for i in range(0, len(perms), block)))))
+
+    def _score(self, perms: np.ndarray) -> Score:
         pos = positions(perms)
         counts = self.counts(pos)
         terms = self.terms_at(perms, counts)

@@ -65,7 +65,7 @@ class TestInitBenchmark:
     def test_block_scoring_matches_per_draw_flags(self, tower10,
                                                   monkeypatch):
         # blocks of 7 rows, so the last block of the 20 trials is partial
-        monkeypatch.setattr(bench, "_SCORE_BLOCK", 7)
+        monkeypatch.setattr(bench, "_DRAW_BLOCK", 7)
         report = init_benchmark(tower10, trials=20, seed=8)
         for row in report.rows:
             rng = np.random.default_rng([8, INIT_METHODS.index(row.method)])

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import errno
 import functools
 import json
+import logging
 import operator
 import os
 import tempfile
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from dsplan import __version__, cli, geomsim
 from dsplan.ccg import INIT_METHODS
 from dsplan.cli import main
@@ -216,7 +219,7 @@ class TestBadArguments:
         assert main(["init-bench", "--dataset", str(dataset_file),
                      "--methods", methods, "--trials", "5", "--seed", "1",
                      "--out", str(tmp_path / "ib")]) == 1
-        assert ("usage error: --methods names no initializer"
+        assert ("usage error: methods must name at least one initializer"
                 in capsys.readouterr().err)
         assert not (tmp_path / "ib").exists()
 
@@ -242,6 +245,33 @@ class TestBadArguments:
         assert ("usage error: pop_size 20000 makes a pool sort of about "
                 "4800000000 bytes" in capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
+
+    def test_pool_association_over_budget_is_a_usage_error(
+            self, dataset_file, tmp_path, capsys, monkeypatch):
+        # 98,770 reference points at 82 divisions; each of the pool sort and
+        # the reference lattice alone fits, their association does not
+        def refuse(*args):
+            raise AssertionError("ran before the config was checked")
+
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        monkeypatch.setattr(cli, "run", refuse)
+        assert main(["plan", "--dataset", str(dataset_file), "--pop", "9000",
+                     "--divisions", "82", "--out", str(tmp_path / "out")]) == 1
+        assert ("usage error: pop_size 9000 and 98770 reference points make a "
+                "pool association of about 42668640000 bytes, more than "
+                "1073741824" in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    def test_init_bench_zero_trials(self, dataset_file, tmp_path, capsys,
+                                    monkeypatch):
+        def refuse(*args):
+            raise AssertionError("loaded before the arguments were checked")
+
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        assert main(["init-bench", "--dataset", str(dataset_file),
+                     "--trials", "0", "--out", str(tmp_path / "ib")]) == 1
+        assert "usage error: trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ib").exists()
 
     def test_init_bench_repeated_method(self, dataset_file, tmp_path, capsys):
         assert main(["init-bench", "--dataset", str(dataset_file),
@@ -499,6 +529,41 @@ class TestDegenerateProducts:
             assert verdict in capsys.readouterr().out
         assert main(["init-bench", *common, "--trials", "10",
                      "--out", str(tmp_path / "bench")]) == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unavailable_champion_is_warned(self, tmp_path, caplog, mode):
+        # no part can leave along any translation, so the champion fails
+        # and the warning names the oracle's first violation
+        ds = make_tower(3, 2, seed=3)
+        ds = ds._replace(matrices=dataclasses.replace(
+            ds.matrices,
+            interference_free=np.zeros_like(ds.matrices.interference_free)))
+        path = tmp_path / "blocked.json"
+        save_dataset(ds, path)
+        out = tmp_path / mode
+        assert main(["plan", "--dataset", str(path), "--mode", mode,
+                     "--pop", "8", "--generations", "3", "--iterations", "2",
+                     "--seed", "4", "--out", str(out)]) == 0
+        result = json.loads((out / "plan_result.json").read_text())
+        best = result["best_sequence"]
+        order = list(ds.matrices.part_order)
+        criterion, position = oracle.first_violation(
+            [order.index(pid) for pid in best], oracle.extract(ds), mode)
+        rate = result["history"][-1]["available_rate"]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert warnings == [
+            f"champion unavailable: {criterion} fails at storage position "
+            f"{position} (part {best[position - 1]}); final population "
+            f"available_rate {rate:.4f}%"]
+
+    def test_available_champion_is_not_warned(self, dataset_file, tmp_path,
+                                              caplog):
+        assert main(["plan", "--dataset", str(dataset_file), "--pop", "8",
+                     "--generations", "2", "--iterations", "1", "--seed",
+                     "1", "--out", str(tmp_path)]) == 0
+        assert "available: true" in (tmp_path / "plan_result.txt").read_text()
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def _paths(value, path=()):

@@ -27,6 +27,7 @@ from dsplan.model import (
     PartCatalog,
     RelationMatrices,
 )
+from dsplan import objectives
 from dsplan.objectives import Evaluator, Score
 from conftest import make_tower
 from test_constraints import chain_product
@@ -114,6 +115,34 @@ def test_ccgi_draws_of_36_part_tower(tower36, mode):
     # the draws are stable, so their objectives are live in as-written mode
     score = ev.score(np.array(perms))
     assert mode == "strict" or (score.feasible & score.stable).any()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("block", [1, 7, 23])
+def test_score_in_row_blocks(tower36, mode, block, monkeypatch):
+    # rows are independent, so any block size gives the same Score; the
+    # budget is `block` rows of the float32 before-matrix and its bool
+    # temporary, 5 * n * n bytes a row
+    graph = build_ccg(tower36.catalog, tower36.matrices)
+    ev = Evaluator(tower36, mode)
+    rng = np.random.default_rng(23)
+    perms = np.array([ev.to_indices(ccgi_init(graph, rng)) for _ in range(12)]
+                     + [rng.permutation(ev.n) for _ in range(11)])
+    whole = ev.score(perms)
+    assert whole.available.any() and not whole.available.all()
+    calls = []
+    score_block = Evaluator._score
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return score_block(self, rows)
+
+    monkeypatch.setattr(Evaluator, "_score", counted)
+    monkeypatch.setattr(objectives, "MAX_POOL_BYTES", block * 5 * ev.n ** 2)
+    blocked = ev.score(perms)
+    assert calls == [min(block, 23 - i) for i in range(0, 23, block)]
+    for name, a, b in zip(Score._fields, whole, blocked):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _all_perms(n):

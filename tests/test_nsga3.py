@@ -56,7 +56,6 @@ class TestConfig:
         assert cfg.generations == 500
         assert cfg.iterations == 10
         assert cfg.divisions == 6
-        cfg.validate()
 
     def test_rejections(self):
         for bad in (dict(pop_size=2), dict(crossover_rate=1.5),
@@ -65,28 +64,48 @@ class TestConfig:
                     dict(selection="zzz"), dict(mating="zzz"),
                     dict(iterations=0), dict(divisions=0)):
             with pytest.raises(ValueError):
-                GaConfig(**bad).validate()
+                GaConfig(**bad)
 
     def test_reference_lattice_must_fit(self):
         # C(D + 3, 3) points over four objectives: 98,770 at D = 82 and
         # 102,340 at D = 83; only the count is computed, never the lattice
-        GaConfig(divisions=82).validate()
-        GaConfig(divisions=1000, objectives=("d", "a")).validate()
+        GaConfig(divisions=82)
+        GaConfig(divisions=1000, objectives=("d", "a"))
         for divisions, points in ((83, 102340), (1000, 167668501)):
             with pytest.raises(ValueError, match=(
                     f"divisions {divisions} over 4 objectives make {points} "
                     f"reference points, more than 100000")):
-                GaConfig(divisions=divisions).validate()
+                GaConfig(divisions=divisions)
 
     def test_pool_sort_must_fit(self):
         # three (2 * pop, 2 * pop) bool planes: 1,073,672,172 bytes at pop
         # 9,459 and 1,073,899,200 at 9,460; only the count is computed
-        GaConfig(pop_size=9459).validate()
+        GaConfig(pop_size=9459)
         for pop, estimate in ((9460, 1073899200), (20000, 4800000000)):
             with pytest.raises(ValueError, match=(
                     f"pop_size {pop} makes a pool sort of about {estimate} "
                     f"bytes, more than 1073741824")):
-                GaConfig(pop_size=pop).validate()
+                GaConfig(pop_size=pop)
+
+    def test_pool_association_must_fit(self):
+        # three (2 * pop, points) float64 arrays: 98,770 points at 82
+        # divisions make 1,071,456,960 bytes at pop 226 and 1,076,197,920
+        # at 227; only the count is computed
+        GaConfig(pop_size=226, divisions=82)
+        for pop, estimate in ((227, 1076197920), (9000, 42668640000)):
+            with pytest.raises(ValueError, match=(
+                    f"pop_size {pop} and 98770 reference points make a pool "
+                    f"association of about {estimate} bytes, more than "
+                    f"1073741824")):
+                GaConfig(pop_size=pop, divisions=82)
+
+    def test_frozen_and_checked_by_replace(self):
+        cfg = GaConfig(objectives=["d", "e"])
+        assert cfg.objectives == ("d", "e")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pop_size = 2
+        with pytest.raises(ValueError, match="pop_size must be >= 4"):
+            dataclasses.replace(cfg, pop_size=2)
 
 
 class TestNonDominatedSort:
