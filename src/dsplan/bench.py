@@ -64,6 +64,8 @@ def check_methods(methods: tuple[str, ...], trials: int) -> None:
     """Raise ValueError unless ``trials`` is positive and ``methods`` names
     at least one initializer, each known and none twice (a report holds one
     row per method)."""
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not methods:
@@ -91,9 +93,8 @@ def init_benchmark(dataset: Dataset, trials: int,
         n_feasible = n_stable = n_available = 0
         with Draws(rng) as draws:
             for start in range(0, trials, _DRAW_BLOCK):
-                perms = np.array([evaluator.to_indices(init(draws)) for _ in
-                                  range(min(_DRAW_BLOCK, trials - start))])
-                s = evaluator.score(perms)
+                s = evaluator.score(evaluator.to_indices(np.array([init(draws)
+                    for _ in range(min(_DRAW_BLOCK, trials - start))])))
                 n_feasible += int(s.feasible.sum())
                 n_stable += int(s.stable.sum())
                 n_available += int(s.available.sum())

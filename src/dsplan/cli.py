@@ -321,6 +321,11 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_single_obj(args) -> int:
+    if args.objectives is not None:
+        raise _UsageError("single-obj optimizes the one --objective; "
+                          "--objectives is not an option here")
+    # the config that runs, and so the one logged
+    args.objectives = (args.objective,)
     cfg = _ga_config(args)
     _log_provenance(cfg.seed, args.dataset,
                     {"objective": args.objective, "config": asdict(cfg)})

@@ -5,6 +5,8 @@ Conventions used across the package:
 * A *sequence* is a 1-D integer array of non-ignored part ids in reversed
   storage order: position 1 (index 0) holds the part removed LAST, the final
   position holds the part removed FIRST.  Use ``removal_order`` to flip.
+  ``objectives.Evaluator.to_indices`` checks a sequence and maps it to
+  indices into ``part_order``.
 * Relation matrices are indexed by ``part_order``, the declared list of
   non-ignored part ids.  Entry (i, k) always reads "row part i is the
   still-assembled obstacle, column part k is the part being moved".
@@ -193,12 +195,22 @@ class RelationMatrices:
     def validate(self, catalog: PartCatalog | None = None) -> None:
         """Check every structural invariant; raise ValidationError on failure."""
         n = self.n
-        if len(set(self.part_order)) != n:
-            raise ValidationError("part_order contains duplicate ids")
-        if catalog is not None and (sorted(self.part_order)
-                                    != sorted(catalog.non_ignored_ids())):
-            raise ValidationError(
-                "part_order must list exactly the non-ignored part ids")
+        first: dict[int, int] = {}
+        for j, pid in enumerate(self.part_order):
+            if first.setdefault(pid, j) != j:
+                raise ValidationError(
+                    f"part_order contains duplicate ids: {pid} is repeated",
+                    matrix="part_order", index=(j,))
+        if catalog is not None:
+            planned = dict.fromkeys(catalog.non_ignored_ids())
+            odd = ([f"{pid} is not one" for pid in first
+                    if pid not in planned]
+                   + [f"{pid} is missing" for pid in planned
+                      if pid not in first])
+            if odd:
+                raise ValidationError(
+                    "part_order must list exactly the non-ignored part ids: "
+                    f"{odd[0]}", matrix="part_order")
         for name, arr, shape in (
                 ("x_if", self.interference_free, (N_TRANSLATIONS, n, n)),
                 ("x_cf", self.constraint_free, (N_DIRECTIONS, n, n)),
@@ -314,19 +326,6 @@ class Dataset(NamedTuple):
     catalog: PartCatalog
     matrices: RelationMatrices
     motions: MotionTable
-
-
-def is_sequence(seq, catalog: PartCatalog) -> bool:
-    """True when ``seq`` is a permutation of the non-ignored part ids."""
-    return sorted(int(x) for x in seq) == sorted(catalog.non_ignored_ids())
-
-
-def validate_sequence(seq, catalog: PartCatalog) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
-    if not is_sequence(arr, catalog):
-        raise ValueError("sequence is not a permutation of the non-ignored "
-                         "part ids")
-    return arr
 
 
 def removal_order(seq) -> np.ndarray:

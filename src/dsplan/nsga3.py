@@ -76,6 +76,14 @@ class GaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", tuple(self.objectives))
+        # Python ints only: a float fails in the run, a numpy int in to_json
+        for name in ("pop_size", "generations", "iterations", "divisions",
+                     "seed"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an int, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pop_size < 4:
             raise ValueError("pop_size must be >= 4")
         # a pool of 2 * pop_size members; its sort and its association
@@ -88,6 +96,8 @@ class GaConfig:
         for name in ("crossover_rate", "mutation_rate", "cut_paste_rate",
                      "break_join_rate"):
             v = getattr(self, name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.generations < 0 or self.iterations < 1 or self.divisions < 1:
@@ -496,8 +506,8 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
 
     with Draws(np.random.default_rng(config.seed)) as rng:
         for iteration in range(1, config.iterations + 1):
-            pop = evaluator.score(np.array([evaluator.to_indices(init(rng))
-                                            for _ in range(config.pop_size)]))
+            pop = evaluator.score(evaluator.to_indices(np.array(
+                [init(rng) for _ in range(config.pop_size)])))
             iter_champ = _Champion(mask)
             offer(pop)
             history.append(stats_row(iteration, 0, pop))

@@ -7,10 +7,13 @@ holds the one implementation of every verdict over a whole population at
 once: the three constraint criteria, the first violation and the
 objectives, counted from the ``constraints`` rows of the evaluator's mode
 and the f_d degree rows in one matmul, over row blocks whose position
-matrix fits ``MAX_POOL_BYTES`` (one block for any population that fits).
-Its ``Score`` is the population the planner carries, and
-``Score.evaluation`` reads one row of it as an ``Evaluation``; ``evaluate``
-is row 0 of a population of one.
+matrix fits ``MAX_POOL_BYTES``.  Its ``Score`` is the population the
+planner carries, and ``Score.evaluation`` reads one row of it as an
+``Evaluation``; ``evaluate`` is row 0 of a population of one.
+``Evaluator.to_indices`` is the one boundary from part ids to the index
+rows that ``score`` reads: one gather through an id lookup table, and the
+one check that a sequence, or each row of a population, holds every
+planned id exactly once, as integers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .constraints import (
     positions,
     stability_rows,
 )
-from .model import Dataset, validate_sequence
+from .model import Dataset
 
 OBJECTIVE_KEYS = ("d", "e", "p", "a")
 PENALTY = (1.0, 1.0, 1.0, 1.0)
@@ -131,8 +134,9 @@ class Evaluator:
         catalog, matrices, motions = dataset
         self.dataset = dataset
         self.part_order = order = matrices.part_order
-        self.index = {pid: j for j, pid in enumerate(order)}
         self.n = len(order)
+        self._lookup = np.full(max(order, default=0) + 2, -1, dtype=np.int64)
+        self._lookup[list(order)] = np.arange(self.n)
         blocks = (order_rows(matrices, mode), motion_rows(motions, mode),
                   stability_rows(matrices),
                   matrices.constraint_degree.T[:, None, :])
@@ -159,10 +163,23 @@ class Evaluator:
         # largest attainable sum of priority-part positions
         self.r_max = float(sum(range(self.n - npp + 1, self.n + 1)))
 
-    def to_indices(self, seq) -> np.ndarray:
-        index = self.index
-        return np.fromiter((index[int(x)] for x in seq), dtype=np.int64,
-                           count=len(seq))
+    def to_indices(self, seqs) -> np.ndarray:
+        """The index rows of an id sequence or a ``(P, n)`` array of them;
+        ValueError unless the ids are integers, each planned one once a row."""
+        arr = np.asarray(seqs)
+        # numpy reads a bool among Python ints as 0 or 1
+        if (arr.dtype.kind in "iu" and arr.ndim in (1, 2)
+                and arr.shape[-1] == self.n and (arr is seqs or not any(
+                    isinstance(x, (bool, np.bool_))
+                    for x in np.asarray(seqs, dtype=object).flat))):
+            # an id past either end clips to the table's extra last entry, -1
+            idx = self._lookup[arr.clip(-1, len(self._lookup) - 1)]
+            hit = np.zeros(idx.shape, dtype=bool)
+            np.put_along_axis(hit, idx, True, axis=-1)
+            if (idx >= 0).all() and hit.all():
+                return idx
+        raise ValueError("sequence is not a permutation of the non-ignored "
+                         "part ids")
 
     def to_ids(self, perm: np.ndarray) -> tuple[int, ...]:
         return tuple(self.part_order[j] for j in perm)
@@ -235,11 +252,10 @@ class Evaluator:
         """
         perms = np.asarray(perms, dtype=np.int64)
         block = max(1, MAX_POOL_BYTES // max(5 * self.n ** 2, 1))
-        if len(perms) <= block:
-            return self._score(perms)
+        # an empty population is one empty block
         return Score(*map(np.concatenate, zip(*(
             self._score(perms[i:i + block])
-            for i in range(0, len(perms), block)))))
+            for i in range(0, max(len(perms), 1), block)))))
 
     def _score(self, perms: np.ndarray) -> Score:
         pos = positions(perms)
@@ -257,8 +273,7 @@ class Evaluator:
 
     def evaluate(self, seq) -> Evaluation:
         """The verdict on the id sequence ``seq``."""
-        seq = validate_sequence(seq, self.dataset.catalog)
-        return self.score(self.to_indices(seq)[None]).evaluation(0)
+        return self.score(self.to_indices([seq])).evaluation(0)
 
 
 def evaluate(seq, dataset: Dataset, mode: str = "as-written") -> Evaluation:

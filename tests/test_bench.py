@@ -27,6 +27,11 @@ class TestInitBenchmark:
         with pytest.raises(ValueError):
             init_benchmark(tower5, trials=0)
 
+    @pytest.mark.parametrize("trials", [2.0, True, np.int64(2), "2"])
+    def test_trials_must_be_an_int(self, tower5, trials):
+        with pytest.raises(ValueError, match="^trials must be an int, got "):
+            init_benchmark(tower5, trials=trials)
+
     def test_unknown_method_rejected(self, tower5):
         with pytest.raises(ValueError):
             init_benchmark(tower5, trials=5, methods=("zzz",))

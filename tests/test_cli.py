@@ -31,7 +31,7 @@ from dsplan.model import (
     load_dataset,
     save_dataset,
 )
-from dsplan.nsga3 import MATING_METHODS, SELECTION_METHODS
+from dsplan.nsga3 import MATING_METHODS, SELECTION_METHODS, GaConfig
 from dsplan.objectives import OBJECTIVE_KEYS
 from conftest import MALFORMED, make_tower, write_both
 
@@ -222,6 +222,23 @@ class TestBadArguments:
         assert ("usage error: methods must name at least one initializer"
                 in capsys.readouterr().err)
         assert not (tmp_path / "ib").exists()
+
+    def test_single_obj_objectives_is_a_usage_error(
+            self, dataset_file, tmp_path, capsys, monkeypatch):
+        # single-obj runs its one --objective; a subset given beside it
+        # would be dropped without a word
+        def refuse(*args):
+            raise AssertionError("ran after a usage error")
+
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        monkeypatch.setattr(cli, "single_objective_run", refuse)
+        assert main(["single-obj", "--dataset", str(dataset_file),
+                     "--objective", "p", "--objectives", "d,e",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("usage error: single-obj optimizes the one --objective; "
+                "--objectives is not an option here"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_non_integer_pop_is_a_usage_error(self, dataset_file, tmp_path,
                                               capsys):
@@ -461,6 +478,21 @@ class TestBenchCommands:
                      "--out", str(tmp_path / "s")]) == 0
         csv = (tmp_path / "s" / "single-objective_summary.csv").read_text()
         assert "w_p," in csv
+
+    def test_single_obj_logs_the_config_it_runs(self, dataset_file,
+                                                 tmp_path, caplog):
+        # 200 divisions make 1,373,701 points over four objectives, too
+        # many, and one point over the one objective that runs
+        caplog.set_level(logging.INFO)
+        assert main(["single-obj", "--dataset", str(dataset_file),
+                     "--objective", "p", "--pop", "8", "--generations", "1",
+                     "--iterations", "1", "--divisions", "200", "--seed", "2",
+                     "--out", str(tmp_path)]) == 0
+        cfg = GaConfig(pop_size=8, generations=1, iterations=1,
+                       divisions=200, seed=2, objectives=("p",))
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("config ")] == [
+            f"config {dataclasses.asdict(cfg)}"]
 
     def test_trials_overrides_iterations(self, dataset_file, tmp_path):
         # --trials is applied before the config is validated, so the 0

@@ -145,6 +145,15 @@ def test_score_in_row_blocks(tower36, mode, block, monkeypatch):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_empty_population_scores_empty(tower36, mode):
+    ev = Evaluator(tower36, mode)
+    one = ev.score(np.arange(ev.n)[None])
+    empty = ev.score(np.empty((0, ev.n), dtype=np.int64))
+    for name, a, b in zip(Score._fields, one, empty):
+        assert b.shape == (0, *a.shape[1:]) and a.dtype == b.dtype, name
+
+
 def _all_perms(n):
     return list(itertools.permutations(range(n)))
 

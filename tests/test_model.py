@@ -26,8 +26,8 @@ from dsplan.model import (
     parse_labels,
     removal_order,
     save_dataset,
-    validate_sequence,
 )
+from dsplan.objectives import Evaluator
 from conftest import (
     MALFORMED,
     canonical_text,
@@ -206,6 +206,29 @@ class TestDatasetIO:
         with pytest.raises(ValidationError) as err:
             load_both(doc, tmp_path)
         assert err.value.matrix == "x_cs"
+
+    @pytest.mark.parametrize("fault, message, index", [
+        ("repeated", "part_order contains duplicate ids: 1 is repeated",
+         (2,)),
+        ("extra", "part_order must list exactly the non-ignored part ids: "
+                  "99 is not one", None),
+        ("missing", "part_order must list exactly the non-ignored part ids: "
+                    "4 is missing", None),
+    ])
+    def test_part_order_fault_named(self, tmp_path, fault, message, index):
+        doc = json.loads(dataset_to_json(_tiny_dataset()))
+        assert doc["part_order"] == [1, 2, 3]
+        if fault == "repeated":
+            doc["part_order"][2] = 1
+        elif fault == "extra":
+            doc["part_order"][1] = 99
+        else:
+            doc["parts"].append({**doc["parts"][1], "id": 4,
+                                 "name": "block2_graspable"})
+        with pytest.raises(ValidationError, match=f"^{message}$") as err:
+            load_both(doc, tmp_path)
+        assert err.value.matrix == "part_order"
+        assert err.value.index == index
 
     def test_missing_x_cs_is_rederived(self, tmp_path):
         ds = _tiny_dataset()
@@ -667,11 +690,12 @@ class TestMotionTableValidate:
 class TestSequences:
     def test_sequence_validation(self, tower5):
         ids = tower5.catalog.non_ignored_ids()
-        validate_sequence(np.array(ids), tower5.catalog)
+        ev = Evaluator(tower5)
+        ev.to_indices(np.array(ids))
         with pytest.raises(ValueError):
-            validate_sequence(np.array(ids[:-1]), tower5.catalog)
+            ev.to_indices(np.array(ids[:-1]))
         with pytest.raises(ValueError):
-            validate_sequence(np.array(ids + ids[:1]), tower5.catalog)
+            ev.to_indices(np.array(ids + ids[:1]))
 
     def test_removal_order_flips(self):
         assert removal_order([1, 2, 3]).tolist() == [3, 2, 1]

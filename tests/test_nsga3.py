@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,37 @@ class TestConfig:
                     dict(iterations=0), dict(divisions=0)):
             with pytest.raises(ValueError):
                 GaConfig(**bad)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pop_size", 4.5, "pop_size must be an int, got 4.5"),
+        ("pop_size", np.int64(4),
+         "pop_size must be an int, got np.int64(4)"),
+        ("generations", 1.5, "generations must be an int, got 1.5"),
+        ("iterations", True, "iterations must be an int, got True"),
+        ("divisions", "6", "divisions must be an int, got '6'"),
+        ("seed", np.int64(1), "seed must be an int, got np.int64(1)"),
+        ("seed", 1.5, "seed must be an int, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("crossover_rate", "0.5",
+         "crossover_rate must be a real number, got '0.5'"),
+        ("mutation_rate", True, "mutation_rate must be a real number, got "
+                                "True"),
+        ("cut_paste_rate", None, "cut_paste_rate must be a real number, got "
+                                 "None"),
+        ("break_join_rate", np.int64(1),
+         "break_join_rate must be a real number, got np.int64(1)"),
+    ])
+    def test_field_types(self, field, value, message):
+        # each of these was accepted, or failed inside numpy or a
+        # comparison, or failed only when the result was serialized
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaConfig(**{field: value})
+
+    def test_python_numbers_serialize(self):
+        cfg = GaConfig(crossover_rate=np.float64(0.5), mutation_rate=1,
+                       cut_paste_rate=0, seed=2 ** 40)
+        saved = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert saved["crossover_rate"] == 0.5 and saved["seed"] == 2 ** 40
 
     def test_reference_lattice_must_fit(self):
         # C(D + 3, 3) points over four objectives: 98,770 at D = 82 and

@@ -230,6 +230,62 @@ class TestEvaluate:
             np.testing.assert_allclose(score.objectives[0],
                                        score.objectives[1], atol=1e-15)
 
+    @pytest.mark.parametrize("fault", [
+        "float entry", "bool entry", "float 1.0", "float array",
+        "string entries", "id 0", "id -1", "id -2", "id max+1", "id 999",
+        "repeated id", "one short", "one long", "2-D"])
+    def test_not_a_sequence_rejected(self, tower5, fault):
+        # each fault leaves a sequence that numpy reads as n integers, or
+        # that a clip or a wrapped index would map onto the planned ids
+        ids = list(tower5.matrices.part_order)
+        top = max(ids)
+
+        def swap(old, new):
+            return [new if x == old else x for x in ids]
+
+        seq = {
+            "float entry": swap(1, 1.5),
+            "bool entry": swap(1, True),
+            "float 1.0": swap(1, 1.0),
+            "float array": np.array(ids, dtype=np.float64),
+            "string entries": [str(x) for x in ids],
+            "id 0": swap(top, 0),
+            "id -1": swap(top, -1),
+            "id -2": swap(top, -2),
+            "id max+1": swap(top, top + 1),
+            "id 999": swap(top, 999),
+            "repeated id": [*ids[:-1], ids[0]],
+            "one short": ids[:-1],
+            "one long": [*ids, ids[0]],
+            "2-D": np.array([ids]),
+        }[fault]
+        ev = Evaluator(tower5)
+        ev.evaluate(ids)   # the unchanged sequence is accepted
+        with pytest.raises(ValueError, match="sequence is not a permutation "
+                                             "of the non-ignored part ids"):
+            ev.evaluate(seq)
+
+    def test_population_mapped_in_one_call(self, tower7):
+        ev = Evaluator(tower7)
+        rng = np.random.default_rng(2)
+        ids = np.array(tower7.matrices.part_order)
+        rows = np.array([rng.permutation(ids) for _ in range(6)])
+        perms = ev.to_indices(rows)
+        assert perms.dtype == np.int64 and perms.shape == rows.shape
+        assert [ev.to_ids(p) for p in perms] == [tuple(r) for r in rows]
+        np.testing.assert_array_equal(
+            perms, [ev.to_indices(r) for r in rows])
+        # one bad row, anywhere, rejects the population
+        for bad in (np.where(rows[3] == ids.max(), 999, rows[3]),
+                    np.where(rows[3] == ids[0], ids[1], rows[3])):
+            with pytest.raises(ValueError):
+                ev.to_indices(np.vstack((rows[:3], bad, rows[4:])))
+        for arr in (rows.astype(np.float64), rows.astype(bool),
+                    rows[:, :-1], rows[None]):
+            with pytest.raises(ValueError):
+                ev.to_indices(arr)
+        assert ev.to_indices(rows[:0]).shape == (0, len(ids))
+
     def test_invalid_evaluation_rejected(self):
         with pytest.raises(ValueError):
             Evaluation(False, False, False, (0.5, 1.0, 1.0, 1.0))
