@@ -60,14 +60,17 @@ class ExperimentReport:
         raise KeyError(method)
 
 
-def check_methods(methods: tuple[str, ...], trials: int) -> None:
-    """Raise ValueError unless ``trials`` is positive and ``methods`` names
-    at least one initializer, each known and none twice (a report holds one
-    row per method)."""
-    if type(trials) is not int:
-        raise ValueError(f"trials must be an int, got {trials!r}")
+def check_methods(methods: tuple[str, ...], trials: int, seed: int) -> None:
+    """Raise ValueError unless ``trials`` is positive, ``seed`` is one that
+    ``GaConfig`` takes, and ``methods`` names at least one initializer, each
+    known and none twice (a report holds one row per method)."""
+    for name, v in (("trials", trials), ("seed", seed)):
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an int, got {v!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not methods:
         raise ValueError("methods must name at least one initializer")
     for j, m in enumerate(methods):
@@ -81,7 +84,7 @@ def init_benchmark(dataset: Dataset, trials: int,
                    methods: tuple[str, ...] = INIT_METHODS,
                    seed: int = 0, mode: str = "as-written") -> ExperimentReport:
     """Score feasible/stable/available rates of seeded initializer draws."""
-    check_methods(methods, trials)
+    check_methods(methods, trials, seed)
     evaluator = Evaluator(dataset, mode)
     report = ExperimentReport(kind="init-bench", seed=seed, mode=mode,
                               dataset_digest=dataset_content_digest(dataset))

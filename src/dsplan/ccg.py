@@ -78,8 +78,9 @@ def build_ccg(catalog: PartCatalog,
               matrices: RelationMatrices) -> ContactConnectionGraph:
     """Build the graph and pick the root (base-labeled, else largest part).
 
-    Raises DisconnectedProduct when the contact graph has more than one
-    component; no stable removal order can exist for such a product.
+    Raises DisconnectedProduct, naming the parts the root cannot reach, when
+    the contact graph has more than one component; no stable removal order
+    can exist for such a product.
     """
     nodes = tuple(matrices.part_order)
     fixing = frozenset(pid for pid in nodes
@@ -103,9 +104,7 @@ def build_ccg(catalog: PartCatalog,
         nodes=nodes, fixing=fixing, edges=tuple(edges),
         connection_edges=connection, root=root,
         neighbors={pid: tuple(nbs) for pid, nbs in adj.items()})
-    missing = sorted(pid for pid, d in
-                     _hop_distances(graph, set(nodes), nodes[0]).items()
-                     if d == _INF)
+    missing = list(graph.root_layers.get(_INF, ()))
     if missing:
         raise DisconnectedProduct(
             f"contact graph is disconnected; unreachable parts {missing}")

@@ -247,6 +247,16 @@ def _cmd_gen_synthetic(args) -> int:
         if not isinstance(loaded, dict) or loaded.keys() - settings.keys():
             raise _UsageError(f"--config {args.config}: not a JSON object "
                               f"of the settings {sorted(settings)}")
+        integers = ("layers", "screws", "priority_count")
+        for key, value in loaded.items():
+            if isinstance(value, bool) or not (
+                    isinstance(value, int) if key in integers
+                    else isinstance(value, (int, float))
+                    or key == "clearance" and value is None):
+                kind = ("an integer" if key in integers else "a number or "
+                        "null" if key == "clearance" else "a number")
+                raise _UsageError(f"--config {args.config}: {key} must be "
+                                  f"{kind}, got {value!r}")
         settings.update(loaded)
     settings.update({key: getattr(args, key) for key in settings
                      if getattr(args, key) is not None})
@@ -254,15 +264,16 @@ def _cmd_gen_synthetic(args) -> int:
     _log_provenance(seed, None, {"generator": settings})
     try:
         assembly, catalog = generate_synthetic(
-            n_layers=int(settings["layers"]),
-            screws_per_layer=int(settings["screws"]),
+            n_layers=settings["layers"],
+            screws_per_layer=settings["screws"],
             manual_fraction=float(settings["manual_fraction"]),
-            priority_count=int(settings["priority_count"]),
+            priority_count=settings["priority_count"],
             seed=seed, pitch=float(settings["pitch"]))
         dataset = build_dataset(
             assembly, catalog,
             clearance=settings["clearance"], angle=float(settings["angle"]))
-    except (TypeError, ValueError) as exc:   # a bad or mistyped setting
+    # a bad setting, or a JSON integer too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(f"generator settings: {exc}") from exc
     out_path = Path(args.dataset_out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -298,7 +309,7 @@ def _cmd_init_bench(args) -> int:
     seed = _resolve_seed(args)
     methods = tuple(m for m in args.methods.split(",") if m)
     try:
-        check_methods(methods, args.trials)
+        check_methods(methods, args.trials, seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     _log_provenance(seed, args.dataset,

@@ -75,13 +75,19 @@ class GaConfig:
     parallel: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "objectives", tuple(self.objectives))
+        # a string would split into its letters; as () it fails below
+        object.__setattr__(self, "objectives", () if isinstance(
+            self.objectives, str) else tuple(self.objectives))
         # Python ints only: a float fails in the run, a numpy int in to_json
         for name in ("pop_size", "generations", "iterations", "divisions",
                      "seed"):
             v = getattr(self, name)
             if type(v) is not int:
                 raise ValueError(f"{name} must be an int, got {v!r}")
+        for name in ("adaptive_normalize", "parallel"):
+            v = getattr(self, name)
+            if type(v) is not bool:
+                raise ValueError(f"{name} must be a bool, got {v!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pop_size < 4:

@@ -7,9 +7,11 @@ holds the one implementation of every verdict over a whole population at
 once: the three constraint criteria, the first violation and the
 objectives, counted from the ``constraints`` rows of the evaluator's mode
 and the f_d degree rows in one matmul, over row blocks whose position
-matrix fits ``MAX_POOL_BYTES``.  Its ``Score`` is the population the
-planner carries, and ``Score.evaluation`` reads one row of it as an
-``Evaluation``; ``evaluate`` is row 0 of a population of one.
+matrix fits ``MAX_POOL_BYTES``.  ``Evaluator.terms`` is the one place that
+turns those counts into per-position terms and the accumulated degree.
+The ``Score`` of ``score`` is the population the planner carries, and
+``Score.evaluation`` reads one row of it as an ``Evaluation``;
+``evaluate`` is row 0 of a population of one.
 ``Evaluator.to_indices`` is the one boundary from part ids to the index
 rows that ``score`` reads: one gather through an id lookup table, and the
 one check that a sequence, or each row of a population, holds every
@@ -123,9 +125,10 @@ class Evaluator:
     The weight rows ``W[a, m, b]`` of every term in ``TERMS`` in this
     evaluator's mode, plus the f_d rows (part b below part a adds its
     degree ``x_cs[b, a]``), are stacked into one ``(n, M, n)`` float32
-    array, so ``score`` rates a whole population with one batched matmul:
+    array, so ``terms`` reads a whole population from one batched matmul:
     ``count[a, m, p] = sum_b W[a, m, b] * E[a, b, p]``.  The counts are sums
-    of 0/1 products or small integers, which float32 holds exactly.  The
+    of 0/1 products or small integers, which float32 holds exactly.
+    ``score`` reduces the terms to verdicts and the degree to f_d; the
     other objectives are gathers over the ``(P, n)`` index array.  The
     single-sequence answers are row 0 of a population of one.
     """
@@ -184,38 +187,31 @@ class Evaluator:
     def to_ids(self, perm: np.ndarray) -> tuple[int, ...]:
         return tuple(self.part_order[j] for j in perm)
 
-    def counts(self, pos: np.ndarray) -> dict[str, np.ndarray]:
-        """``(n, M, P)`` counts of each term's rows and of the f_d rows
-        (key ``"degree"``) for the ``positions`` ``pos`` of a population."""
-        stacked = np.matmul(self.weights, before_matrix(pos))
-        return dict(zip((*TERMS, "degree"),
-                        np.split(stacked, self._cuts, axis=1)))
-
-    def terms_at(self, perms: np.ndarray,
-                 counts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """``(P, n)`` boolean terms at storage positions, one per term.
+    def terms(self, perms: np.ndarray,
+              pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(P, 3, n)`` boolean terms of ``perms`` in ``TERMS`` order at
+        storage positions, and the ``(n, P)`` accumulated degree of each
+        part; ``pos`` is their ``positions``.
 
         Order and motion terms hold when some option's count is 0, the
         stability term when the count is positive.  Manual parts are exempt
         from the motion term, and position 1 is vacuously true.
         """
-        out = {}
-        for term in TERMS:
-            if term == "stability":
-                holds = counts[term][:, 0] > 0
-            else:
-                holds = (counts[term] == 0).any(axis=1)
-            if term == "motion":
-                holds |= self.manual[:, None]
-            at = np.take_along_axis(holds.T, perms, axis=1)
-            at[:, 0] = True
-            out[term] = at
-        return out
+        order, motion, stability, degree = np.split(
+            np.matmul(self.weights, before_matrix(pos)), self._cuts, axis=1)
+        held = np.empty((len(perms), len(TERMS), self.n), dtype=bool)
+        for t, holds in enumerate(((order == 0).any(axis=1),
+                                   (motion == 0).any(axis=1)
+                                   | self.manual[:, None],
+                                   stability[:, 0] > 0)):
+            held[:, t] = np.take_along_axis(holds.T, perms, axis=1)
+        held[:, :, 0] = True
+        return held, degree[:, 0]
 
     def _objectives(self, perms: np.ndarray, pos: np.ndarray,
                     degree: np.ndarray) -> np.ndarray:
         """``(P, 4)`` objective values of ``perms`` assuming availability;
-        ``pos`` is their ``positions`` and ``degree`` the ``(n, 1, P)``
+        ``pos`` is their ``positions`` and ``degree`` the ``(n, P)``
         accumulated degree."""
         n = self.n
         out = np.zeros((len(perms), 4), dtype=np.float64)
@@ -223,7 +219,7 @@ class Evaluator:
             return out
         # the part at position 1 counts 0, so the max over all parts is the
         # peak over positions 2..n
-        out[:, 0] = degree[:, 0].max(axis=0).astype(np.float64) / (
+        out[:, 0] = degree.max(axis=0).astype(np.float64) / (
             12.0 * (n - 1))
 
         codes = self.task_codes[perms]
@@ -259,15 +255,13 @@ class Evaluator:
 
     def _score(self, perms: np.ndarray) -> Score:
         pos = positions(perms)
-        counts = self.counts(pos)
-        terms = self.terms_at(perms, counts)
-        held = np.stack([terms[t] for t in TERMS], axis=1)      # (P, 3, n)
+        held, degree = self.terms(perms, pos)
         ok = held.all(axis=2)
         available = ok.all(axis=1)
         violated = np.where(available, -1, np.argmin(ok, axis=1))
         first = np.argmin(held[np.arange(len(perms)), violated], axis=1)
         position = np.where(available, 0, first + 1)
-        objectives = self._objectives(perms, pos, counts["degree"])
+        objectives = self._objectives(perms, pos, degree)
         objectives[~available] = PENALTY
         return Score(perms, *ok.T, violated, position, objectives)
 

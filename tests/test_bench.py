@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,17 @@ class TestInitBenchmark:
     def test_trials_must_be_an_int(self, tower5, trials):
         with pytest.raises(ValueError, match="^trials must be an int, got "):
             init_benchmark(tower5, trials=trials)
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an int, got True"),
+        (1.5, "seed must be an int, got 1.5"),
+        (np.int64(1), "seed must be an int, got np.int64(1)"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_rule_of_ga_config(self, tower5, seed, message):
+        # True ran as seed 1; 1.5 and -1 failed inside numpy
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_benchmark(tower5, trials=2, seed=seed)
 
     def test_unknown_method_rejected(self, tower5):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -68,6 +69,13 @@ class TestBuildCcg:
     def test_disconnected_product_rejected(self):
         catalog, matrices = graph_product([(1, 2)], 3, base=1)
         with pytest.raises(DisconnectedProduct):
+            build_ccg(catalog, matrices)
+
+    def test_disconnected_product_names_parts_the_root_cannot_reach(self):
+        # the root is part 3, so parts 1 and 2 are the ones cut off
+        catalog, matrices = graph_product([(1, 2)], 3, base=3)
+        with pytest.raises(DisconnectedProduct, match=re.escape(
+                "contact graph is disconnected; unreachable parts [1, 2]")):
             build_ccg(catalog, matrices)
 
     def test_largest_part_is_root_without_base(self):

@@ -365,6 +365,59 @@ class TestGenSynthetic:
         assert "usage error:" in capsys.readouterr().err
         assert not (tmp_path / "gen.json").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        # the first file wrote a 5-part tower: 2 layers, 1 screw and 1
+        # priority block
+        ({"layers": 2.9, "screws": True, "priority_count": "1"},
+         "layers must be an integer, got 2.9"),
+        ({"screws": True}, "screws must be an integer, got True"),
+        ({"priority_count": "1"},
+         "priority_count must be an integer, got '1'"),
+        ({"manual_fraction": False}, "manual_fraction must be a number, got "
+                                     "False"),
+        ({"pitch": "1.0"}, "pitch must be a number, got '1.0'"),
+        ({"angle": None}, "angle must be a number, got None"),
+        ({"clearance": True}, "clearance must be a number or null, got True"),
+        ({"clearance": [1]}, "clearance must be a number or null, got [1]"),
+    ])
+    def test_config_setting_types(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "gen.json"
+        assert main(["gen-synthetic", "--config", str(cfg), "--seed", "0",
+                     "--dataset-out", str(out)]) == 1
+        assert (f"usage error: --config {cfg}: {message}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["manual_fraction", "pitch", "angle",
+                                     "clearance"])
+    def test_config_number_too_large_for_a_float(self, tmp_path, capsys,
+                                                 key):
+        # a JSON integer is an int of any size; float() of it overflowed
+        # into a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        out = tmp_path / "gen.json"
+        assert main(["gen-synthetic", "--config", str(cfg), "--seed", "0",
+                     "--dataset-out", str(out)]) == 1
+        assert ("usage error: generator settings: int too large to convert "
+                "to float" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_config_numbers_and_null_clearance(self, tmp_path):
+        # JSON integers are numbers, and null is the default clearance
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "layers": 2, "screws": 1, "manual_fraction": 0, "pitch": 1,
+            "angle": 5, "clearance": None}))
+        from_config, from_flags = tmp_path / "c.json", tmp_path / "f.json"
+        assert main(["gen-synthetic", "--config", str(cfg), "--seed", "0",
+                     "--dataset-out", str(from_config)]) == 0
+        assert main(["gen-synthetic", "--layers", "2", "--screws", "1",
+                     "--seed", "0", "--dataset-out", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
 
 class TestOutputErrors:
     """An output that cannot be written is an output error, exit 1."""

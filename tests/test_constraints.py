@@ -45,8 +45,8 @@ def chain_product(n, contacts=None):
 def terms_at(ds, perms, mode="as-written"):
     """``(P, n)`` per-position terms of index permutations, by term."""
     perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
-    ev = Evaluator(ds, mode)
-    return ev.terms_at(perms, ev.counts(positions(perms)))
+    held, _ = Evaluator(ds, mode).terms(perms, positions(perms))
+    return dict(zip(TERMS, held.transpose(1, 0, 2)))
 
 
 ALL_5 = np.array(list(itertools.permutations(range(5))))

@@ -73,17 +73,21 @@ def assert_kernel_matches(ds, perms, mode):
     ev = Evaluator(ds, mode)
     perms = np.asarray(perms, dtype=np.int64)
     score = ev.score(perms)
-    terms = ev.terms_at(perms, ev.counts(positions(perms)))
+    terms, degree = ev.terms(perms, positions(perms))
+    cs = ds.matrices.constraint_degree.astype(np.int64)
     assert all(len(column) == len(perms) for column in score)
     for p, perm in enumerate(perms):
         row = perm.tolist()
         one = ev.score(perms[p:p + 1])
         for name, column, single in zip(Score._fields, score, one):
             assert np.array_equal(column[p], single[0]), name
-        for name, ref in (("order", oracle.order_terms(row, tab, mode)),
-                          ("motion", oracle.motion_terms(row, tab, mode)),
-                          ("stability", oracle.stability_terms(row, tab))):
-            assert terms[name][p].tolist() == ref, name
+        for t, ref in enumerate((oracle.order_terms(row, tab, mode),
+                                 oracle.motion_terms(row, tab, mode),
+                                 oracle.stability_terms(row, tab))):
+            assert terms[p, t].tolist() == ref, TERMS[t]
+        # the degree each part accumulates from the parts below it
+        assert [degree[j, p] for j in perm] == [
+            cs[perm[:k], j].sum() for k, j in enumerate(perm)]
         o, m, s, objs = oracle.evaluate(row, tab, mode)
         assert (score.order[p], score.motion[p], score.stable[p]) == (o, m, s)
         assert score.feasible[p] == (o and m)

@@ -92,6 +92,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GaConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("parallel", "no"), ("parallel", 1), ("parallel", np.True_),
+        ("adaptive_normalize", [1]), ("adaptive_normalize", None),
+    ])
+    def test_flags_must_be_bools(self, field, value):
+        # each was accepted and serialized as given; a truthy list turned
+        # normalization on
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be a bool, got {value!r}")):
+            GaConfig(**{field: value})
+
+    @pytest.mark.parametrize("objectives", ["dep", "d"])
+    def test_string_objectives_rejected(self, objectives):
+        # "dep" was accepted as ("d", "e", "p")
+        with pytest.raises(ValueError, match="^objectives must be a "
+                                             "non-empty subset of "):
+            GaConfig(objectives=objectives)
+
     def test_python_numbers_serialize(self):
         cfg = GaConfig(crossover_rate=np.float64(0.5), mutation_rate=1,
                        cut_paste_rate=0, seed=2 ** 40)

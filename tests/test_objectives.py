@@ -30,7 +30,7 @@ def objective(ds, seq, key):
     ev = Evaluator(ds)
     perms = ev.to_indices(seq)[None]
     pos = positions(perms)
-    degree = ev.counts(pos)["degree"]
+    degree = ev.terms(perms, pos)[1]
     return ev._objectives(perms, pos, degree)[0, OBJECTIVE_KEYS.index(key)]
 
 
