@@ -10,9 +10,11 @@ and mating reuses them; only an iteration's initial population is sorted
 on its own.  Offspring are made in two passes: a scalar pass draws every
 random number in a fixed order (none depends on chromosome contents), and
 each operator's ``_*_rows`` function then applies its draws to all its
-children at once as ``(k, n)`` gathers.  The champion (``_best_member``)
-and the history rows are reductions over the arrays, and the champion's
-``Evaluation`` is its row of the ``Score``.  All randomness flows
+children at once as ``(k, n)`` gathers.  The history rows are reductions
+over the arrays.  Each champion, of the iteration and of the run, is a
+one-row ``Score`` taken only when a population's ``_best_member`` key
+improves on it, so earlier finds win ties; its ``Evaluation`` is built
+once, by ``Score.evaluation``, when it is recorded.  All randomness flows
 through one explicitly seeded generator, read scalar by scalar through one
 ``draws.Draws`` reader per ``run``, so a fixed seed gives a
 bitwise-identical result per numpy version.  A ``GaConfig`` is checked
@@ -441,27 +443,6 @@ class PlanResult:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _Champion:
-    """Best-so-far tracker; earlier discoveries win ties."""
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-        self.key = None
-        self.perm: np.ndarray | None = None
-        self.evaluation: Evaluation | None = None
-
-    def offer(self, key: tuple, pop: Score, i: int) -> None:
-        if self.key is None or key < self.key:
-            self.key = key
-            self.perm = pop.perms[i].copy()
-            self.evaluation = pop.evaluation(i)
-
-    @property
-    def best_sum(self) -> float:
-        vec = np.asarray(self.evaluation.objectives)
-        return float(vec[self.mask].sum())
-
-
 def _select(objs: np.ndarray, config: GaConfig, refs: np.ndarray,
             rng: Draws) -> tuple[np.ndarray, np.ndarray]:
     """Survivors of the pool ``objs`` and their front ranks.
@@ -487,12 +468,8 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
     mask = config.objective_mask()
     refs = das_dennis_points(int(mask.sum()), config.divisions)
 
-    def offer(pop: Score) -> None:
-        i, key = _best_member(pop, mask)
-        iter_champ.offer(key, pop, i)
-        global_champ.offer(key, pop, i)
-
-    def stats_row(iteration, generation, pop: Score) -> HistoryRow:
+    def stats_row(iteration, generation, pop: Score,
+                  best: Score) -> HistoryRow:
         arr = pop.objectives
         pct = 100.0 / len(arr)
         return HistoryRow(
@@ -502,44 +479,49 @@ def run(dataset: Dataset, config: GaConfig) -> PlanResult:
             available_rate=int(pop.available.sum()) * pct,
             mean_fd=float(arr[:, 0].mean()), mean_fe=float(arr[:, 1].mean()),
             mean_fp=float(arr[:, 2].mean()), mean_fa=float(arr[:, 3].mean()),
-            best_sum=global_champ.best_sum,
+            best_sum=float(best.objectives[0, mask].sum()),
             sd_fd=float(arr[:, 0].std()), sd_fe=float(arr[:, 1].std()),
             sd_fp=float(arr[:, 2].std()), sd_fa=float(arr[:, 3].std()))
 
-    global_champ = _Champion(mask)
     history: list[HistoryRow] = []
     iteration_bests: list[IterationBest] = []
+    best_key = None    # the run's champion is `best`, the iteration's `champ`
 
     with Draws(np.random.default_rng(config.seed)) as rng:
         for iteration in range(1, config.iterations + 1):
             pop = evaluator.score(evaluator.to_indices(np.array(
                 [init(rng) for _ in range(config.pop_size)])))
-            iter_champ = _Champion(mask)
-            offer(pop)
-            history.append(stats_row(iteration, 0, pop))
+            i, champ_key = _best_member(pop, mask)
+            champ = pop.take([i])
+            if best_key is None or champ_key < best_key:
+                best_key, best = champ_key, champ
+            history.append(stats_row(iteration, 0, pop, best))
             rank = _front_ranks(non_dominated_sort(pop.objectives[:, mask]),
                                 config.pop_size)
 
             for generation in range(1, config.generations + 1):
                 offspring = evaluator.score(_make_offspring(
                     pop, rank, config, mask, refs, rng))
-                offer(offspring)
+                i, key = _best_member(offspring, mask)
+                if key < champ_key:
+                    champ_key, champ = key, offspring.take([i])
+                    if key < best_key:
+                        best_key, best = key, champ
                 pool = pop.concat(offspring)
                 keep, rank = _select(pool.objectives[:, mask], config, refs,
                                      rng)
                 pop = pool.take(keep)
-                history.append(stats_row(iteration, generation, pop))
+                history.append(stats_row(iteration, generation, pop, best))
 
             iteration_bests.append(IterationBest(
-                iteration=iteration,
-                sequence=evaluator.to_ids(iter_champ.perm),
-                evaluation=iter_champ.evaluation))
+                iteration=iteration, sequence=evaluator.to_ids(champ.perms[0]),
+                evaluation=champ.evaluation(0)))
 
-    best_ids = evaluator.to_ids(global_champ.perm)
+    best_ids = evaluator.to_ids(best.perms[0])
     labels = tuple(dataset.catalog.by_id(pid).task_label for pid in best_ids)
     return PlanResult(
         best_sequence=best_ids,
-        best_evaluation=global_champ.evaluation,
+        best_evaluation=best.evaluation(0),
         best_labels=labels,
         iteration_bests=iteration_bests,
         history=history,

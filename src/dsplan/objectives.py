@@ -129,14 +129,19 @@ class Evaluator:
     ``count[a, m, p] = sum_b W[a, m, b] * E[a, b, p]``.  The counts are sums
     of 0/1 products or small integers, which float32 holds exactly.
     ``score`` reduces the terms to verdicts and the degree to f_d; the
-    other objectives are gathers over the ``(P, n)`` index array.  The
-    single-sequence answers are row 0 of a population of one.
+    other objectives are gathers over the ``(P, n)`` index array, f_e's
+    travel from ``dist``, the ``(n, n)`` table of centre-of-mass distances.
+    The single-sequence answers are row 0 of a population of one.  The
+    motion table must share the matrices' ``part_order``.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
         catalog, matrices, motions = dataset
         self.dataset = dataset
         self.part_order = order = matrices.part_order
+        if motions.part_order != order:
+            raise ValueError("the motion table's part_order differs from "
+                             "the relation matrices'")
         self.n = len(order)
         self._lookup = np.full(max(order, default=0) + 2, -1, dtype=np.int64)
         self._lookup[list(order)] = np.arange(self.n)
@@ -153,12 +158,9 @@ class Evaluator:
         uniq = {t: c for c, t in enumerate(sorted(set(labels)))}
         self.task_codes = np.array([uniq[t] for t in labels], dtype=np.int64)
         self.manual = np.array([t == "manual" for t in labels], dtype=bool)
-        self.coms = np.array([part.com for part in parts], dtype=np.float64)
-        if self.n > 1:
-            deltas = self.coms[:, None, :] - self.coms[None, :, :]
-            self.d_max = float(np.sqrt((deltas ** 2).sum(-1)).max())
-        else:
-            self.d_max = 0.0
+        coms = np.array([part.com for part in parts], dtype=np.float64)
+        self.dist = np.sqrt(((coms[:, None] - coms[None]) ** 2).sum(-1))
+        self.d_max = float(self.dist.max(initial=0.0))
         self.priority_idx = np.array(
             [j for j, part in enumerate(parts) if part.priority],
             dtype=np.int64)
@@ -212,7 +214,7 @@ class Evaluator:
                     degree: np.ndarray) -> np.ndarray:
         """``(P, 4)`` objective values of ``perms`` assuming availability;
         ``pos`` is their ``positions`` and ``degree`` the ``(n, P)``
-        accumulated degree."""
+        accumulated degree; f_e's travel sums ``dist`` over each step."""
         n = self.n
         out = np.zeros((len(perms), 4), dtype=np.float64)
         if n < 2:
@@ -224,8 +226,7 @@ class Evaluator:
 
         codes = self.task_codes[perms]
         changes = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
-        steps = self.coms[perms[:, 1:]] - self.coms[perms[:, :-1]]
-        travel = np.sqrt((steps ** 2).sum(-1)).sum(axis=1)
+        travel = self.dist[perms[:, 1:], perms[:, :-1]].sum(axis=1)
         dist_term = travel / (n * self.d_max) if self.d_max > 0 else 0.0
         out[:, 1] = (changes / (n - 1) + dist_term) / 2.0
 
@@ -243,11 +244,13 @@ class Evaluator:
         """The ``Score`` of every row of the index permutations ``perms``.
 
         Rows are independent, so they are scored in blocks whose
-        ``before_matrix`` fits ``MAX_POOL_BYTES``: 4 * n * n float32 bytes
-        per row plus its n * n bool temporary.
+        ``before_matrix`` and counts fit ``MAX_POOL_BYTES``: per row, 4 * n
+        * (n + M) float32 bytes and their n * (n + M) bool temporaries, for
+        the M options along axis 1 of the weights.
         """
         perms = np.asarray(perms, dtype=np.int64)
-        block = max(1, MAX_POOL_BYTES // max(5 * self.n ** 2, 1))
+        row = 5 * self.n * (self.n + self.weights.shape[1])
+        block = max(1, MAX_POOL_BYTES // max(row, 1))
         # an empty population is one empty block
         return Score(*map(np.concatenate, zip(*(
             self._score(perms[i:i + block])

@@ -54,8 +54,10 @@ def row_objectives(ev, perm):
     peak = max(int(cs[perm[:k], perm[k]].sum()) for k in range(1, n))
     codes = ev.task_codes[perm]
     changes = int(np.count_nonzero(codes[1:] != codes[:-1]))
+    coms = np.array([ev.dataset.catalog.by_id(pid).com
+                     for pid in ev.part_order], dtype=np.float64)
     travel = float(np.sqrt(
-        ((ev.coms[perm[1:]] - ev.coms[perm[:-1]]) ** 2).sum(-1)).sum())
+        ((coms[perm[1:]] - coms[perm[:-1]]) ** 2).sum(-1)).sum())
     dist_term = travel / (n * ev.d_max) if ev.d_max > 0 else 0.0
     pos = np.empty(n, dtype=np.int64)
     pos[perm] = np.arange(1, n + 1)
@@ -121,19 +123,12 @@ def test_ccgi_draws_of_36_part_tower(tower36, mode):
     assert mode == "strict" or (score.feasible & score.stable).any()
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("block", [1, 7, 23])
-def test_score_in_row_blocks(tower36, mode, block, monkeypatch):
-    # rows are independent, so any block size gives the same Score; the
-    # budget is `block` rows of the float32 before-matrix and its bool
-    # temporary, 5 * n * n bytes a row
-    graph = build_ccg(tower36.catalog, tower36.matrices)
-    ev = Evaluator(tower36, mode)
-    rng = np.random.default_rng(23)
-    perms = np.array([ev.to_indices(ccgi_init(graph, rng)) for _ in range(12)]
-                     + [rng.permutation(ev.n) for _ in range(11)])
+def assert_scored_in_blocks(ev, perms, block, monkeypatch):
+    """Score ``perms`` under a budget of ``block`` rows: 5 * n * (n + M)
+    bytes a row, for the float32 before-matrix and counts over the M weight
+    options and their bool temporaries.  Rows are independent, so the
+    blocks give the Score of the whole population."""
     whole = ev.score(perms)
-    assert whole.available.any() and not whole.available.all()
     calls = []
     score_block = Evaluator._score
 
@@ -142,11 +137,51 @@ def test_score_in_row_blocks(tower36, mode, block, monkeypatch):
         return score_block(self, rows)
 
     monkeypatch.setattr(Evaluator, "_score", counted)
-    monkeypatch.setattr(objectives, "MAX_POOL_BYTES", block * 5 * ev.n ** 2)
+    monkeypatch.setattr(objectives, "MAX_POOL_BYTES",
+                        block * 5 * ev.n * (ev.n + ev.weights.shape[1]))
     blocked = ev.score(perms)
-    assert calls == [min(block, 23 - i) for i in range(0, 23, block)]
+    assert calls == [min(block, len(perms) - i)
+                     for i in range(0, len(perms), block)]
     for name, a, b in zip(Score._fields, whole, blocked):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("block", [1, 7, 23])
+def test_score_in_row_blocks(tower36, mode, block, monkeypatch):
+    graph = build_ccg(tower36.catalog, tower36.matrices)
+    ev = Evaluator(tower36, mode)
+    rng = np.random.default_rng(23)
+    perms = np.array([ev.to_indices(ccgi_init(graph, rng)) for _ in range(12)]
+                     + [rng.permutation(ev.n) for _ in range(11)])
+    available = ev.score(perms).available
+    assert available.any() and not available.all()
+    assert_scored_in_blocks(ev, perms, block, monkeypatch)
+
+
+def test_score_blocks_count_the_motion_options(tower36, monkeypatch):
+    # 1,000 extra motions on one part make 1,000 strict options, so the
+    # counts, not the n * n before-matrix, take most of a row's bytes
+    order = tower36.matrices.part_order
+    motions = dict(tower36.motions.motions)
+    motions[order[5]] += tuple(Motion(r, "+z", np.zeros(len(order), np.uint8))
+                               for r in range(1000, 2000))
+    ev = Evaluator(tower36._replace(motions=MotionTable(order, motions)),
+                   "strict")
+    assert ev.weights.shape[1] > 1000
+    rng = np.random.default_rng(4)
+    perms = np.array([rng.permutation(ev.n) for _ in range(10)])
+    assert_scored_in_blocks(ev, perms, 3, monkeypatch)
+
+
+def test_motion_table_in_another_part_order_rejected(tower36):
+    # read in its own order, the reversed table would fail the motion term
+    # of the tower's own part_order sequence, which is available
+    order = tower36.matrices.part_order
+    assert Evaluator(tower36).evaluate(order).available
+    reversed_table = MotionTable(order[::-1], tower36.motions.motions)
+    with pytest.raises(ValueError, match="motion table's part_order"):
+        Evaluator(tower36._replace(motions=reversed_table))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -31,7 +31,7 @@ from dsplan.nsga3 import (
     non_dominated_sort,
     run,
 )
-from dsplan.objectives import PENALTY, Score, evaluate
+from dsplan.objectives import PENALTY, Evaluator, Score, evaluate
 from test_ccg import criterion12_tower
 
 
@@ -642,6 +642,54 @@ class TestRun:
             assert got.first_violation == oracle.first_violation(perm, tab,
                                                                  mode)
             assert not got.available
+
+    @pytest.mark.parametrize("selection", ["reference-line", "crowding"])
+    @pytest.mark.parametrize("product", ["tower10_labeled", "no available"])
+    def test_champions_are_first_bests_of_the_scored_populations(
+            self, tower10, tower10_labeled, product, selection, monkeypatch):
+        ds = tower10_labeled
+        if product == "no available":
+            # as in test_champion_verdict_survives_the_population
+            ds = tower10._replace(matrices=dataclasses.replace(
+                tower10.matrices, interference_free=np.zeros_like(
+                    tower10.matrices.interference_free)))
+        scored = []
+        score = Evaluator.score
+
+        def recorded(self, perms):
+            scored.append(score(self, perms))
+            return scored[-1]
+
+        monkeypatch.setattr(Evaluator, "score", recorded)
+        # random draws leave room to improve on the initial champion
+        cfg = GaConfig(pop_size=8, generations=6, iterations=3, seed=7,
+                       init="ri", selection=selection)
+        result = run(ds, cfg)
+        mask = cfg.objective_mask()
+        ev = Evaluator(ds)
+        per_iteration = cfg.generations + 1
+        assert len(scored) == cfg.iterations * per_iteration
+
+        def first_best(pops):
+            pool = Score(*map(np.concatenate, zip(*pops)))
+            i = _best_member(pool, mask)[0]
+            return ev.to_ids(pool.perms[i]), pool.evaluation(i), i
+
+        later = 0
+        for k, got in enumerate(result.iteration_bests):
+            seq, evaluation, i = first_best(
+                scored[k * per_iteration:(k + 1) * per_iteration])
+            assert (got.sequence, got.evaluation) == (seq, evaluation)
+            later += i >= cfg.pop_size
+        # some champion came from offspring, not from the initial population
+        assert later
+        assert (result.best_sequence, result.best_evaluation) == (
+            first_best(scored)[:2])
+        # each history row follows one scoring, and reports the run's
+        # champion so far
+        for h, row in enumerate(result.history):
+            objs = first_best(scored[:h + 1])[1].objectives
+            assert row.best_sum == float(np.array(objs)[mask].sum())
 
     def test_history_shape_and_monotone_best(self, tower10_labeled):
         cfg = GaConfig(pop_size=24, generations=12, iterations=2, seed=3)
