@@ -35,6 +35,7 @@ from .geomsim import VoxelAssembly, build_dataset, generate_synthetic
 from .ccg import (
     ContactConnectionGraph,
     DisconnectedProduct,
+    RepairMasks,
     build_ccg,
     ccgi_init,
     fr_init,

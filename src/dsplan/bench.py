@@ -16,7 +16,7 @@ import numpy as np
 from .ccg import INIT_METHODS, make_initializer
 from .draws import Draws
 from .model import Dataset, dataset_content_digest
-from .nsga3 import GaConfig, HistoryRow, PlanResult, history_csv, run
+from .nsga3 import GaConfig, HistoryRow, history_csv, run
 from .objectives import OBJECTIVE_KEYS, Evaluator
 
 # draws held at once by init_benchmark: all of them at once would be a list
@@ -110,30 +110,31 @@ def init_benchmark(dataset: Dataset, trials: int,
     return report
 
 
-def _final_available_rate(result: PlanResult) -> float:
-    """Mean final-generation population available rate over the iterations."""
-    last_by_iter: dict[int, HistoryRow] = {}
-    for row in result.history:
-        last_by_iter[row.iteration] = row
-    rates = [r.available_rate for r in last_by_iter.values()]
-    return float(np.mean(rates))
-
-
-def _run_row(method: str, result: PlanResult) -> MethodResult:
-    finals = np.array([b.evaluation.objectives
-                       for b in result.iteration_bests], dtype=np.float64)
-    mean = finals.mean(axis=0)
-    sd = finals.std(axis=0)
-    return MethodResult(
-        method=method, trials=len(result.iteration_bests),
-        feasible_rate=100.0 * np.mean(
-            [b.evaluation.feasible for b in result.iteration_bests]),
-        stable_rate=100.0 * np.mean(
-            [b.evaluation.stable for b in result.iteration_bests]),
-        available_rate=_final_available_rate(result),
-        obj_mean=tuple(float(v) for v in mean),
-        obj_sd=tuple(float(v) for v in sd),
-        objective_sum=float(mean.sum()))
+def _planner_report(kind: str, dataset: Dataset,
+                    configs: dict[str, GaConfig]) -> ExperimentReport:
+    """One planner run per named config, all of one seed and mode: a row of
+    its iteration bests' rates and objective statistics, with the mean
+    available rate of its final populations, and its generation curve."""
+    some = next(iter(configs.values()))
+    report = ExperimentReport(kind=kind, seed=some.seed, mode=some.mode,
+                              dataset_digest=dataset_content_digest(dataset))
+    for name, cfg in configs.items():
+        result = run(dataset, cfg)
+        bests = [b.evaluation for b in result.iteration_bests]
+        finals = np.array([b.objectives for b in bests], dtype=np.float64)
+        mean = finals.mean(axis=0)
+        report.rows.append(MethodResult(
+            method=name, trials=len(bests),
+            feasible_rate=100.0 * np.mean([b.feasible for b in bests]),
+            stable_rate=100.0 * np.mean([b.stable for b in bests]),
+            available_rate=float(np.mean(
+                [row.available_rate for row in result.history
+                 if row.generation == result.config.generations])),
+            obj_mean=tuple(float(v) for v in mean),
+            obj_sd=tuple(float(v) for v in finals.std(axis=0)),
+            objective_sum=float(mean.sum())))
+        report.curves[name] = result.history
+    return report
 
 
 def ablation_variant_config(base: GaConfig, variant: str) -> GaConfig:
@@ -168,15 +169,8 @@ def ablation_run(dataset: Dataset, base_config: GaConfig) -> ExperimentReport:
     mean final objective values after min-max normalizing each objective so
     the maximum over all methods except wo_ccgi equals 1.
     """
-    configs = ablation_configs(base_config)
-    report = ExperimentReport(kind="ablation", seed=base_config.seed,
-                              mode=base_config.mode,
-                              dataset_digest=dataset_content_digest(dataset))
-    for variant, cfg in configs.items():
-        result = run(dataset, cfg)
-        report.rows.append(_run_row(variant, result))
-        report.curves[variant] = result.history
-
+    report = _planner_report("ablation", dataset,
+                             ablation_configs(base_config))
     means = np.array([r.obj_mean for r in report.rows], dtype=np.float64)
     include = np.array([r.method != "wo_ccgi" for r in report.rows])
     denom = means[include].max(axis=0)
@@ -192,13 +186,8 @@ def single_objective_run(dataset: Dataset, config: GaConfig,
     """Optimize under the constraints plus a single objective; report all
     four evaluation values of the per-iteration bests."""
     cfg = replace(config, objectives=(objective,))
-    result = run(dataset, cfg)
-    report = ExperimentReport(kind="single-objective", seed=cfg.seed,
-                              mode=cfg.mode,
-                              dataset_digest=dataset_content_digest(dataset))
-    report.rows.append(_run_row(f"w_{objective}", result))
-    report.curves[f"w_{objective}"] = result.history
-    return report
+    return _planner_report("single-objective", dataset,
+                           {f"w_{objective}": cfg})
 
 
 _INIT_HEADER = "method,trials,feasible_rate,stable_rate,available_rate"

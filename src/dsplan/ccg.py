@@ -2,12 +2,14 @@
 
 Four initializers are provided: graph-guided (ccgi), uniform random (ri),
 and two rearrangement repairs (fr fixes interference violations, sfr fixes
-interference and stability).  The repairs scan bit masks packed from
-``constraints``' own strict order rows and stability rows, once per
-``make_initializer`` call.  Strict, because the literal per-pair term is
-sequence-independent and would make the repair a no-op.
-The initializers take a ``Generator`` or a ``draws.Draws`` reader over
-one, and draw the same sequences from either (per numpy version, NEP 19).
+interference and stability).  Each takes the one structure it reads, built
+once per product, and a generator: the catalog for ri, the ``RepairMasks``
+for fr and sfr, the ``ContactConnectionGraph`` for ccgi.  ``RepairMasks``
+packs ``constraints``' own strict order rows and stability rows as bit
+masks.  Strict, because the literal per-pair term is sequence-independent
+and would make the repair a no-op.  The generator is a ``Generator`` or a
+``draws.Draws`` reader over one, and both draw the same sequences (per
+numpy version, NEP 19).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ContactConnectionGraph:
         """Non-root nodes grouped by hop distance from the root over the
         whole graph, each group ascending."""
         return {d: tuple(group) for d, group in
-                _layers(self, set(self.nodes), self.root).items()}
+                _layers(self, set(self.nodes)).items()}
 
     @cached_property
     def fixers(self) -> dict[int, tuple[int, ...]]:
@@ -111,29 +113,23 @@ def build_ccg(catalog: PartCatalog,
     return graph
 
 
-def _hop_distances(graph: ContactConnectionGraph, present: set[int],
-                   root: int) -> dict[int, float]:
+def _layers(graph: ContactConnectionGraph,
+            present: set[int]) -> dict[float, list[int]]:
+    """Non-root present nodes grouped by hop distance from the root over
+    the present nodes, each group sorted; unreachable ones at infinity."""
     dist = {pid: _INF for pid in present}
-    dist[root] = 0.0
-    queue = deque([root])
+    dist[graph.root] = 0.0
+    queue = deque([graph.root])
     while queue:
         cur = queue.popleft()
         for nb in graph.neighbors[cur]:
             if nb in present and dist[nb] == _INF:
                 dist[nb] = dist[cur] + 1
                 queue.append(nb)
-    return dist
-
-
-def _layers(graph: ContactConnectionGraph, present: set[int],
-            root: int) -> dict[float, list[int]]:
-    """Non-root present nodes grouped by hop distance, each group sorted."""
+    del dist[graph.root]
     layers: dict[float, list[int]] = {}
-    for pid, d in _hop_distances(graph, present, root).items():
-        if pid != root:
-            layers.setdefault(d, []).append(pid)
-    for group in layers.values():
-        group.sort()
+    for pid in sorted(dist):
+        layers.setdefault(dist[pid], []).append(pid)
     return layers
 
 
@@ -154,7 +150,6 @@ def ccgi_init(graph: ContactConnectionGraph,
     whole-graph layers and fixer lists are computed once per graph.
     """
     present = set(graph.nodes)
-    root = graph.root
     removal: list[int] = []
     layers = {d: list(group) for d, group in graph.root_layers.items()}
     while len(present) > 1:
@@ -172,8 +167,8 @@ def ccgi_init(graph: ContactConnectionGraph,
             if not candidates:
                 del layers[far]
         else:
-            layers = _layers(graph, present, root)
-    removal.append(root)
+            layers = _layers(graph, present)
+    removal.append(graph.root)
     return np.array(removal[::-1], dtype=np.int64)
 
 
@@ -196,25 +191,26 @@ def _pack_rows(rows: np.ndarray) -> list[list[int]]:
 
 
 class RepairMasks(NamedTuple):
-    """What fr/sfr read of one product, by part index: the strict order
-    rows and the contact (stability) row as bit masks, and the contacts as
-    index lists."""
+    """Everything fr/sfr read of one product, by part index: the strict
+    order rows and the contact (stability) row as bit masks, the contacts
+    as index lists, and the part ids."""
 
     order: list[list[int]]
     support: list[int]
     touching: list[list[int]]
+    part_order: np.ndarray
 
     @classmethod
     def of(cls, matrices: RelationMatrices) -> "RepairMasks":
         return cls(_pack_rows(order_rows(matrices, "strict")),
                    [rows[0] for rows in _pack_rows(stability_rows(matrices))],
-                   [np.flatnonzero(row).tolist() for row in matrices.contact])
+                   [np.flatnonzero(row).tolist() for row in matrices.contact],
+                   np.array(matrices.part_order, dtype=np.int64))
 
 
-def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
-               with_stability: bool, masks: RepairMasks | None) -> np.ndarray:
-    order, support, touching = masks or RepairMasks.of(matrices)
-    ids = np.array(matrices.part_order, dtype=np.int64)
+def _rearrange(masks: RepairMasks, rng: np.random.Generator,
+               with_stability: bool) -> np.ndarray:
+    order, support, touching, ids = masks
     n = len(ids)
     # the same draws as ``rng.permutation(ids)``, as indices into ids
     perm = rng.permutation(n).tolist()
@@ -247,23 +243,19 @@ def _rearrange(matrices: RelationMatrices, rng: np.random.Generator,
     return ids[perm]
 
 
-def fr_init(catalog: PartCatalog, matrices: RelationMatrices,
-            rng: np.random.Generator, *,
-            masks: RepairMasks | None = None) -> np.ndarray:
-    """Random permutation repaired toward interference feasibility.
+def fr_init(masks: RepairMasks, rng: np.random.Generator) -> np.ndarray:
+    """A random order of ``masks.part_order`` repaired toward interference
+    feasibility.
 
     Scans positions last-to-second; a violating part is swapped to a random
-    earlier (later-removed) slot.  The result may still violate.  ``masks``
-    of the same product spare building them on every draw.
+    earlier (later-removed) slot.  The result may still violate.
     """
-    return _rearrange(matrices, rng, False, masks)
+    return _rearrange(masks, rng, False)
 
 
-def sfr_init(catalog: PartCatalog, matrices: RelationMatrices,
-             rng: np.random.Generator, *,
-             masks: RepairMasks | None = None) -> np.ndarray:
+def sfr_init(masks: RepairMasks, rng: np.random.Generator) -> np.ndarray:
     """Like fr_init but also repairs the connection (stability) terms."""
-    return _rearrange(matrices, rng, True, masks)
+    return _rearrange(masks, rng, True)
 
 
 INIT_METHODS = ("ri", "fr", "sfr", "ccgi")
@@ -277,8 +269,8 @@ def make_initializer(method: str, catalog: PartCatalog,
     if method in ("fr", "sfr"):
         masks = RepairMasks.of(matrices)
         if method == "fr":
-            return lambda rng: fr_init(catalog, matrices, rng, masks=masks)
-        return lambda rng: sfr_init(catalog, matrices, rng, masks=masks)
+            return lambda rng: fr_init(masks, rng)
+        return lambda rng: sfr_init(masks, rng)
     if method == "ccgi":
         graph = build_ccg(catalog, matrices)
         return lambda rng: ccgi_init(graph, rng)

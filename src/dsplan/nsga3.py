@@ -161,8 +161,6 @@ def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
     """
     objs = np.asarray(objs, dtype=np.float64)
     m = objs.shape[0]
-    if m == 0:
-        return []
     # one objective column at a time: (m, m) planes, no (m, m, k) cube
     le = np.ones((m, m), dtype=bool)
     lt = np.zeros((m, m), dtype=bool)

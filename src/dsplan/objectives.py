@@ -33,7 +33,7 @@ from .constraints import (
     positions,
     stability_rows,
 )
-from .model import Dataset
+from .model import Dataset, DatasetError
 
 OBJECTIVE_KEYS = ("d", "e", "p", "a")
 PENALTY = (1.0, 1.0, 1.0, 1.0)
@@ -132,7 +132,10 @@ class Evaluator:
     other objectives are gathers over the ``(P, n)`` index array, f_e's
     travel from ``dist``, the ``(n, n)`` table of centre-of-mass distances.
     The single-sequence answers are row 0 of a population of one.  The
-    motion table must share the matrices' ``part_order``.
+    motion table must share the matrices' ``part_order``, and a
+    ``DatasetError`` rejects it before anything is allocated when the
+    strict weights, 4 * n * n * (M + 8) bytes for the largest motion count
+    M, exceed ``MAX_POOL_BYTES``; both modes share that one rule.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
@@ -143,6 +146,14 @@ class Evaluator:
             raise ValueError("the motion table's part_order differs from "
                              "the relation matrices'")
         self.n = len(order)
+        # the strict weights: 6 order, M motion, stability and degree options
+        most = max(order, key=motions.count, default=None)
+        weight_bytes = 4 * self.n ** 2 * (motions.count(most) + 8)
+        if weight_bytes > MAX_POOL_BYTES:
+            raise DatasetError(
+                f"part {most} has {motions.count(most)} motions, so the "
+                f"weights of {self.n} parts take about {weight_bytes} bytes, "
+                f"more than {MAX_POOL_BYTES}")
         self._lookup = np.full(max(order, default=0) + 2, -1, dtype=np.int64)
         self._lookup[list(order)] = np.arange(self.n)
         blocks = (order_rows(matrices, mode), motion_rows(motions, mode),

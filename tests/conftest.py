@@ -158,6 +158,16 @@ def _list_eef(doc):
     return "parts[1].eef must be a string, got [1, {'a': 2}]"
 
 
+def _com_int_too_large_for_a_float(doc):
+    doc["parts"][0]["com"] = [10**400, 0, 0]
+    return "part 1: com must be 3 finite numbers, got [1000"
+
+
+def _motion_key_not_a_part_id(doc):
+    doc["motions"]["x"] = []
+    return "motion key 'x' is not a part id"
+
+
 # Mutations of a saved dataset document that the loader must reject with a
 # SchemaError; each edits the document in place and returns the text the
 # error message must contain.
@@ -174,4 +184,6 @@ MALFORMED = {"motion-without-row": _motion_without_row,
              "numeric-task-label": _numeric_task_label,
              "list-motion-kind": _list_motion_kind,
              "numeric-eef": _numeric_eef,
-             "list-eef": _list_eef}
+             "list-eef": _list_eef,
+             "com-int-too-large-for-a-float": _com_int_too_large_for_a_float,
+             "motion-key-not-a-part-id": _motion_key_not_a_part_id}

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -146,6 +147,12 @@ class TestSingleObjective:
         assert len(row.obj_mean) == 4
         assert len(row.obj_sd) == 4
 
+    def test_unknown_row_is_a_key_error(self, tower5):
+        report = init_benchmark(tower5, trials=5, methods=("ri",))
+        assert report.row("ri").trials == 5
+        with pytest.raises(KeyError, match="nope"):
+            report.row("nope")
+
     def test_bad_objective_rejected(self, tower5):
         with pytest.raises(ValueError):
             single_objective_run(tower5, small_cfg(), "x")
@@ -202,3 +209,63 @@ class TestEmitReport:
         text = (tmp_path / "init-bench_summary.txt").read_text()
         assert "seed: 11" in text
         assert "sha256:" in text
+
+
+class TestPlannerReportGoldenDigests:
+    """sha256 of every file ``emit_report`` writes for an ablation and a
+    single-objective report, computed before both ran through one runner.
+    After two generations wo_ccgi's final populations are 100 % and 8.3 %
+    available and its first ones 25 % and 8.3 %, so the digests read which
+    generation the available rate comes from."""
+
+    DIGESTS = {
+        "ablation": {
+            "ablation_summary.csv":
+                "2fa1f1380be1eeb074ee3725a22c8986"
+                "874189a73c48fb2d66ff3f7dde32d590",
+            "ablation_summary.txt":
+                "57ebd3eb05e7c1631768c0c397b2fb86"
+                "39913a06491dcdaab91510c3a4a7f70b",
+            "ablation_curve_proposed.csv":
+                "e409b324d9807b0777ee0c411f692295"
+                "3fc7f6d5511efd7d6ef0cbd4a463edbf",
+            "ablation_curve_wo_ccgi.csv":
+                "9ea78cf53732fe1534db439bac85f96f"
+                "2d2d6b3c76f43876d5d956916aa16d23",
+            "ablation_curve_wo_fa.csv":
+                "9d3e60c935640239ec6f22d65a154829"
+                "11fec80d12a6aaaf7381ecc18d44e521",
+            "ablation_curve_wo_fd.csv":
+                "7fb72901df03f496c140f8132f152fff"
+                "d8e52e896bd4992df0e2fd26df5cd59c",
+            "ablation_curve_wo_fe.csv":
+                "65d96c9d29b5ab812bffe0a339c27afb"
+                "902ce73cb454c0d4c5e900f18397242f",
+            "ablation_curve_wo_fp.csv":
+                "4d96ce2f05ba77e3d8c36eef958cf4f2"
+                "bb3592f72cec5586ed76a51df6d3e2e0",
+            "ablation_curve_wo_nsga3.csv":
+                "5d914fc3fb45610144f6f09fbff8f40f"
+                "e14c1632fc02eeab87ecb75be443271c",
+        },
+        "single-objective": {
+            "single-objective_summary.csv":
+                "ca359e611ccf5a27e9df74354789fc06"
+                "8f3d9f05df26c51bf574ca379078bd0f",
+            "single-objective_summary.txt":
+                "852f8ca1f84dc1d75259020f2a300b27"
+                "f268182a255f6df7d6d70736f611caa9",
+            "single-objective_curve_w_e.csv":
+                "4665ec49eef066790e22bd08090783e0"
+                "e81501754877f56344f58e5e6ac22e9f",
+        },
+    }
+
+    @pytest.mark.parametrize("kind", DIGESTS)
+    def test_emitted_files(self, kind, tower10_labeled, tmp_path):
+        cfg = small_cfg(seed=3, pop_size=12, generations=2, iterations=2)
+        report = (ablation_run(tower10_labeled, cfg) if kind == "ablation"
+                  else single_objective_run(tower10_labeled, cfg, "e"))
+        paths = emit_report(report, tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in paths} == self.DIGESTS[kind]

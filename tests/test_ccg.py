@@ -9,6 +9,7 @@ import oracle
 from dsplan.bench import init_benchmark, summary_csv
 from dsplan.ccg import (
     DisconnectedProduct,
+    RepairMasks,
     build_ccg,
     ccgi_init,
     fr_init,
@@ -201,6 +202,14 @@ class TestRandomInit:
         rng = np.random.default_rng(0)
         assert random_init(ds.catalog, rng).tolist() == [1]
 
+    def test_all_ignored_catalog_rejected(self):
+        catalog = PartCatalog((
+            Part(1, "a_plate_ignore", "plate", ignore=True),
+            Part(2, "b_graspable_ignore", "graspable", ignore=True)))
+        with pytest.raises(ValueError,
+                           match="^catalog has no non-ignored parts$"):
+            random_init(catalog, np.random.default_rng(0))
+
     def test_seeded_reproducibility(self, tower10):
         a = random_init(tower10.catalog, np.random.default_rng(7))
         b = random_init(tower10.catalog, np.random.default_rng(7))
@@ -230,7 +239,7 @@ class TestRearrangement:
         ds.matrices.contact[:] = 1
         np.fill_diagonal(ds.matrices.contact, 0)
         for fn in (fr_init, sfr_init):
-            seq = fn(ds.catalog, ds.matrices, np.random.default_rng(3))
+            seq = fn(RepairMasks.of(ds.matrices), np.random.default_rng(3))
             start = np.random.default_rng(3).permutation(
                 np.array(ds.matrices.part_order))
             assert (seq == start).all()
@@ -240,7 +249,7 @@ class TestRearrangement:
         rng = np.random.default_rng(9)
         for fn in (fr_init, sfr_init):
             for _ in range(50):
-                assert sorted(fn(tower10.catalog, tower10.matrices,
+                assert sorted(fn(RepairMasks.of(tower10.matrices),
                                  rng).tolist()) == ids
 
     def test_sfr_beats_fr_on_towers(self, tower5):
@@ -250,7 +259,7 @@ class TestRearrangement:
         for name, fn in (("fr", fr_init), ("sfr", sfr_init)):
             wins = 0
             for _ in range(1000):
-                seq = fn(tower5.catalog, tower5.matrices, rng)
+                seq = fn(RepairMasks.of(tower5.matrices), rng)
                 wins += ev.evaluate(seq).available
             rates[name] = wins
         assert rates["sfr"] >= rates["fr"]
@@ -324,7 +333,7 @@ class TestRearrangementReference:
                 for seed in range(REARRANGE_SEEDS[case]):
                     rng = np.random.default_rng(seed)
                     ref_rng = np.random.default_rng(seed)
-                    got = fn(catalog, matrices, rng)
+                    got = fn(RepairMasks.of(matrices), rng)
                     want = oracle.rearrange_reference(matrices, ref_rng, 50,
                                                       with_stability)
                     assert got.tolist() == want.tolist(), (fn, seed)
@@ -338,7 +347,8 @@ class TestRearrangementReference:
             rng = np.random.default_rng(seed)
             start_rng = np.random.default_rng(seed)
             start = start_rng.permutation(np.array(matrices.part_order))
-            assert sfr_init(catalog, matrices, rng).tolist() == start.tolist()
+            assert sfr_init(RepairMasks.of(matrices),
+                            rng).tolist() == start.tolist()
             assert rng.integers(2**62) == start_rng.integers(2**62)
 
     def test_make_initializer_matches_direct_calls(self, tower10):
@@ -346,7 +356,7 @@ class TestRearrangementReference:
             init = make_initializer(method, tower10.catalog, tower10.matrices)
             for seed in range(20):
                 assert (init(np.random.default_rng(seed)) == fn(
-                    tower10.catalog, tower10.matrices,
+                    RepairMasks.of(tower10.matrices),
                     np.random.default_rng(seed))).all()
 
 
@@ -369,7 +379,8 @@ class TestRearrangementGoldenDigests:
         rng = np.random.default_rng(7)
         h = hashlib.sha256()
         for _ in range(draws):
-            h.update(fn(ds.catalog, ds.matrices, rng).astype("<i8").tobytes())
+            h.update(fn(RepairMasks.of(ds.matrices),
+                        rng).astype("<i8").tobytes())
         assert h.hexdigest() == digest
 
     def test_init_benchmark_summary(self):

@@ -130,6 +130,18 @@ class TestExitCodes:
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["parts"][0].update(id=0) or doc,
+         "part id must be >= 1, got 0"),
+        (lambda doc: [], "top-level value must be an object"),
+    ], ids=["part-id-0", "top-level-list"])
+    def test_dataset_error_named(self, dataset_file, tmp_path, edit, message,
+                                 capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(dataset_file.read_text()))))
+        assert main(["validate", "--dataset", str(bad)]) == 2
+        assert f"dataset error: {message}" in capsys.readouterr().err
+
     def test_dataset_error_deep_nesting(self, dataset_file, tmp_path,
                                         capsys):
         doc = json.loads(dataset_file.read_text())

@@ -19,13 +19,16 @@ from dsplan.constraints import (
     positions,
     stability_rows,
 )
+from dsplan.cli import main
 from dsplan.model import (
     Dataset,
+    DatasetError,
     Motion,
     MotionTable,
     Part,
     PartCatalog,
     RelationMatrices,
+    save_dataset,
 )
 from dsplan import objectives
 from dsplan.objectives import Evaluator, Score
@@ -172,6 +175,56 @@ def test_score_blocks_count_the_motion_options(tower36, monkeypatch):
     rng = np.random.default_rng(4)
     perms = np.array([rng.permutation(ev.n) for _ in range(10)])
     assert_scored_in_blocks(ev, perms, 3, monkeypatch)
+
+
+def with_extra_motions(ds, k, count):
+    """``ds`` with ``count`` extra all-zero motions on its k-th part."""
+    order = ds.matrices.part_order
+    motions = dict(ds.motions.motions)
+    motions[order[k]] += tuple(Motion(r, "+z", np.zeros(len(order), np.uint8))
+                               for r in range(1000, 1000 + count))
+    return ds._replace(motions=MotionTable(order, motions))
+
+
+def test_over_budget_weights_are_a_dataset_error(tower36, tmp_path,
+                                                 monkeypatch, capsys):
+    ds = with_extra_motions(tower36, 5, 100)
+    pid = ds.matrices.part_order[5]
+    most = ds.motions.count(pid)
+    weight_bytes = 4 * 36 * 36 * (most + 8)
+    monkeypatch.setattr(objectives, "MAX_POOL_BYTES", weight_bytes)
+    for mode in MODES:
+        assert Evaluator(ds, mode).weights.nbytes <= weight_bytes
+    monkeypatch.setattr(objectives, "MAX_POOL_BYTES", weight_bytes - 1)
+    for mode in MODES:
+        with pytest.raises(DatasetError, match=(
+                f"^part {pid} has {most} motions, so the weights of 36 parts "
+                f"take about {weight_bytes} bytes, more than "
+                f"{weight_bytes - 1}$")):
+            Evaluator(ds, mode)
+    path = tmp_path / "probe.json"
+    save_dataset(ds, path)
+    capsys.readouterr()
+    for argv in (["plan", "--pop", "8", "--generations", "1",
+                  "--iterations", "1"], ["init-bench", "--trials", "5"]):
+        assert main(argv + ["--dataset", str(path),
+                            "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"dataset error: part {pid} has {most} motions" in err
+        assert "Traceback" not in err
+
+
+def test_motion_probe_weights_and_blocks_within_budget(tower36):
+    # ROADMAP item 2's probe: 3,000 extra motions on one part of the tower
+    ds = with_extra_motions(tower36, 5, 3000)
+    n, most = 36, ds.motions.count(ds.matrices.part_order[5])
+    weight_bytes = 4 * n * n * (most + 8)
+    assert 15_500_000 < weight_bytes < 15_700_000
+    assert weight_bytes <= objectives.MAX_POOL_BYTES
+    ev = Evaluator(ds, "strict")
+    assert ev.weights.nbytes == weight_bytes
+    # init_benchmark's 1,000-row blocks fit the score budget too
+    assert 1000 * 5 * n * (n + ev.weights.shape[1]) <= objectives.MAX_POOL_BYTES
 
 
 def test_motion_table_in_another_part_order_rejected(tower36):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -109,6 +110,11 @@ class TestCatalog:
 
 
 class TestConstraintDegree:
+    def test_translation_layers_rejected(self):
+        # the six translation layers of x_if are not the twelve of x_cf
+        with pytest.raises(ValueError, match="^expected 12 layers, got 6$"):
+            derive_constraint_degree(np.ones((6, 2, 2), dtype=np.uint8))
+
     def test_fully_free_pair(self):
         layers = np.ones((12, 2, 2), dtype=np.uint8)
         assert derive_constraint_degree(layers)[0, 1] == 0
@@ -147,6 +153,16 @@ def _tiny_dataset():
 
 
 class TestDatasetIO:
+    def test_misshapen_x_if_named(self):
+        catalog, matrices, _ = _tiny_dataset()
+        n = matrices.n
+        matrices.interference_free = matrices.interference_free[:, :, :-1]
+        with pytest.raises(ValidationError, match=re.escape(
+                f"x_if must have shape (6, {n}, {n}), got (6, {n}, {n - 1})")
+                ) as err:
+            matrices.validate(catalog)
+        assert err.value.matrix == "x_if"
+
     def test_minimal_two_part_dataset(self, tmp_path):
         ds = make_tower(1, 0, seed=0)
         assert len(ds.catalog) == 2

@@ -192,6 +192,11 @@ class TestNonDominatedSort:
         fronts = non_dominated_sort(np.tile(PENALTY, (6, 1)))
         assert [f.tolist() for f in fronts] == [[0, 1, 2, 3, 4, 5]]
 
+    @pytest.mark.parametrize("objs", [[], np.empty((0, 4))],
+                             ids=["list", "array"])
+    def test_no_vectors_no_fronts(self, objs):
+        assert non_dominated_sort(objs) == []
+
 
 class TestSurvivorRanks:
     @given(st.data())
@@ -225,6 +230,12 @@ class TestDasDennis:
             pts = das_dennis_points(m, p)
             assert len(pts) == math.comb(p + m - 1, m - 1)
             np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, p", [(0, 6), (4, 0)])
+    def test_empty_lattice_rejected(self, m, p):
+        with pytest.raises(ValueError, match="^need n_objectives >= 1 and "
+                                             "divisions >= 1$"):
+            das_dennis_points(m, p)
 
     def test_unique_points(self):
         pts = das_dennis_points(4, 6)

@@ -286,6 +286,13 @@ class TestEvaluate:
                 ev.to_indices(arr)
         assert ev.to_indices(rows[:0]).shape == (0, len(ids))
 
+    def test_unavailable_evaluation_must_score_the_penalty(self):
+        # the violation is named, so only the objectives are at fault
+        with pytest.raises(ValueError, match="^unavailable sequences must "
+                                             "score exactly"):
+            Evaluation(True, False, True, (0.5, 1.0, 1.0, 1.0),
+                       ("motion", 2))
+
     def test_invalid_evaluation_rejected(self):
         with pytest.raises(ValueError):
             Evaluation(False, False, False, (0.5, 1.0, 1.0, 1.0))
