@@ -22,14 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraints import order_rows, stability_rows
-from .model import FIXING_LABELS, PartCatalog, RelationMatrices
+from .model import FIXING_LABELS, DatasetError, PartCatalog, RelationMatrices
 
 _INF = float("inf")
 # fr/sfr give up on a draw that has not settled after this many passes
 _MAX_PASSES = 50
 
 
-class DisconnectedProduct(Exception):
+class DisconnectedProduct(DatasetError):
     """The contact graph over non-ignored parts is not connected."""
 
 

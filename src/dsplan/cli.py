@@ -29,7 +29,7 @@ from .bench import (
     init_benchmark,
     single_objective_run,
 )
-from .ccg import DisconnectedProduct, INIT_METHODS, build_ccg
+from .ccg import INIT_METHODS, build_ccg
 from .constraints import MODES
 from .geomsim import build_dataset, generate_synthetic
 from .model import DatasetError, dataset_digest, load_dataset, save_dataset
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, DisconnectedProduct) as exc:
+    except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # an output file or directory cannot be written

@@ -65,18 +65,18 @@ def order_rows(matrices: RelationMatrices, mode: str) -> np.ndarray:
     return strict if mode == "strict" else _as_written(strict)
 
 
-def motion_rows(motions: MotionTable, mode: str) -> np.ndarray:
-    """Boolean weight rows of the motion term in ``mode``, as ``order_rows``.
+def motion_rows(motions: MotionTable, part_order: tuple[int, ...],
+                mode: str) -> np.ndarray:
+    """Boolean weight rows of the motion term over ``part_order`` in ``mode``.
 
     A part's motions are its strict options; rows beyond its own count stay
     fully blocked, so a part without motions fails.
     """
     _check_mode(mode)
-    order = motions.part_order
-    n = len(order)
-    counts = [motions.count(pid) for pid in order]
+    n = len(part_order)
+    counts = [motions.count(pid) for pid in part_order]
     blocked = np.ones((n, max(counts, default=0) or 1, n), dtype=bool)
-    for j, pid in enumerate(order):
+    for j, pid in enumerate(part_order):
         for r, m in enumerate(motions.motions.get(pid, ())):
             blocked[j, r] = m.row == 0
     # padding rows block every part, so as written they change no verdict

@@ -297,7 +297,7 @@ def synth_motion_table(g: _LabelGrid, x_if: np.ndarray) -> MotionTable:
                                row=x_if[d, :, k].copy())
                         for j, d in enumerate(np.flatnonzero(fits[k])))
              for k, pid in enumerate(g.order)}
-    return MotionTable(g.order, table)
+    return MotionTable(table)
 
 
 def _cells_of(box: np.ndarray, origin) -> np.ndarray:

@@ -10,6 +10,7 @@ Conventions used across the package:
 * Relation matrices are indexed by ``part_order``, the declared list of
   non-ignored part ids.  Entry (i, k) always reads "row part i is the
   still-assembled obstacle, column part k is the part being moved".
+* Motion rows are indexed by the same ``part_order``.
 * Translation layers are ordered +x, +y, +z, -x, -y, -z; the twelve
   constraint-direction layers append +rx, +ry, +rz, -rx, -ry, -rz
   (rotations about the object axes through the moving part's COM).
@@ -195,6 +196,9 @@ class RelationMatrices:
     def validate(self, catalog: PartCatalog | None = None) -> None:
         """Check every structural invariant; raise ValidationError on failure."""
         n = self.n
+        if not n:
+            raise ValidationError("part_order is empty: no part is planned",
+                                  matrix="part_order")
         first: dict[int, int] = {}
         for j, pid in enumerate(self.part_order):
             if first.setdefault(pid, j) != j:
@@ -287,20 +291,17 @@ class Motion:
 
 @dataclass
 class MotionTable:
-    """Candidate motions per part id; a part may legitimately have none."""
+    """Candidate motions per part id; a part may legitimately have none.
+    Every row is indexed by the ``part_order`` that ``validate`` reads."""
 
-    part_order: tuple[int, ...]
     motions: dict[int, tuple[Motion, ...]]
-
-    def __post_init__(self):
-        self.part_order = tuple(int(i) for i in self.part_order)
 
     def count(self, part_id: int) -> int:
         return len(self.motions.get(part_id, ()))
 
-    def validate(self) -> None:
-        n = len(self.part_order)
-        known = set(self.part_order)
+    def validate(self, part_order: tuple[int, ...]) -> None:
+        n = len(part_order)
+        known = set(part_order)
         # one 0/1 check over every row of length n, read in table order
         rows = [m.row for entries in self.motions.values() for m in entries
                 if m.row.shape == (n,)]
@@ -630,6 +631,8 @@ def _dataset_from_doc(doc) -> Dataset:
         _typed_from_json(pid, int, where)
         for where, pid in _items_from_json(doc["part_order"], "part_order"))
     n = len(part_order)
+    if not n:
+        raise SchemaError("part_order is empty: no part is planned")
 
     def as_array(key, shape, dtype):
         return _array_from_json(doc[key], shape, dtype, key)
@@ -672,11 +675,10 @@ def _dataset_from_doc(doc) -> Dataset:
             for _, _, row, where in entries:
                 _array_from_json(row, (n,), np.uint8, f"{where}.row")
         raise
-    motion_map = {pid: tuple(Motion(id=i, kind=kind, row=next(rows))
-                             for i, kind, _, _ in entries)
-                  for pid, entries in fields.items()}
-    motions = MotionTable(part_order, motion_map)
-    motions.validate()
+    motions = MotionTable({pid: tuple(Motion(id=i, kind=kind, row=next(rows))
+                                      for i, kind, _, _ in entries)
+                           for pid, entries in fields.items()})
+    motions.validate(part_order)
     return Dataset(catalog, matrices, motions)
 
 

@@ -131,20 +131,16 @@ class Evaluator:
     ``score`` reduces the terms to verdicts and the degree to f_d; the
     other objectives are gathers over the ``(P, n)`` index array, f_e's
     travel from ``dist``, the ``(n, n)`` table of centre-of-mass distances.
-    The single-sequence answers are row 0 of a population of one.  The
-    motion table must share the matrices' ``part_order``, and a
-    ``DatasetError`` rejects it before anything is allocated when the
-    strict weights, 4 * n * n * (M + 8) bytes for the largest motion count
-    M, exceed ``MAX_POOL_BYTES``; both modes share that one rule.
+    The single-sequence answers are row 0 of a population of one.  A
+    ``DatasetError`` rejects a dataset before anything is allocated when
+    the strict weights, 4 * n * n * (M + 8) bytes for the largest motion
+    count M, exceed ``MAX_POOL_BYTES``; both modes share that one rule.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
         catalog, matrices, motions = dataset
         self.dataset = dataset
         self.part_order = order = matrices.part_order
-        if motions.part_order != order:
-            raise ValueError("the motion table's part_order differs from "
-                             "the relation matrices'")
         self.n = len(order)
         # the strict weights: 6 order, M motion, stability and degree options
         most = max(order, key=motions.count, default=None)
@@ -156,7 +152,7 @@ class Evaluator:
                 f"more than {MAX_POOL_BYTES}")
         self._lookup = np.full(max(order, default=0) + 2, -1, dtype=np.int64)
         self._lookup[list(order)] = np.arange(self.n)
-        blocks = (order_rows(matrices, mode), motion_rows(motions, mode),
+        blocks = (order_rows(matrices, mode), motion_rows(motions, order, mode),
                   stability_rows(matrices),
                   matrices.constraint_degree.T[:, None, :])
         self.weights = np.concatenate(

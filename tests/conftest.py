@@ -2,12 +2,24 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dsplan.geomsim import build_dataset, generate_synthetic
-from dsplan.model import DatasetError, dataset_to_json, load_dataset
+from dsplan.model import (
+    Dataset,
+    DatasetError,
+    Motion,
+    MotionTable,
+    Part,
+    PartCatalog,
+    RelationMatrices,
+    dataset_to_json,
+    derive_constraint_degree,
+    load_dataset,
+)
 
 
 def make_tower(layers, screws, manual=0.0, priority=0, seed=0):
@@ -15,6 +27,104 @@ def make_tower(layers, screws, manual=0.0, priority=0, seed=0):
         n_layers=layers, screws_per_layer=screws, manual_fraction=manual,
         priority_count=priority, seed=seed)
     return build_dataset(assembly, catalog)
+
+
+def criterion12_tower(layers):
+    """The screw tower of acceptance criterion 12 with ``layers`` layers."""
+    return make_tower(layers, 4, manual=0.3, priority=2, seed=12)
+
+
+def free_product(parts, contacts, blocked=None):
+    """Hand-built dataset over ``parts``, ids 1..n, in which every
+    translation is free and each part has one free +z motion.  The pairs of
+    ``contacts`` touch, and each ``(layer, a, b)`` of ``blocked`` is a
+    small-clearance constraint direction blocked for part b against part
+    a; by default +/-z both ways for each contact, so that cs >= 1."""
+    catalog = PartCatalog(tuple(parts))
+    n = len(parts)
+    x_if = np.ones((6, n, n), dtype=np.uint8)
+    x_cf = np.ones((12, n, n), dtype=np.uint8)
+    x_ct = np.zeros((n, n), dtype=np.uint8)
+    for a, b in contacts:
+        x_ct[a - 1, b - 1] = x_ct[b - 1, a - 1] = 1
+    if blocked is None:
+        blocked = [(j, *pair) for a, b in contacts for j in (2, 5)
+                   for pair in ((a, b), (b, a))]
+    for j, a, b in blocked:
+        x_cf[j, a - 1, b - 1] = 0
+    matrices = RelationMatrices(tuple(range(1, n + 1)), x_if, x_cf, x_ct,
+                                derive_constraint_degree(x_cf))
+    matrices.validate(catalog)
+    motions = MotionTable({
+        i: (Motion(0, "+z", np.ones(n, dtype=np.uint8)),)
+        for i in range(1, n + 1)})
+    return Dataset(catalog, matrices, motions)
+
+
+def chain_product(n, contacts=None):
+    """Hand-built dataset: n graspable parts, all translations free, chain
+    contacts by default."""
+    parts = [Part(i, f"p{i}_graspable", "graspable",
+                  com=(float(i), 0.0, 0.0)) for i in range(1, n + 1)]
+    pairs = contacts if contacts is not None else [(i, i + 1)
+                                                   for i in range(1, n)]
+    return free_product(parts, pairs)
+
+
+def custom_product(specs, cs_pairs=None):
+    """Dataset with hand-picked labels/coms; all constraints permissive.
+
+    specs: list of (task_label, priority, com) per part, ids 1..n.
+    cs_pairs: {(a, b): degree} entries forced into the degree matrix by
+    blocking that many constraint directions.
+    """
+    parts = []
+    for i, (task, prio, com) in enumerate(specs, start=1):
+        parts.append(Part(i, f"p{i}_{task}" + ("_value" if prio else ""),
+                          task, priority=prio, com=com))
+    if cs_pairs is None:
+        # chain contacts so every order is stable-checkable; pair them with
+        # a +/-z block to keep the contact=>degree invariant intact
+        return free_product(parts, [(a, a + 1) for a in range(1, len(parts))])
+    blocked = []
+    for (a, b), degree in cs_pairs.items():
+        assert degree <= 6
+        # block translation j for both orderings, transpose-consistent
+        blocked += [(j, a, b) for j in range(degree)]
+        blocked += [((j + 3) % 6, b, a) for j in range(degree)]
+    return free_product(parts, list(cs_pairs), blocked)
+
+
+def graph_product(contacts, n, fixing=(), base=None, sizes=None):
+    parts = []
+    for i in range(1, n + 1):
+        task = "screw" if i in fixing else "graspable"
+        name = f"p{i}_{task}" + ("_base" if i == base else "")
+        parts.append(Part(i, name, task, base=(i == base),
+                          size=None if sizes is None else sizes[i - 1]))
+    return free_product(parts, contacts)[:2]
+
+
+def random_product(n, seed):
+    """Random relation matrices (not a physical product) with 0-3 motions
+    per part and random manual labels, so the strict rows are padded."""
+    rng = np.random.default_rng(seed)
+    parts = tuple(Part(i, f"p{i}", task, com=tuple(rng.normal(size=3)),
+                       priority=bool(rng.random() < 0.3))
+                  for i, task in enumerate(
+                      rng.choice(["graspable", "manual", "screw"], n), 1))
+    contact = np.triu(rng.random((n, n)) < 0.5, 1)
+    matrices = RelationMatrices(
+        tuple(range(1, n + 1)),
+        (rng.random((6, n, n)) < 0.7).astype(np.uint8),
+        np.ones((12, n, n), dtype=np.uint8),
+        (contact | contact.T).astype(np.uint8),
+        rng.integers(0, 13, (n, n)).astype(np.int16))
+    motions = MotionTable({
+        pid: tuple(Motion(r, "+z", (rng.random(n) < 0.8).astype(np.uint8))
+                   for r in range(rng.integers(0, 4)))
+        for pid in matrices.part_order})
+    return Dataset(PartCatalog(parts), matrices, motions)
 
 
 def canonical_text(doc) -> str:
@@ -168,6 +278,14 @@ def _motion_key_not_a_part_id(doc):
     return "motion key 'x' is not a part id"
 
 
+def _empty_part_order(doc):
+    # a product that plans no part: every part ignored
+    for part in doc["parts"]:
+        part["labels"]["ignore"] = True
+    doc["part_order"] = []
+    return "part_order is empty: no part is planned"
+
+
 # Mutations of a saved dataset document that the loader must reject with a
 # SchemaError; each edits the document in place and returns the text the
 # error message must contain.
@@ -186,4 +304,5 @@ MALFORMED = {"motion-without-row": _motion_without_row,
              "numeric-eef": _numeric_eef,
              "list-eef": _list_eef,
              "com-int-too-large-for-a-float": _com_int_too_large_for_a_float,
-             "motion-key-not-a-part-id": _motion_key_not_a_part_id}
+             "motion-key-not-a-part-id": _motion_key_not_a_part_id,
+             "empty-part_order": _empty_part_order}

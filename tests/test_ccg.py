@@ -17,38 +17,15 @@ from dsplan.ccg import (
     random_init,
     sfr_init,
 )
-from dsplan.model import (
-    Part,
-    PartCatalog,
-    RelationMatrices,
-    derive_constraint_degree,
-)
+from dsplan.model import DatasetError, Part, PartCatalog
 from dsplan.objectives import Evaluator
-from conftest import make_tower
-from test_constraints import chain_product
-from test_kernel import random_product
-
-
-def graph_product(contacts, n, fixing=(), base=None, sizes=None):
-    parts = []
-    for i in range(1, n + 1):
-        task = "screw" if i in fixing else "graspable"
-        name = f"p{i}_{task}" + ("_base" if i == base else "")
-        parts.append(Part(i, name, task, base=(i == base),
-                          size=None if sizes is None else sizes[i - 1]))
-    catalog = PartCatalog(tuple(parts))
-    x_if = np.ones((6, n, n), dtype=np.uint8)
-    x_cf = np.ones((12, n, n), dtype=np.uint8)
-    x_ct = np.zeros((n, n), dtype=np.uint8)
-    for a, b in contacts:
-        x_ct[a - 1, b - 1] = x_ct[b - 1, a - 1] = 1
-        for j in (2, 5):
-            x_cf[j, a - 1, b - 1] = 0
-            x_cf[j, b - 1, a - 1] = 0
-    matrices = RelationMatrices(tuple(range(1, n + 1)), x_if, x_cf, x_ct,
-                                derive_constraint_degree(x_cf))
-    matrices.validate(catalog)
-    return catalog, matrices
+from conftest import (
+    chain_product,
+    criterion12_tower,
+    graph_product,
+    make_tower,
+    random_product,
+)
 
 
 class TestBuildCcg:
@@ -71,6 +48,7 @@ class TestBuildCcg:
         catalog, matrices = graph_product([(1, 2)], 3, base=1)
         with pytest.raises(DisconnectedProduct):
             build_ccg(catalog, matrices)
+        assert issubclass(DisconnectedProduct, DatasetError)
 
     def test_disconnected_product_names_parts_the_root_cannot_reach(self):
         # the root is part 3, so parts 1 and 2 are the ones cut off
@@ -267,11 +245,6 @@ class TestRearrangement:
     def test_make_initializer_rejects_unknown(self, tower5):
         with pytest.raises(ValueError):
             make_initializer("nope", tower5.catalog, tower5.matrices)
-
-
-def criterion12_tower(layers):
-    """The screw tower of acceptance criterion 12 with ``layers`` layers."""
-    return make_tower(layers, 4, manual=0.3, priority=2, seed=12)
 
 
 def _all_free_chain():

@@ -588,7 +588,7 @@ def _one_part_doc():
                                 derive_constraint_degree(x_cf))
     catalog = PartCatalog((Part(1, "block_plate_base", "plate", base=True),))
     return json.loads(dataset_to_json(
-        Dataset(catalog, matrices, MotionTable((1,), {}))))
+        Dataset(catalog, matrices, MotionTable({}))))
 
 
 def _all_x_if_blocked_doc():

@@ -11,35 +11,9 @@ from dsplan.model import (
     MotionTable,
     Part,
     PartCatalog,
-    RelationMatrices,
-    derive_constraint_degree,
 )
 from dsplan.objectives import Evaluation, Evaluator, evaluate
-
-
-def chain_product(n, contacts=None):
-    """Hand-built dataset: n graspable parts, all translations free, chain
-    contacts by default."""
-    parts = tuple(Part(i, f"p{i}_graspable", "graspable",
-                       com=(float(i), 0.0, 0.0)) for i in range(1, n + 1))
-    catalog = PartCatalog(parts)
-    x_if = np.ones((6, n, n), dtype=np.uint8)
-    x_cf = np.ones((12, n, n), dtype=np.uint8)
-    x_ct = np.zeros((n, n), dtype=np.uint8)
-    pairs = contacts if contacts is not None else [(i, i + 1)
-                                                   for i in range(1, n)]
-    for a, b in pairs:
-        x_ct[a - 1, b - 1] = x_ct[b - 1, a - 1] = 1
-        for j in (2, 5):    # block +/-z at small clearance so cs >= 1
-            x_cf[j, a - 1, b - 1] = 0
-            x_cf[j, b - 1, a - 1] = 0
-    matrices = RelationMatrices(tuple(range(1, n + 1)), x_if, x_cf, x_ct,
-                                derive_constraint_degree(x_cf))
-    matrices.validate(catalog)
-    motions = MotionTable(matrices.part_order, {
-        i: (Motion(0, "+z", np.ones(n, dtype=np.uint8)),)
-        for i in range(1, n + 1)})
-    return Dataset(catalog, matrices, motions)
+from conftest import chain_product
 
 
 def terms_at(ds, perms, mode="as-written"):
@@ -121,7 +95,7 @@ class TestMotionFeasibility:
 
     def test_zero_motion_part_fails_at_checked_position(self):
         ds = chain_product(3)
-        motions = MotionTable(ds.matrices.part_order, {
+        motions = MotionTable({
             1: (Motion(0, "+z", np.ones(3, dtype=np.uint8)),),
             2: (Motion(0, "+z", np.ones(3, dtype=np.uint8)),),
             3: (),
@@ -136,7 +110,7 @@ class TestMotionFeasibility:
                  Part(2, "b_manual", "manual"))
         catalog = PartCatalog(parts)
         base = chain_product(2)
-        motions = MotionTable((1, 2), {
+        motions = MotionTable({
             1: (Motion(0, "+z", np.ones(2, dtype=np.uint8)),),
             2: (),   # no robot motion exists for the manual part
         })
@@ -172,7 +146,7 @@ class TestMotionFeasibility:
                 new_entries.append(type(m)(m.id, m.kind, row))
             doctored[pid] = tuple(new_entries)
             tampered = Dataset(catalog, matrices,
-                               type(motions)(motions.part_order, doctored))
+                               type(motions)(doctored))
             assert (terms_at(tampered, perm)["motion"][0][k]
                     == baseline[k])
 

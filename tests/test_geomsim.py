@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -18,6 +19,7 @@ from dsplan.geomsim import (
 from dsplan.model import (
     Part,
     PartCatalog,
+    ValidationError,
     dataset_to_json,
     derive_constraint_degree,
     parse_labels,
@@ -152,6 +154,14 @@ class TestBuildRejects:
         asm = _assembly({2: _cube(0, 0, -3, 2), 1: []})
         with pytest.raises(ValueError, match="part 1 has no cells"):
             build_dataset(asm, _catalog(2))
+
+    def test_every_part_ignored(self):
+        asm, catalog = generate_synthetic(2, 1, seed=1)
+        ignored = PartCatalog(tuple(dataclasses.replace(p, ignore=True)
+                                    for p in catalog))
+        with pytest.raises(ValidationError, match="^part_order is empty: "
+                                                  "no part is planned$"):
+            build_dataset(asm, ignored)
 
 
 def _at(g, cells):
@@ -415,7 +425,7 @@ class TestGenerator:
                                      (2, 4, 1)):
             ds = make_tower(layers, screws, seed=seed)
             ds.matrices.validate(ds.catalog)
-            ds.motions.validate()
+            ds.motions.validate(ds.matrices.part_order)
 
     def test_label_sprinkling(self):
         _, cat = generate_synthetic(4, 1, manual_fraction=0.5,

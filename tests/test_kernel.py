@@ -27,13 +27,11 @@ from dsplan.model import (
     MotionTable,
     Part,
     PartCatalog,
-    RelationMatrices,
     save_dataset,
 )
 from dsplan import objectives
 from dsplan.objectives import Evaluator, Score
-from conftest import make_tower
-from test_constraints import chain_product
+from conftest import chain_product, make_tower, random_product
 
 MODES = ("as-written", "strict")
 
@@ -165,12 +163,7 @@ def test_score_in_row_blocks(tower36, mode, block, monkeypatch):
 def test_score_blocks_count_the_motion_options(tower36, monkeypatch):
     # 1,000 extra motions on one part make 1,000 strict options, so the
     # counts, not the n * n before-matrix, take most of a row's bytes
-    order = tower36.matrices.part_order
-    motions = dict(tower36.motions.motions)
-    motions[order[5]] += tuple(Motion(r, "+z", np.zeros(len(order), np.uint8))
-                               for r in range(1000, 2000))
-    ev = Evaluator(tower36._replace(motions=MotionTable(order, motions)),
-                   "strict")
+    ev = Evaluator(with_extra_motions(tower36, 5, 1000), "strict")
     assert ev.weights.shape[1] > 1000
     rng = np.random.default_rng(4)
     perms = np.array([rng.permutation(ev.n) for _ in range(10)])
@@ -183,7 +176,7 @@ def with_extra_motions(ds, k, count):
     motions = dict(ds.motions.motions)
     motions[order[k]] += tuple(Motion(r, "+z", np.zeros(len(order), np.uint8))
                                for r in range(1000, 1000 + count))
-    return ds._replace(motions=MotionTable(order, motions))
+    return ds._replace(motions=MotionTable(motions))
 
 
 def test_over_budget_weights_are_a_dataset_error(tower36, tmp_path,
@@ -227,16 +220,6 @@ def test_motion_probe_weights_and_blocks_within_budget(tower36):
     assert 1000 * 5 * n * (n + ev.weights.shape[1]) <= objectives.MAX_POOL_BYTES
 
 
-def test_motion_table_in_another_part_order_rejected(tower36):
-    # read in its own order, the reversed table would fail the motion term
-    # of the tower's own part_order sequence, which is available
-    order = tower36.matrices.part_order
-    assert Evaluator(tower36).evaluate(order).available
-    reversed_table = MotionTable(order[::-1], tower36.motions.motions)
-    with pytest.raises(ValueError, match="motion table's part_order"):
-        Evaluator(tower36._replace(motions=reversed_table))
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_empty_population_scores_empty(tower36, mode):
     ev = Evaluator(tower36, mode)
@@ -259,7 +242,7 @@ def test_small_chains(n, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_part_without_motions(mode):
     ds = chain_product(4)
-    motions = MotionTable(ds.matrices.part_order, {
+    motions = MotionTable({
         pid: (Motion(0, "+z", np.ones(4, dtype=np.uint8)),)
         for pid in (1, 2, 4)})
     ds = Dataset(ds.catalog, ds.matrices, motions)
@@ -269,8 +252,7 @@ def test_part_without_motions(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_no_part_has_motions(mode):
     ds = chain_product(3)
-    ds = Dataset(ds.catalog, ds.matrices,
-                 MotionTable(ds.matrices.part_order, {}))
+    ds = Dataset(ds.catalog, ds.matrices, MotionTable({}))
     assert_kernel_matches(ds, _all_perms(3), mode)
 
 
@@ -280,33 +262,10 @@ def test_all_manual_product(mode):
     catalog = PartCatalog(tuple(
         Part(p.id, f"p{p.id}_manual", "manual", com=p.com)
         for p in base.catalog))
-    ds = Dataset(catalog, base.matrices,
-                 MotionTable(base.matrices.part_order, {}))
+    ds = Dataset(catalog, base.matrices, MotionTable({}))
     assert_kernel_matches(ds, _all_perms(4), mode)
     score = Evaluator(ds, mode).score(np.array(_all_perms(4)))
     assert (score.stable == (score.feasible & score.stable)).all()
-
-
-def random_product(n, seed):
-    """Random relation matrices (not a physical product) with 0-3 motions
-    per part and random manual labels, so the strict rows are padded."""
-    rng = np.random.default_rng(seed)
-    parts = tuple(Part(i, f"p{i}", task, com=tuple(rng.normal(size=3)),
-                       priority=bool(rng.random() < 0.3))
-                  for i, task in enumerate(
-                      rng.choice(["graspable", "manual", "screw"], n), 1))
-    contact = np.triu(rng.random((n, n)) < 0.5, 1)
-    matrices = RelationMatrices(
-        tuple(range(1, n + 1)),
-        (rng.random((6, n, n)) < 0.7).astype(np.uint8),
-        np.ones((12, n, n), dtype=np.uint8),
-        (contact | contact.T).astype(np.uint8),
-        rng.integers(0, 13, (n, n)).astype(np.int16))
-    motions = MotionTable(matrices.part_order, {
-        pid: tuple(Motion(r, "+z", (rng.random(n) < 0.8).astype(np.uint8))
-                   for r in range(rng.integers(0, 4)))
-        for pid in matrices.part_order})
-    return Dataset(PartCatalog(parts), matrices, motions)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -325,7 +284,8 @@ def test_bit_rows_match_weight_rows(product, request):
     for mode in MODES:
         for term, weights in (
                 ("order", order_rows(ds.matrices, mode)),
-                ("motion", motion_rows(ds.motions, mode)),
+                ("motion", motion_rows(ds.motions, ds.matrices.part_order,
+                                       mode)),
                 ("stability", stability_rows(ds.matrices))):
             rows = _pack_rows(weights)
             bits = [[[bool(mask >> b & 1) for b in range(n)]

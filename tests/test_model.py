@@ -425,7 +425,7 @@ def _one_part_dataset():
 
 
 def _without_motions(ds, table):
-    return ds._replace(motions=MotionTable(ds.matrices.part_order, table))
+    return ds._replace(motions=MotionTable(table))
 
 
 def _writer_case(name):
@@ -461,7 +461,7 @@ def _writer_case(name):
         motions[pid] = tuple(dataclasses.replace(m, kind='"row":[1]')
                              for m in entries)
         return Dataset(PartCatalog(parts), ds.matrices,
-                       MotionTable(ds.matrices.part_order, motions))
+                       MotionTable(motions))
     assert name == "escaped-text"
     names = ['a"quote_screw', "back\\slash_plate", "new\nline_graspable",
              "tab\t\u00e9\u2603_manual", "ctrl\x01_nut"]
@@ -471,7 +471,7 @@ def _writer_case(name):
     motions[pid] = tuple(dataclasses.replace(m, kind='k"\\\u00fc')
                          for m in entries)
     return Dataset(PartCatalog(parts), ds.matrices,
-                   MotionTable(ds.matrices.part_order, motions))
+                   MotionTable(motions))
 
 
 class TestCanonicalText:
@@ -511,7 +511,7 @@ class TestCanonicalText:
             for pid in order if rng.random() < 0.8}
         catalog = PartCatalog(tuple(Part(pid, f"p{pid}_screw", "screw")
                                     for pid in range(1, n + 1)))
-        ds = Dataset(catalog, matrices, MotionTable(order, table))
+        ds = Dataset(catalog, matrices, MotionTable(table))
         assert dataset_to_json(ds) == oracle.dataset_json(ds)
 
     @pytest.mark.parametrize("field, index, value, where", [
@@ -681,7 +681,7 @@ class TestMotionTableValidate:
                             for j, row in enumerate(rows))}
         if unknown:
             motions[9] = ()
-        return MotionTable((1, 2, 3), motions)
+        return MotionTable(motions)
 
     @pytest.mark.parametrize("rows, unknown, message", [
         (([1, 1, 0], [0, 2, 1], [1, 1]), False,
@@ -696,11 +696,11 @@ class TestMotionTableValidate:
     ])
     def test_first_bad_motion_named(self, rows, unknown, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            self._table(*rows, unknown=unknown).validate()
+            self._table(*rows, unknown=unknown).validate((1, 2, 3))
 
     def test_binary_rows_pass(self):
-        self._table([1, 0, 1], [0, 0, 0]).validate()
-        self._table().validate()
+        self._table([1, 0, 1], [0, 0, 0]).validate((1, 2, 3))
+        self._table().validate((1, 2, 3))
 
 
 class TestSequences:
@@ -732,7 +732,7 @@ class TestSequences:
         m = RelationMatrices((1, 2), x_if, x_cf, x_ct,
                              derive_constraint_degree(x_cf))
         m.validate(cat)
-        rows = MotionTable((1, 2), {1: (Motion(0, "+z", np.ones(2, np.uint8)),)})
-        rows.validate()
+        rows = MotionTable({1: (Motion(0, "+z", np.ones(2, np.uint8)),)})
+        rows.validate((1, 2))
         ds = Dataset(cat, m, rows)
         assert len(ds.catalog.non_ignored_ids()) == 2

@@ -32,7 +32,7 @@ from dsplan.nsga3 import (
     run,
 )
 from dsplan.objectives import PENALTY, Evaluator, Score, evaluate
-from test_ccg import criterion12_tower
+from conftest import criterion12_tower
 
 
 @pytest.fixture(scope="module")

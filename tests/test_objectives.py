@@ -5,15 +5,6 @@ import pytest
 
 import oracle
 from dsplan.constraints import positions
-from dsplan.model import (
-    Dataset,
-    Motion,
-    MotionTable,
-    Part,
-    PartCatalog,
-    RelationMatrices,
-    derive_constraint_degree,
-)
 from dsplan.objectives import (
     OBJECTIVE_KEYS,
     PENALTY,
@@ -21,7 +12,7 @@ from dsplan.objectives import (
     Evaluator,
     evaluate,
 )
-from test_constraints import chain_product
+from conftest import chain_product, custom_product
 
 
 def objective(ds, seq, key):
@@ -32,46 +23,6 @@ def objective(ds, seq, key):
     pos = positions(perms)
     degree = ev.terms(perms, pos)[1]
     return ev._objectives(perms, pos, degree)[0, OBJECTIVE_KEYS.index(key)]
-
-
-def custom_product(specs, cs_pairs=None):
-    """Dataset with hand-picked labels/coms; all constraints permissive.
-
-    specs: list of (task_label, priority, com) per part, ids 1..n.
-    cs_pairs: {(a, b): degree} entries forced into the degree matrix by
-    blocking that many constraint directions.
-    """
-    parts = []
-    for i, (task, prio, com) in enumerate(specs, start=1):
-        parts.append(Part(i, f"p{i}_{task}" + ("_value" if prio else ""),
-                          task, priority=prio, com=com))
-    catalog = PartCatalog(tuple(parts))
-    n = len(parts)
-    x_if = np.ones((6, n, n), dtype=np.uint8)
-    x_cf = np.ones((12, n, n), dtype=np.uint8)
-    x_ct = np.zeros((n, n), dtype=np.uint8)
-    for (a, b), degree in (cs_pairs or {}).items():
-        assert degree <= 6
-        x_ct[a - 1, b - 1] = x_ct[b - 1, a - 1] = 1
-        for j in range(degree):
-            # block translation j for both orderings, transpose-consistent
-            x_cf[j, a - 1, b - 1] = 0
-            x_cf[(j + 3) % 6, b - 1, a - 1] = 0
-    if cs_pairs is None:
-        # chain contacts so every order is stable-checkable; pair them with
-        # a +/-z block to keep the contact=>degree invariant intact
-        for a in range(1, n):
-            x_ct[a - 1, a] = x_ct[a, a - 1] = 1
-            for j in (2, 5):
-                x_cf[j, a - 1, a] = 0
-                x_cf[j, a, a - 1] = 0
-    matrices = RelationMatrices(tuple(range(1, n + 1)), x_if, x_cf, x_ct,
-                                derive_constraint_degree(x_cf))
-    matrices.validate(catalog)
-    motions = MotionTable(matrices.part_order, {
-        i: (Motion(0, "+z", np.ones(n, dtype=np.uint8)),)
-        for i in range(1, n + 1)})
-    return Dataset(catalog, matrices, motions)
 
 
 class TestDifficulty:
