@@ -25,7 +25,6 @@ from .model import (
     SchemaError,
     TransposeViolation,
     ValidationError,
-    derive_constraint_degree,
     load_dataset,
     parse_labels,
     removal_order,

@@ -35,7 +35,6 @@ from .model import (
     Part,
     PartCatalog,
     RelationMatrices,
-    derive_constraint_degree,
     parse_labels,
 )
 
@@ -402,7 +401,6 @@ def build_dataset(assembly: VoxelAssembly, catalog: PartCatalog,
     x_if = interference_free_matrices(g)
     x_cf = constraint_free_matrices(g, clearance, angle)
     x_ct = contact_matrix(g)
-    matrices = RelationMatrices(g.order, x_if, x_cf, x_ct,
-                                derive_constraint_degree(x_cf))
+    matrices = RelationMatrices(g.order, x_if, x_cf, x_ct)
     matrices.validate(catalog)
     return Dataset(catalog, matrices, synth_motion_table(g, x_if))

@@ -176,15 +176,13 @@ class RelationMatrices:
     constraint_free:   (12, N, N) binary, small-clearance translations and
                        small-angle rotations.
     contact:           (N, N) binary face-adjacency.
-    constraint_degree: (N, N) integers in 0..12, 12 minus the count of free
-                       constraint directions for the pair.
+    constraint_degree: x_cs, derived from constraint_free on each read.
     """
 
     part_order: tuple[int, ...]
     interference_free: np.ndarray
     constraint_free: np.ndarray
     contact: np.ndarray
-    constraint_degree: np.ndarray
 
     def __post_init__(self):
         self.part_order = tuple(int(i) for i in self.part_order)
@@ -192,6 +190,14 @@ class RelationMatrices:
     @property
     def n(self) -> int:
         return len(self.part_order)
+
+    @property
+    def constraint_degree(self) -> np.ndarray:
+        """(N, N) int16: 12 minus each pair's free directions; 0 diagonal."""
+        degree = (MAX_CONSTRAINT_DEGREE
+                  - self.constraint_free.sum(axis=0)).astype(np.int16)
+        np.fill_diagonal(degree, 0)
+        return degree
 
     def validate(self, catalog: PartCatalog | None = None) -> None:
         """Check every structural invariant; raise ValidationError on failure."""
@@ -241,12 +247,6 @@ class RelationMatrices:
         _raise_at(np.eye(n, dtype=bool) & (self.contact == 1), "x_ct",
                   lambda i, k: f"x_ct diagonal must be zero, violated at "
                                f"({i}, {k})")
-        # with every twin checked, the derived degree is symmetric, and so
-        # is an x_cs equal to it
-        derived = derive_constraint_degree(self.constraint_free)
-        _raise_at(self.constraint_degree != derived, "x_cs", lambda i, k: (
-            f"x_cs({i}, {k}) = {int(self.constraint_degree[i, k])} does "
-            f"not match the value {int(derived[i, k])} derived from x_cf"))
         _raise_at((self.contact == 1) & (self.constraint_degree < 1), "x_cs",
                   lambda i, k: ("parts in contact must have constraint "
                                 f"degree >= 1, violated at ({i}, {k})"))
@@ -259,20 +259,6 @@ def _raise_at(bad: np.ndarray, matrix: str, message,
     if bad.any():
         index = tuple(int(i) for i in np.argwhere(bad)[0])
         raise error(message(*index), matrix=matrix, index=index)
-
-
-def derive_constraint_degree(constraint_free: np.ndarray) -> np.ndarray:
-    """Constraint degree = 12 minus the number of free directions per pair.
-
-    The diagonal is forced to zero regardless of the layer contents.
-    """
-    if constraint_free.shape[0] != N_DIRECTIONS:
-        raise ValueError(f"expected {N_DIRECTIONS} layers, "
-                         f"got {constraint_free.shape[0]}")
-    degree = (MAX_CONSTRAINT_DEGREE
-              - constraint_free.sum(axis=0)).astype(np.int16)
-    np.fill_diagonal(degree, 0)
-    return degree
 
 
 @dataclass(frozen=True)
@@ -537,8 +523,9 @@ def load_dataset(path: str | Path) -> Dataset:
 
     Text laid out as ``dataset_to_json`` writes it is read from its arrays
     (``_canonical_doc``), and that dataset is returned only when it renders
-    back to the same bytes.  Any other text, and every error, goes through
-    ``json.loads``, so both ways give the same dataset or the same error.
+    back to the same bytes, x_cs (the degree derived from x_cf) included.
+    Any other text, and every error, goes through ``json.loads``, so both
+    ways give the same dataset or the same error.
     """
     data = _read_bytes(path)
     doc = _canonical_doc(data)
@@ -572,9 +559,9 @@ def _canonical_doc(data: bytes) -> dict | None:
     None when it is not laid out so.
 
     The 0/1 blocks (x_cf, x_ct, x_if, the last keys but x_cs) and the motion
-    rows are read as digits, one numpy pass each; ``json.loads`` reads only
-    the rest.  Nothing here checks what it cuts out: the caller accepts the
-    result only when it renders back to ``data``.
+    rows are read as digits, one numpy pass each; ``json.loads`` reads the
+    rest but x_cs, which the loader derives.  Nothing here checks what it cuts
+    out: the caller accepts the result only when it renders back to ``data``.
     """
     # where each of the four blocks starts, then the end of the last one,
     # before the closing "}\n"
@@ -586,8 +573,7 @@ def _canonical_doc(data: bytes) -> dict | None:
     # text and rows alternate; each row is kept as the placeholder 0
     head = _ROW.split(data[:cuts[0]])
     try:
-        doc = json.loads(b'"row":0'.join(head[::2]) + data[cuts[1]:cuts[2]]
-                         + b"}")
+        doc = json.loads(b'"row":0'.join(head[::2]) + b"}")
         n = len(doc["part_order"])
         rows = _digits(b",".join(head[1::2]), (len(head) // 2, n))
         motions = [m for entries in doc["motions"].values() for m in entries]
@@ -640,12 +626,16 @@ def _dataset_from_doc(doc) -> Dataset:
     x_if = as_array("x_if", (N_TRANSLATIONS, n, n), np.uint8)
     x_cf = as_array("x_cf", (N_DIRECTIONS, n, n), np.uint8)
     x_ct = as_array("x_ct", (n, n), np.uint8)
-    if doc.get("x_cs") is not None:
+    x_cs = doc.get("x_cs")
+    if x_cs is not None:
         x_cs = as_array("x_cs", (n, n), np.int16)
-    else:
-        x_cs = derive_constraint_degree(x_cf)
-    matrices = RelationMatrices(part_order, x_if, x_cf, x_ct, x_cs)
+    matrices = RelationMatrices(part_order, x_if, x_cf, x_ct)
     matrices.validate(catalog)
+    if x_cs is not None:    # after validate, so a fault in x_cf is named first
+        derived = matrices.constraint_degree
+        _raise_at(x_cs != derived, "x_cs", lambda i, k: (
+            f"x_cs({i}, {k}) = {int(x_cs[i, k])} does not match the value "
+            f"{int(derived[i, k])} derived from x_cf"))
 
     if not isinstance(doc["motions"], dict):
         raise SchemaError("motions must be an object keyed by part id")

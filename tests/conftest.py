@@ -17,7 +17,6 @@ from dsplan.model import (
     PartCatalog,
     RelationMatrices,
     dataset_to_json,
-    derive_constraint_degree,
     load_dataset,
 )
 
@@ -52,8 +51,7 @@ def free_product(parts, contacts, blocked=None):
                    for pair in ((a, b), (b, a))]
     for j, a, b in blocked:
         x_cf[j, a - 1, b - 1] = 0
-    matrices = RelationMatrices(tuple(range(1, n + 1)), x_if, x_cf, x_ct,
-                                derive_constraint_degree(x_cf))
+    matrices = RelationMatrices(tuple(range(1, n + 1)), x_if, x_cf, x_ct)
     matrices.validate(catalog)
     motions = MotionTable({
         i: (Motion(0, "+z", np.ones(n, dtype=np.uint8)),)
@@ -107,7 +105,9 @@ def graph_product(contacts, n, fixing=(), base=None, sizes=None):
 
 def random_product(n, seed):
     """Random relation matrices (not a physical product) with 0-3 motions
-    per part and random manual labels, so the strict rows are padded."""
+    per part and random manual labels, so the strict rows are padded.  Each
+    pair blocks a random number (0-12) of its x_cf directions, so the
+    constraint degree varies."""
     rng = np.random.default_rng(seed)
     parts = tuple(Part(i, f"p{i}", task, com=tuple(rng.normal(size=3)),
                        priority=bool(rng.random() < 0.3))
@@ -117,9 +117,9 @@ def random_product(n, seed):
     matrices = RelationMatrices(
         tuple(range(1, n + 1)),
         (rng.random((6, n, n)) < 0.7).astype(np.uint8),
-        np.ones((12, n, n), dtype=np.uint8),
-        (contact | contact.T).astype(np.uint8),
-        rng.integers(0, 13, (n, n)).astype(np.int16))
+        (np.arange(12)[:, None, None]
+         >= rng.integers(0, 13, (n, n))).astype(np.uint8),
+        (contact | contact.T).astype(np.uint8))
     motions = MotionTable({
         pid: tuple(Motion(r, "+z", (rng.random(n) < 0.8).astype(np.uint8))
                    for r in range(rng.integers(0, 4)))

@@ -12,6 +12,15 @@ import math
 import numpy as np
 
 
+def constraint_degree(matrices):
+    """x_cs: 12 minus the free x_cf directions of each pair, with a zero
+    diagonal, counted from the stored layers."""
+    x_cf = matrices.constraint_free.tolist()
+    n = matrices.n
+    return [[0 if i == k else 12 - sum(layer[i][k] for layer in x_cf)
+             for k in range(n)] for i in range(n)]
+
+
 def extract(dataset):
     """Pull plain-python tables out of a Dataset for the oracle functions."""
     catalog, matrices, motions = dataset
@@ -19,7 +28,7 @@ def extract(dataset):
     n = len(order)
     x_if = matrices.interference_free.tolist()
     x_ct = matrices.contact.tolist()
-    x_cs = matrices.constraint_degree.tolist()
+    x_cs = constraint_degree(matrices)
     rows = []
     for pid in order:
         rows.append([m.row.tolist() for m in motions.motions.get(pid, ())])
@@ -289,7 +298,7 @@ def dataset_json(dataset):
         "x_if": matrices.interference_free.astype(int).tolist(),
         "x_cf": matrices.constraint_free.astype(int).tolist(),
         "x_ct": matrices.contact.astype(int).tolist(),
-        "x_cs": matrices.constraint_degree.astype(int).tolist(),
+        "x_cs": constraint_degree(matrices),
         "motions": {str(pid): [{"id": m.id, "kind": m.kind,
                                 "row": m.row.astype(int).tolist()}
                                for m in entries]

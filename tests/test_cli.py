@@ -27,7 +27,6 @@ from dsplan.model import (
     PartCatalog,
     RelationMatrices,
     dataset_to_json,
-    derive_constraint_degree,
     load_dataset,
     save_dataset,
 )
@@ -582,10 +581,9 @@ _DOC = json.loads(dataset_to_json(make_tower(2, 1, seed=7)))
 
 
 def _one_part_doc():
-    x_cf = np.ones((12, 1, 1), dtype=np.uint8)
     matrices = RelationMatrices((1,), np.ones((6, 1, 1), dtype=np.uint8),
-                                x_cf, np.zeros((1, 1), dtype=np.uint8),
-                                derive_constraint_degree(x_cf))
+                                np.ones((12, 1, 1), dtype=np.uint8),
+                                np.zeros((1, 1), dtype=np.uint8))
     catalog = PartCatalog((Part(1, "block_plate_base", "plate", base=True),))
     return json.loads(dataset_to_json(
         Dataset(catalog, matrices, MotionTable({}))))

@@ -21,7 +21,6 @@ from dsplan.model import (
     PartCatalog,
     ValidationError,
     dataset_to_json,
-    derive_constraint_degree,
     parse_labels,
 )
 from conftest import make_tower
@@ -234,8 +233,7 @@ class TestConstraintFree:
         translations = x_cf[:6, 0, 1]
         assert translations[2] == 1          # +z free
         assert translations.sum() == 1       # everything else blocked
-        x_cs = derive_constraint_degree(x_cf)
-        assert x_cs[0, 1] >= 5
+        assert 12 - x_cf[:, 0, 1].sum() >= 5     # the constraint degree
         # independent check of each translation layer via the sweep oracle
         dirs = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1),
                 3: (-1, 0, 0), 4: (0, -1, 0), 5: (0, 0, -1)}

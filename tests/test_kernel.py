@@ -77,7 +77,7 @@ def assert_kernel_matches(ds, perms, mode):
     perms = np.asarray(perms, dtype=np.int64)
     score = ev.score(perms)
     terms, degree = ev.terms(perms, positions(perms))
-    cs = ds.matrices.constraint_degree.astype(np.int64)
+    cs = np.array(tab["x_cs"], dtype=np.int64)
     assert all(len(column) == len(perms) for column in score)
     for p, perm in enumerate(perms):
         row = perm.tolist()
@@ -273,6 +273,14 @@ def test_random_products(seed):
     ds = random_product(6, seed)
     for mode in MODES:
         assert_kernel_matches(ds, _all_perms(6), mode)
+
+
+def test_random_products_reach_a_nonzero_difficulty():
+    # the cross-check compares f_d on available rows only
+    scores = [Evaluator(random_product(6, seed), mode).score(
+        np.array(_all_perms(6))) for seed in range(4) for mode in MODES]
+    assert any((s.available & (s.objectives[:, 0] > 0)).any()
+               for s in scores)
 
 
 @pytest.mark.parametrize("product", ["tower36", "random", "single"])

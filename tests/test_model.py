@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from dsplan import model
-from dsplan.geomsim import VoxelAssembly, build_dataset
+from dsplan.geomsim import VoxelAssembly, build_dataset, generate_synthetic
 from dsplan.model import (
     Dataset,
     MissingTaskLabel,
@@ -22,13 +22,12 @@ from dsplan.model import (
     TransposeViolation,
     ValidationError,
     dataset_to_json,
-    derive_constraint_degree,
     load_dataset,
     parse_labels,
     removal_order,
     save_dataset,
 )
-from dsplan.objectives import Evaluator
+from dsplan.objectives import Evaluator, evaluate
 from conftest import (
     MALFORMED,
     canonical_text,
@@ -109,19 +108,33 @@ class TestCatalog:
             Part(1, "x", "widget")
 
 
+def _free_matrices(layers):
+    """Relation matrices over the x_cf ``layers``, every translation free
+    and no contacts."""
+    n = layers.shape[1]
+    return RelationMatrices(tuple(range(1, n + 1)),
+                            np.ones((6, n, n), dtype=np.uint8), layers,
+                            np.zeros((n, n), dtype=np.uint8))
+
+
 class TestConstraintDegree:
+    """``RelationMatrices.constraint_degree`` is derived from x_cf."""
+
     def test_translation_layers_rejected(self):
         # the six translation layers of x_if are not the twelve of x_cf
-        with pytest.raises(ValueError, match="^expected 12 layers, got 6$"):
-            derive_constraint_degree(np.ones((6, 2, 2), dtype=np.uint8))
+        m = _free_matrices(np.ones((6, 2, 2), dtype=np.uint8))
+        with pytest.raises(ValidationError, match=re.escape(
+                "x_cf must have shape (12, 2, 2), got (6, 2, 2)")) as err:
+            m.validate()
+        assert err.value.matrix == "x_cf"
 
     def test_fully_free_pair(self):
         layers = np.ones((12, 2, 2), dtype=np.uint8)
-        assert derive_constraint_degree(layers)[0, 1] == 0
+        assert _free_matrices(layers).constraint_degree[0, 1] == 0
 
     def test_fully_constrained_pair(self):
         layers = np.zeros((12, 2, 2), dtype=np.uint8)
-        out = derive_constraint_degree(layers)
+        out = _free_matrices(layers).constraint_degree
         assert out[0, 1] == 12
         assert out[0, 0] == 0  # diagonal forced
 
@@ -129,7 +142,7 @@ class TestConstraintDegree:
         layers = np.zeros((12, 2, 2), dtype=np.uint8)
         for j in range(5):
             layers[j, 0, 1] = 1
-        assert derive_constraint_degree(layers)[0, 1] == 7
+        assert _free_matrices(layers).constraint_degree[0, 1] == 7
 
     def test_symmetry_under_transpose_rule(self):
         rng = np.random.default_rng(0)
@@ -144,8 +157,31 @@ class TestConstraintDegree:
                 sym = (sym | sym.T).astype(np.uint8)
                 layers[j] = sym
                 layers[j + 3] = sym.T
-            out = derive_constraint_degree(layers)
+            out = _free_matrices(layers).constraint_degree
             assert (out == out.T).all()
+
+    def test_degree_is_not_stored(self):
+        m = _free_matrices(np.ones((12, 2, 2), dtype=np.uint8))
+        degree = m.constraint_degree
+        with pytest.raises(TypeError):
+            RelationMatrices(m.part_order, m.interference_free,
+                             m.constraint_free, m.contact, degree)
+        with pytest.raises(TypeError):
+            dataclasses.replace(m, constraint_degree=degree)
+        with pytest.raises(AttributeError):
+            m.constraint_degree = degree
+        # editing x_cf moves the degree with it
+        m.constraint_free[:3] = 0
+        assert m.constraint_degree.tolist() == [[0, 3], [3, 0]]
+
+    def test_difficulty_follows_x_cf(self):
+        # a degree of 12 on every pair that x_cf constrains would give
+        # f_d = 0.5 here; evaluation reads the degree that x_cf gives
+        ds = build_dataset(*generate_synthetic(2, 1, seed=1))
+        order = ds.matrices.part_order
+        f_d = oracle.objective_values(range(len(order)),
+                                      oracle.extract(ds))[0]
+        assert evaluate(order, ds).objectives[0] == f_d == 0.125
 
 
 def _tiny_dataset():
@@ -411,8 +447,7 @@ class TestDatasetIO:
         x_if = np.ones((6, 2, 2), dtype=np.uint8)
         x_cf = np.ones((12, 2, 2), dtype=np.uint8)  # degree 0 everywhere
         x_ct = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        m = RelationMatrices(order, x_if, x_cf, x_ct,
-                             derive_constraint_degree(x_cf))
+        m = RelationMatrices(order, x_if, x_cf, x_ct)
         with pytest.raises(ValidationError):
             m.validate()
 
@@ -447,10 +482,17 @@ def _writer_case(name):
     if name == "empty-motion-table":
         return _without_motions(ds, {})
     if name == "two-digit-x_cs":
-        n = ds.matrices.n
-        degree = (np.arange(n * n) % 13).reshape(n, n).astype(np.int16)
-        return ds._replace(matrices=dataclasses.replace(
-            ds.matrices, constraint_degree=degree))
+        # three pairs keep 2, 1 and 0 of their 12 directions free, each
+        # with its twin
+        x_cf = ds.matrices.constraint_free.copy()
+        for (i, k), free in (((0, 1), (0, 3)), ((2, 5), (0,)), ((3, 9), ())):
+            x_cf[:, [i, k], [k, i]] = 0
+            for j in free:
+                x_cf[j, i, k] = x_cf[(j + 3) % 6, k, i] = 1
+        matrices = dataclasses.replace(ds.matrices, constraint_free=x_cf)
+        matrices.validate(ds.catalog)
+        assert matrices.constraint_degree.max() >= 10
+        return ds._replace(matrices=matrices)
     if name == "key-text-in-names":
         # the text that the canonical reader cuts at, inside strings
         names = [',"x_cf":[', '"row":[0,1]', ',"x_if":[[[1]]]}\n']
@@ -502,8 +544,7 @@ class TestCanonicalText:
         matrices = RelationMatrices(
             order, rng.integers(0, 2, (6, n, n), dtype=np.uint8),
             rng.integers(0, 2, (12, n, n), dtype=np.uint8),
-            rng.integers(0, 2, (n, n), dtype=np.uint8),
-            rng.integers(0, 13, (n, n), dtype=np.int16))
+            rng.integers(0, 2, (n, n), dtype=np.uint8))
         table = {pid: tuple(
             Motion(j, str(rng.choice(["+x", "-z", "twist"])),
                    rng.integers(0, 2, n, dtype=np.uint8))
@@ -518,8 +559,6 @@ class TestCanonicalText:
         ("interference_free", (2, 0, 1), 2, r"x_if\[2\]\[0\]\[1\]"),
         ("constraint_free", (7, 1, 0), 3, r"x_cf\[7\]\[1\]\[0\]"),
         ("contact", (0, 2), -1, r"x_ct\[0\]\[2\]"),
-        ("constraint_degree", (1, 0), 13, r"x_cs\[1\]\[0\]"),
-        ("constraint_degree", (2, 1), -1, r"x_cs\[2\]\[1\]"),
     ])
     def test_entry_out_of_range_writes_nothing(self, tmp_path, field, index,
                                                value, where):
@@ -643,6 +682,30 @@ class TestCanonicalReader:
         monkeypatch.setattr(model, "_json_doc", no_json_loads)
         assert dataset_to_json(load_dataset(path)) == path.read_text()
 
+    def test_x_cs_is_compared_on_the_render_back(self, tmp_path,
+                                                  monkeypatch, tower10):
+        # the canonical reader leaves x_cs to the derivation, so a file
+        # whose x_cs differs renders back to other bytes and fails on the
+        # json.loads path; an untouched file never reaches that path
+        text = dataset_to_json(tower10)
+        path = tmp_path / "tower.json"
+        path.write_text(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_json_doc", mock.Mock(
+                side_effect=AssertionError("read through json.loads")))
+            assert dataset_to_json(load_dataset(path)) == text
+        doc = json.loads(text)
+        value = doc["x_cs"][0][1]
+        doc["x_cs"][0][1] += 1
+        path.write_text(canonical_text(doc))
+        doc = model._canonical_doc(path.read_bytes())
+        assert doc is not None and "x_cs" not in doc
+        with pytest.raises(ValidationError, match=re.escape(
+                f"x_cs(0, 1) = {value + 1} does not match the value "
+                f"{value} derived from x_cf")) as err:
+            load_dataset(path)
+        assert (err.value.matrix, err.value.index) == ("x_cs", (0, 1))
+
     @pytest.mark.parametrize("edit", sorted(_TEXT_EDITS))
     def test_edited_text_loads_as_json_loads_reads_it(self, tmp_path, edit):
         change, error = _TEXT_EDITS[edit]
@@ -729,8 +792,7 @@ class TestSequences:
         x_cf[2, 0, 1] = x_cf[5, 1, 0] = 0
         x_cf[2, 1, 0] = x_cf[5, 0, 1] = 0
         x_cf[0, 1, 0] = x_cf[3, 0, 1] = 0
-        m = RelationMatrices((1, 2), x_if, x_cf, x_ct,
-                             derive_constraint_degree(x_cf))
+        m = RelationMatrices((1, 2), x_if, x_cf, x_ct)
         m.validate(cat)
         rows = MotionTable({1: (Motion(0, "+z", np.ones(2, np.uint8)),)})
         rows.validate((1, 2))

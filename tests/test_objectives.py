@@ -27,15 +27,19 @@ def objective(ds, seq, key):
 
 class TestDifficulty:
     def test_zero_degrees(self):
+        # every direction free gives degree 0
         ds = chain_product(3)
         m = ds.matrices
-        m.constraint_degree = np.zeros_like(m.constraint_degree)
+        m.constraint_free = np.ones_like(m.constraint_free)
         assert objective(ds, [1, 2, 3], "d") == 0.0
 
     def test_two_parts_half(self):
+        # 6 of the 12 directions blocked each way gives degree 6
         ds = chain_product(2)
-        ds.matrices.constraint_degree = np.array([[0, 6], [6, 0]],
-                                                 dtype=np.int16)
+        m = ds.matrices
+        m.constraint_free = np.ones_like(m.constraint_free)
+        m.constraint_free[:6] = 0
+        assert (m.constraint_degree == [[0, 6], [6, 0]]).all()
         assert objective(ds, [1, 2], "d") == pytest.approx(0.5)
 
     def test_unavailable_is_one(self):
