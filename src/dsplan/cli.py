@@ -120,15 +120,14 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen-synthetic", parents=[], help="emit a synthetic "
                        "screw-tower dataset file")
-    g.add_argument("--config", default=None,
-                   help="JSON file with generator settings (flags override)")
-    g.add_argument("--layers", type=int, default=None)
-    g.add_argument("--screws", type=int, default=None)
-    g.add_argument("--manual-fraction", type=float, default=None)
-    g.add_argument("--priority-count", type=int, default=None)
-    g.add_argument("--pitch", type=float, default=None)
-    g.add_argument("--clearance", type=float, default=None)
-    g.add_argument("--angle", type=float, default=None)
+    g.add_argument("--layers", type=int, default=3)
+    g.add_argument("--screws", type=int, default=2)
+    g.add_argument("--manual-fraction", type=float, default=0.0)
+    g.add_argument("--priority-count", type=int, default=0)
+    g.add_argument("--pitch", type=float, default=1.0)
+    g.add_argument("--clearance", type=float, default=None,
+                   help="translation clearance (default: the pitch)")
+    g.add_argument("--angle", type=float, default=5.0)
     g.add_argument("--dataset-out", required=True, metavar="FILE",
                    help="path of the dataset file to write")
     _add_common(g)
@@ -147,16 +146,12 @@ def build_parser() -> _Parser:
 
     a = sub.add_parser("ablate", help="run the planner and its ablations")
     a.add_argument("--dataset", required=True)
-    a.add_argument("--trials", type=int, default=None,
-                   help="alias for --iterations")
     _add_ga_flags(a)
     _add_common(a)
 
     s = sub.add_parser("single-obj", help="optimize one objective only")
     s.add_argument("--dataset", required=True)
     s.add_argument("--objective", required=True, choices=OBJECTIVE_KEYS)
-    s.add_argument("--trials", type=int, default=None,
-                   help="alias for --iterations")
     _add_ga_flags(s)
     _add_common(s)
 
@@ -173,13 +168,10 @@ def _resolve_seed(args) -> int:
 
 
 def _ga_config(args) -> GaConfig:
-    """The GA flags that were given, with ``--trials`` as ``iterations``,
-    over the ``GaConfig`` defaults."""
+    """The GA flags that were given over the ``GaConfig`` defaults."""
     given = {f.name: getattr(args, f.name) for f in fields(GaConfig)
              if getattr(args, f.name, None) is not None}
     given.update(args.rates or {})
-    if getattr(args, "trials", None) is not None:
-        given["iterations"] = args.trials
     try:
         return GaConfig(**{**given, "seed": _resolve_seed(args)})
     except ValueError as exc:
@@ -235,45 +227,20 @@ def _plan_text(result: PlanResult, seed: int, digest: str) -> str:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    settings = {"layers": 3, "screws": 2, "manual_fraction": 0.0,
-                "priority_count": 0, "pitch": 1.0, "clearance": None,
-                "angle": 5.0}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:   # unreadable or not JSON
-            raise _UsageError(f"--config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict) or loaded.keys() - settings.keys():
-            raise _UsageError(f"--config {args.config}: not a JSON object "
-                              f"of the settings {sorted(settings)}")
-        integers = ("layers", "screws", "priority_count")
-        for key, value in loaded.items():
-            if isinstance(value, bool) or not (
-                    isinstance(value, int) if key in integers
-                    else isinstance(value, (int, float))
-                    or key == "clearance" and value is None):
-                kind = ("an integer" if key in integers else "a number or "
-                        "null" if key == "clearance" else "a number")
-                raise _UsageError(f"--config {args.config}: {key} must be "
-                                  f"{kind}, got {value!r}")
-        settings.update(loaded)
-    settings.update({key: getattr(args, key) for key in settings
-                     if getattr(args, key) is not None})
     seed = _resolve_seed(args)
-    _log_provenance(seed, None, {"generator": settings})
+    _log_provenance(seed, None, {"generator": {
+        "layers": args.layers, "screws": args.screws,
+        "manual_fraction": args.manual_fraction,
+        "priority_count": args.priority_count, "pitch": args.pitch,
+        "clearance": args.clearance, "angle": args.angle}})
     try:
         assembly, catalog = generate_synthetic(
-            n_layers=settings["layers"],
-            screws_per_layer=settings["screws"],
-            manual_fraction=float(settings["manual_fraction"]),
-            priority_count=settings["priority_count"],
-            seed=seed, pitch=float(settings["pitch"]))
-        dataset = build_dataset(
-            assembly, catalog,
-            clearance=settings["clearance"], angle=float(settings["angle"]))
-    # a bad setting, or a JSON integer too large for a float
-    except (TypeError, ValueError, OverflowError) as exc:
+            n_layers=args.layers, screws_per_layer=args.screws,
+            manual_fraction=args.manual_fraction,
+            priority_count=args.priority_count, seed=seed, pitch=args.pitch)
+        dataset = build_dataset(assembly, catalog, clearance=args.clearance,
+                                angle=args.angle)
+    except ValueError as exc:
         raise _UsageError(f"generator settings: {exc}") from exc
     out_path = Path(args.dataset_out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

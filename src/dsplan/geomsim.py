@@ -231,7 +231,7 @@ def constraint_free_matrices(g: _LabelGrid, clearance: float,
     transposes of the positive ones and the derived constraint degree
     symmetric.
     """
-    if not (math.isfinite(clearance) and clearance >= g.pitch):
+    if not (math.isfinite(clearance / g.pitch) and clearance >= g.pitch):
         raise ValueError(f"clearance must be a finite number of at least one "
                          f"grid pitch, got {clearance}")
     if not (math.isfinite(angle) and angle > 0):
@@ -328,8 +328,8 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
         raise ValueError("screws_per_layer must be in 0..4")
     if not 0.0 <= manual_fraction <= 1.0:
         raise ValueError("manual_fraction must be in [0, 1]")
-    if priority_count > n_layers:
-        raise ValueError("priority_count cannot exceed the number of blocks")
+    if not 0 <= priority_count <= n_layers:
+        raise ValueError("priority_count must be in 0..n_layers")
 
     rng = np.random.default_rng(seed)
     shrink = 2 if screws_per_layer > 0 else 0
@@ -368,7 +368,12 @@ def generate_synthetic(n_layers: int, screws_per_layer: int = 2,
               (base_size + margin, base_size + margin, zb + margin))
     assembly = VoxelAssembly(pitch=pitch, cells=cells, bounds=bounds)
     # the grid checks the assembly; ``cells`` is not in part id order
-    com = dict(zip(cells, _LabelGrid(assembly, cells).com * pitch))
+    grid_com = _LabelGrid(assembly, cells).com
+    # a Python float product overflows to inf without a warning
+    if not math.isfinite(float(np.abs(grid_com).max()) * pitch):
+        raise ValueError(f"pitch {pitch} scales a part centre past the "
+                         f"float range")
+    com = dict(zip(cells, grid_com * pitch))
 
     manual_count = int(round(manual_fraction * n_layers))
     manual_blocks = set(rng.choice(block_ids, size=manual_count,

@@ -133,6 +133,9 @@ class Part:
         if self.task_label not in TASK_LABELS:
             raise ValidationError(
                 f"part {self.id}: unknown task label {self.task_label!r}")
+        if not all(map(math.isfinite, (*self.com, self.size or 0.0))):
+            raise ValidationError(f"part {self.id}: com and size must be "
+                                  f"finite, got {self.com} and {self.size}")
 
 
 @dataclass(frozen=True)

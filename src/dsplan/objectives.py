@@ -135,6 +135,8 @@ class Evaluator:
     ``DatasetError`` rejects a dataset before anything is allocated when
     the strict weights, 4 * n * n * (M + 8) bytes for the largest motion
     count M, exceed ``MAX_POOL_BYTES``; both modes share that one rule.
+    So does one whose centres are too far apart for ``n * d_max`` to be
+    finite.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
@@ -166,8 +168,14 @@ class Evaluator:
         self.task_codes = np.array([uniq[t] for t in labels], dtype=np.int64)
         self.manual = np.array([t == "manual" for t in labels], dtype=bool)
         coms = np.array([part.com for part in parts], dtype=np.float64)
-        self.dist = np.sqrt(((coms[:, None] - coms[None]) ** 2).sum(-1))
+        with np.errstate(over="ignore"):
+            self.dist = np.sqrt(((coms[:, None] - coms[None]) ** 2).sum(-1))
         self.d_max = float(self.dist.max(initial=0.0))
+        # f_e divides travel by n * d_max
+        if not np.isfinite(self.n * self.d_max):
+            raise DatasetError(
+                f"the part centres are too far apart to measure: {self.n} "
+                f"parts times the largest distance {self.d_max} is not finite")
         self.priority_idx = np.array(
             [j for j, part in enumerate(parts) if part.priority],
             dtype=np.int64)

@@ -342,92 +342,44 @@ class TestGenSynthetic:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"layers": 1, "screws": 0}))
-        out = tmp_path / "gen.json"
-        code = main(["gen-synthetic", "--config", str(cfg),
-                     "--layers", "2", "--seed", "0",
-                     "--dataset-out", str(out)])
-        assert code == 0
-        assert len(load_dataset(out).catalog) == 3  # layers overridden to 2
-
-    @pytest.mark.parametrize("config, flags", [
-        ('{"layers": 2', []),       # malformed JSON
-        ("[2, 1]", []),             # valid JSON, but not an object
-        ('{"layers": null}', []),
-        ('{"clearance": "x"}', []),
-        (None, ["--layers", "0"]),
-        (None, ["--config", "no-such-dir/cfg.json"]),   # unreadable
-        ('{"layer": 2}', []),       # misspelled setting
-        (None, ["--angle", "nan"]),
-        (None, ["--pitch", "nan"]),
-        (None, ["--clearance=-inf"]),
-        ('{"angle": 1e999}', []),   # JSON's overflow to inf
-    ])
-    def test_bad_settings_are_usage_errors(self, tmp_path, capsys, config,
-                                           flags):
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(config)
-            flags = ["--config", str(tmp_path / "cfg.json"), *flags]
+    @pytest.mark.parametrize("flags", [
+        ["--layers", "0"],
+        ["--angle", "nan"],
+        ["--angle", "inf"],
+        ["--pitch", "nan"],
+        ["--clearance=-inf"],
+        # a centre at this pitch is past the float range
+        ["--layers", "1", "--pitch", "1e308"],
+        # an int of any size passes argparse
+        ["--priority-count", str(-2 ** 64)],
+    ], ids=" ".join)
+    def test_bad_settings_are_usage_errors(self, tmp_path, capsys, flags):
         code = main(["gen-synthetic", *flags, "--seed", "0",
                      "--dataset-out", str(tmp_path / "gen.json")])
         assert code == 1
-        assert "usage error:" in capsys.readouterr().err
+        assert "usage error: generator settings:" in capsys.readouterr().err
         assert not (tmp_path / "gen.json").exists()
 
-    @pytest.mark.parametrize("config, message", [
-        # the first file wrote a 5-part tower: 2 layers, 1 screw and 1
-        # priority block
-        ({"layers": 2.9, "screws": True, "priority_count": "1"},
-         "layers must be an integer, got 2.9"),
-        ({"screws": True}, "screws must be an integer, got True"),
-        ({"priority_count": "1"},
-         "priority_count must be an integer, got '1'"),
-        ({"manual_fraction": False}, "manual_fraction must be a number, got "
-                                     "False"),
-        ({"pitch": "1.0"}, "pitch must be a number, got '1.0'"),
-        ({"angle": None}, "angle must be a number, got None"),
-        ({"clearance": True}, "clearance must be a number or null, got True"),
-        ({"clearance": [1]}, "clearance must be a number or null, got [1]"),
-    ])
-    def test_config_setting_types(self, tmp_path, capsys, config, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+    def test_flag_defaults_are_the_library_defaults(self, tmp_path):
         out = tmp_path / "gen.json"
-        assert main(["gen-synthetic", "--config", str(cfg), "--seed", "0",
-                     "--dataset-out", str(out)]) == 1
-        assert (f"usage error: --config {cfg}: {message}\n"
+        assert main(["gen-synthetic", "--layers", "2", "--seed", "4",
+                     "--dataset-out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == dataset_to_json(
+            geomsim.build_dataset(*geomsim.generate_synthetic(2, seed=4)))
+
+    @pytest.mark.parametrize("argv, unknown", [
+        (["gen-synthetic", "--config", "cfg.json", "--dataset-out", "t.json"],
+         "--config cfg.json"),
+        (["ablate", "--dataset", "t.json", "--trials", "2"], "--trials 2"),
+    ], ids=["gen-synthetic", "ablate"])
+    def test_removed_flags_are_unrecognized(self, tmp_path, capsys,
+                                            monkeypatch, argv, unknown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text("{}")
+        assert main(argv) == 1
+        assert (f"usage error: unrecognized arguments: {unknown}\n"
                 in capsys.readouterr().err)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["manual_fraction", "pitch", "angle",
-                                     "clearance"])
-    def test_config_number_too_large_for_a_float(self, tmp_path, capsys,
-                                                 key):
-        # a JSON integer is an int of any size; float() of it overflowed
-        # into a traceback
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
-        out = tmp_path / "gen.json"
-        assert main(["gen-synthetic", "--config", str(cfg), "--seed", "0",
-                     "--dataset-out", str(out)]) == 1
-        assert ("usage error: generator settings: int too large to convert "
-                "to float" in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_config_numbers_and_null_clearance(self, tmp_path):
-        # JSON integers are numbers, and null is the default clearance
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "layers": 2, "screws": 1, "manual_fraction": 0, "pitch": 1,
-            "angle": 5, "clearance": None}))
-        from_config, from_flags = tmp_path / "c.json", tmp_path / "f.json"
-        assert main(["gen-synthetic", "--config", str(cfg), "--seed", "0",
-                     "--dataset-out", str(from_config)]) == 0
-        assert main(["gen-synthetic", "--layers", "2", "--screws", "1",
-                     "--seed", "0", "--dataset-out", str(from_flags)]) == 0
-        assert from_config.read_bytes() == from_flags.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestOutputErrors:
@@ -557,16 +509,6 @@ class TestBenchCommands:
         assert [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("config ")] == [
             f"config {dataclasses.asdict(cfg)}"]
-
-    def test_trials_overrides_iterations(self, dataset_file, tmp_path):
-        # --trials is applied before the config is validated, so the 0
-        # that it replaces is never seen
-        assert main(["ablate", "--dataset", str(dataset_file), "--pop", "8",
-                     "--generations", "1", "--iterations", "0",
-                     "--trials", "2", "--seed", "3",
-                     "--out", str(tmp_path)]) == 0
-        csv = (tmp_path / "ablation_summary.csv").read_text()
-        assert "proposed,2," in csv
 
     def test_out_dir_env_default(self, dataset_file, tmp_path, monkeypatch):
         monkeypatch.setenv("DSPLAN_OUT_DIR", str(tmp_path / "env_out"))
@@ -810,7 +752,6 @@ _GA = (_Flag("--generations", st.integers(0, 3), (-1, "two"), given=True),
        _Flag("--selection", _one_of(*SELECTION_METHODS), ("nope",)),
        _Flag("--mating", _one_of(*MATING_METHODS), ("nope",)),
        _Flag("--parallel", st.booleans()))
-_TRIALS = _Flag("--trials", st.integers(1, 2), (0, -1))
 
 _ARGV = st.one_of(
     _argv("gen-synthetic",
@@ -818,9 +759,9 @@ _ARGV = st.one_of(
           _Flag("--screws", st.integers(0, 4), (5, -1)),
           _Flag("--manual-fraction", _one_of(0, 0.5, 1), (2, "nan")),
           _Flag("--priority-count", st.integers(0, 1), (3, -1)),
-          _Flag("--pitch", _one_of(1, 0.5), (0, -1, "nan")),
+          _Flag("--pitch", _one_of(1, 0.5), (0, -1, "nan", "1e308")),
           _Flag("--clearance", _one_of(1, 3), (0.5, 0, "inf")),
-          _Flag("--angle", _one_of(5, 20, 90, 720), (0, -5, "nan")),
+          _Flag("--angle", _one_of(5, 20, 90, 720), (0, -5, "nan", "inf")),
           _Flag("--dataset-out", st.just(OUT + "/t.json"), (OUT, None),
                 given=True),
           *_COMMON),
@@ -830,8 +771,8 @@ _ARGV = st.one_of(
                 (",", "", "nope", "ri,ri")),
           _Flag("--trials", st.integers(1, 20), (0, -1), given=True),
           _MODE, *_COMMON),
-    _argv("ablate", _DATASET, _TRIALS, *_GA, *_COMMON),
-    _argv("single-obj", _DATASET, _TRIALS,
+    _argv("ablate", _DATASET, *_GA, *_COMMON),
+    _argv("single-obj", _DATASET,
           _Flag("--objective", _one_of(*OBJECTIVE_KEYS), ("z", None),
                 given=True),
           *_GA, *_COMMON),

@@ -468,6 +468,26 @@ class TestGenerator:
             generate_synthetic(1, 1, manual_fraction=1.5)
         with pytest.raises(ValueError):
             generate_synthetic(1, 1, priority_count=2)
+        with pytest.raises(ValueError, match="priority_count must be in"):
+            generate_synthetic(1, 1, priority_count=-2 ** 64)
+
+    def test_pitch_past_the_float_range(self):
+        # raised before the centres are scaled, so no overflow warning
+        with pytest.raises(ValueError, match="pitch 1e[+]308 scales a part "
+                                             "centre past the float range"):
+            generate_synthetic(1, 1, pitch=1e308)
+        # every centre is a few cells from the origin: 1e300 still fits
+        unit, scaled = (generate_synthetic(1, 1, pitch=pitch)[1]
+                        for pitch in (1.0, 1e300))
+        assert [p.com for p in scaled] == [
+            tuple(c * 1e300 for c in p.com) for p in unit]
+
+    def test_clearance_of_too_many_pitches(self):
+        asm, catalog = generate_synthetic(1, 0, pitch=1e-300)
+        with pytest.raises(ValueError, match="clearance must be a finite "
+                                             "number of at least one grid "
+                                             "pitch, got 1e[+]300"):
+            build_dataset(asm, catalog, clearance=1e300)
 
 
 DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1),

@@ -268,19 +268,31 @@ def test_all_manual_product(mode):
     assert (score.stable == (score.feasible & score.stable)).all()
 
 
-@pytest.mark.parametrize("seed", range(4))
+# in strict mode seeds 0-3 have no available row; 4-7 have 4, 13, 50 and 122
+_RANDOM_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("seed", _RANDOM_SEEDS)
 def test_random_products(seed):
     ds = random_product(6, seed)
     for mode in MODES:
         assert_kernel_matches(ds, _all_perms(6), mode)
 
 
+def _random_product_scores(mode):
+    return [Evaluator(random_product(6, seed), mode).score(
+        np.array(_all_perms(6))) for seed in _RANDOM_SEEDS]
+
+
+# the cross-check compares the objectives on available rows only
 def test_random_products_reach_a_nonzero_difficulty():
-    # the cross-check compares f_d on available rows only
-    scores = [Evaluator(random_product(6, seed), mode).score(
-        np.array(_all_perms(6))) for seed in range(4) for mode in MODES]
     assert any((s.available & (s.objectives[:, 0] > 0)).any()
-               for s in scores)
+               for mode in MODES for s in _random_product_scores(mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_random_products_compare_objectives(mode):
+    assert any(s.available.any() for s in _random_product_scores(mode))
 
 
 @pytest.mark.parametrize("product", ["tower36", "random", "single"])

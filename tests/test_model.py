@@ -107,6 +107,15 @@ class TestCatalog:
         with pytest.raises(ValidationError):
             Part(1, "x", "widget")
 
+    @pytest.mark.parametrize("field, value", [
+        ("com", (float("inf"), 0.0, 0.0)), ("com", (0.0, float("nan"), 0.0)),
+        ("size", float("inf")), ("size", float("nan"))])
+    def test_non_finite_com_or_size(self, field, value):
+        # save_dataset would write Infinity or NaN, which no loader reads
+        with pytest.raises(ValidationError, match="part 2: com and size "
+                                                  "must be finite"):
+            Part(2, "x", "graspable", **{field: value})
+
 
 def _free_matrices(layers):
     """Relation matrices over the x_cf ``layers``, every translation free

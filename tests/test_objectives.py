@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from dsplan.constraints import positions
+from dsplan.model import DatasetError
 from dsplan.objectives import (
     OBJECTIVE_KEYS,
     PENALTY,
@@ -85,6 +86,16 @@ class TestEfficiency:
                              ("graspable", False, (20.0, 0, 0))])
         for perm in itertools.permutations([1, 2, 3]):
             assert objective(ds, list(perm), "e") < 0.5  # task term 0
+
+
+    def test_centres_too_far_apart_to_measure(self):
+        # each centre is finite, but the square of their distance is not
+        ds = custom_product([("graspable", False, (0, 0, 0)),
+                             ("graspable", False, (1e155, 0, 0))])
+        with pytest.raises(DatasetError, match="too far apart to measure: "
+                                               "2 parts times the largest "
+                                               "distance inf"):
+            Evaluator(ds)
 
 
 class TestPrioritization:
