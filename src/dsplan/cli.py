@@ -34,7 +34,7 @@ from .constraints import MODES
 from .geomsim import build_dataset, generate_synthetic
 from .model import DatasetError, dataset_digest, load_dataset, save_dataset
 from .nsga3 import MATING_METHODS, SELECTION_METHODS, GaConfig, PlanResult, run
-from .objectives import OBJECTIVE_KEYS
+from .objectives import OBJECTIVE_KEYS, Evaluator
 
 log = logging.getLogger("dsplan")
 
@@ -315,9 +315,11 @@ def _cmd_single_obj(args) -> int:
 def _cmd_validate(args) -> int:
     seed = _resolve_seed(args)
     _log_provenance(seed, args.dataset, {})
-    catalog, matrices, motions = load_dataset(args.dataset)
+    dataset = catalog, matrices, motions = load_dataset(args.dataset)
     # raises DisconnectedProduct: no stable removal order exists then
     build_ccg(catalog, matrices)
+    # the weight budget that every planning command checks, in either mode
+    Evaluator(dataset)
     n_motions = sum(len(v) for v in motions.motions.values())
     print(f"ok: {len(catalog)} parts, {matrices.n} non-ignored, "
           f"{n_motions} candidate motions")

@@ -202,7 +202,7 @@ class RelationMatrices:
         np.fill_diagonal(degree, 0)
         return degree
 
-    def validate(self, catalog: PartCatalog | None = None) -> None:
+    def validate(self, catalog: PartCatalog) -> None:
         """Check every structural invariant; raise ValidationError on failure."""
         n = self.n
         if not n:
@@ -214,16 +214,15 @@ class RelationMatrices:
                 raise ValidationError(
                     f"part_order contains duplicate ids: {pid} is repeated",
                     matrix="part_order", index=(j,))
-        if catalog is not None:
-            planned = dict.fromkeys(catalog.non_ignored_ids())
-            odd = ([f"{pid} is not one" for pid in first
-                    if pid not in planned]
-                   + [f"{pid} is missing" for pid in planned
-                      if pid not in first])
-            if odd:
-                raise ValidationError(
-                    "part_order must list exactly the non-ignored part ids: "
-                    f"{odd[0]}", matrix="part_order")
+        planned = dict.fromkeys(catalog.non_ignored_ids())
+        odd = ([f"{pid} is not one" for pid in first
+                if pid not in planned]
+               + [f"{pid} is missing" for pid in planned
+                  if pid not in first])
+        if odd:
+            raise ValidationError(
+                "part_order must list exactly the non-ignored part ids: "
+                f"{odd[0]}", matrix="part_order")
         for name, arr, shape in (
                 ("x_if", self.interference_free, (N_TRANSLATIONS, n, n)),
                 ("x_cf", self.constraint_free, (N_DIRECTIONS, n, n)),

@@ -130,13 +130,12 @@ class Evaluator:
     of 0/1 products or small integers, which float32 holds exactly.
     ``score`` reduces the terms to verdicts and the degree to f_d; the
     other objectives are gathers over the ``(P, n)`` index array, f_e's
-    travel from ``dist``, the ``(n, n)`` table of centre-of-mass distances.
-    The single-sequence answers are row 0 of a population of one.  A
+    travel from ``dist``, the ``(n, n)`` table of centre-of-mass distances
+    in a power-of-two scale, and ``d_max``, its largest entry.  The
+    single-sequence answers are row 0 of a population of one.  A
     ``DatasetError`` rejects a dataset before anything is allocated when
     the strict weights, 4 * n * n * (M + 8) bytes for the largest motion
     count M, exceed ``MAX_POOL_BYTES``; both modes share that one rule.
-    So does one whose centres are too far apart for ``n * d_max`` to be
-    finite.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
@@ -168,14 +167,11 @@ class Evaluator:
         self.task_codes = np.array([uniq[t] for t in labels], dtype=np.int64)
         self.manual = np.array([t == "manual" for t in labels], dtype=bool)
         coms = np.array([part.com for part in parts], dtype=np.float64)
-        with np.errstate(over="ignore"):
-            self.dist = np.sqrt(((coms[:, None] - coms[None]) ** 2).sum(-1))
+        # f_e reads travel only as a ratio to n * d_max, and a power-of-two
+        # scale is exact: f_e rounds alike, and no square overflows or vanishes
+        coms = np.ldexp(coms, -np.frexp(np.abs(coms).max(initial=0.0))[1])
+        self.dist = np.sqrt(((coms[:, None] - coms[None]) ** 2).sum(-1))
         self.d_max = float(self.dist.max(initial=0.0))
-        # f_e divides travel by n * d_max
-        if not np.isfinite(self.n * self.d_max):
-            raise DatasetError(
-                f"the part centres are too far apart to measure: {self.n} "
-                f"parts times the largest distance {self.d_max} is not finite")
         self.priority_idx = np.array(
             [j for j, part in enumerate(parts) if part.priority],
             dtype=np.int64)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from dsplan import __version__, cli, geomsim
+from dsplan import __version__, cli, geomsim, objectives
 from dsplan.ccg import INIT_METHODS
 from dsplan.cli import main
 from dsplan.constraints import MODES
@@ -660,6 +660,15 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _validate_and_plan(path, out) -> tuple[int, int]:
+    """The exit codes of ``validate`` and of a one-generation ``plan`` on
+    the dataset file ``path``; they must agree."""
+    return (main(["validate", "--dataset", str(path)]),
+            main(["plan", "--dataset", str(path), "--generations", "1",
+                  "--iterations", "1", "--pop", "4", "--seed", "0",
+                  "--out", str(out)]))
+
+
 class TestEditedDocuments:
     @settings(max_examples=300, deadline=None)
     @given(edit=_EDITS)
@@ -668,7 +677,7 @@ class TestEditedDocuments:
         """One edit of the canonical tower document either loads or raises
         a DatasetError, and ``validate`` exits 0 or 2; a MALFORMED edit
         must raise, with the text it returns.  Its canonical rendering
-        loads or fails alike."""
+        loads or fails alike, and ``plan`` exits as ``validate`` does."""
         doc = copy.deepcopy(_DOC)
         expected = edit(doc)
         with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
@@ -680,8 +689,31 @@ class TestEditedDocuments:
                 assert expected is None or expected in str(exc)
             else:
                 assert expected is None
-            codes = [main(["validate", "--dataset", str(p)]) for p in paths]
-            assert codes[0] in (0, 2) and codes[1] == codes[0]
+            codes = (main(["validate", "--dataset", str(paths[0])]),
+                     *_validate_and_plan(paths[1], Path(tmp) / "out"))
+            assert codes[0] in (0, 2) and codes == (codes[0],) * 3
+
+    @pytest.mark.parametrize("pitch", [1.0, 1e-200, 1e300, 2.0 ** -700,
+                                       2.0 ** 900])
+    def test_generator_products_plan(self, tmp_path, pitch):
+        # at 1e-200 and 1e300 the squared centre distances leave the float
+        # range in input units
+        path = tmp_path / "tower.json"
+        assert main(["gen-synthetic", "--layers", "3", "--manual-fraction",
+                     "0.34", "--priority-count", "1", "--seed", "3",
+                     "--pitch", repr(pitch), "--dataset-out", str(path)]) == 0
+        assert _validate_and_plan(path, tmp_path / "out") == (0, 0)
+
+    @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 2)])
+    def test_weight_budget(self, dataset_file, tmp_path, monkeypatch, capsys,
+                           spare, code):
+        _, matrices, motions = load_dataset(dataset_file)
+        n = matrices.n
+        most = max(map(motions.count, matrices.part_order))
+        monkeypatch.setattr(objectives, "MAX_POOL_BYTES",
+                            4 * n * n * (most + 8) + spare)
+        assert _validate_and_plan(dataset_file, tmp_path) == (code, code)
+        assert capsys.readouterr().err.count("weights of") == 2 * (code == 2)
 
 
 # placeholders that the argv fuzz replaces by real paths

@@ -59,7 +59,9 @@ def row_objectives(ev, perm):
                      for pid in ev.part_order], dtype=np.float64)
     travel = float(np.sqrt(
         ((coms[perm[1:]] - coms[perm[:-1]]) ** 2).sum(-1)).sum())
-    dist_term = travel / (n * ev.d_max) if ev.d_max > 0 else 0.0
+    # in input units: the evaluator's power-of-two scale cancels exactly
+    d_max = float(np.sqrt(((coms[:, None] - coms[None]) ** 2).sum(-1)).max())
+    dist_term = travel / (n * d_max) if d_max > 0 else 0.0
     pos = np.empty(n, dtype=np.int64)
     pos[perm] = np.arange(1, n + 1)
     f_p = (1.0 - float(pos[ev.priority_idx].sum()) / ev.r_max

@@ -117,6 +117,12 @@ class TestCatalog:
             Part(2, "x", "graspable", **{field: value})
 
 
+def _catalog(n):
+    """A catalog of the graspable parts 1..n."""
+    return PartCatalog(tuple(Part(pid, f"p{pid}_graspable", "graspable")
+                             for pid in range(1, n + 1)))
+
+
 def _free_matrices(layers):
     """Relation matrices over the x_cf ``layers``, every translation free
     and no contacts."""
@@ -134,7 +140,7 @@ class TestConstraintDegree:
         m = _free_matrices(np.ones((6, 2, 2), dtype=np.uint8))
         with pytest.raises(ValidationError, match=re.escape(
                 "x_cf must have shape (12, 2, 2), got (6, 2, 2)")) as err:
-            m.validate()
+            m.validate(_catalog(2))
         assert err.value.matrix == "x_cf"
 
     def test_fully_free_pair(self):
@@ -457,8 +463,9 @@ class TestDatasetIO:
         x_cf = np.ones((12, 2, 2), dtype=np.uint8)  # degree 0 everywhere
         x_ct = np.array([[0, 1], [1, 0]], dtype=np.uint8)
         m = RelationMatrices(order, x_if, x_cf, x_ct)
-        with pytest.raises(ValidationError):
-            m.validate()
+        with pytest.raises(ValidationError, match="parts in contact must "
+                                                  "have constraint degree"):
+            m.validate(_catalog(2))
 
 
 def _one_part_dataset():

@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from dsplan.constraints import positions
-from dsplan.model import DatasetError
+from dsplan.geomsim import build_dataset, generate_synthetic
 from dsplan.objectives import (
     OBJECTIVE_KEYS,
     PENALTY,
@@ -16,14 +16,35 @@ from dsplan.objectives import (
 from conftest import chain_product, custom_product
 
 
-def objective(ds, seq, key):
-    """One objective of an id sequence, assuming it is available: the
-    objective half of ``Evaluator.score``, before the penalty."""
+def objective_rows(ds, perms):
+    """The ``(P, 4)`` objectives of the index rows ``perms``, assuming they
+    are available: the objective half of ``Evaluator.score``, before the
+    penalty."""
     ev = Evaluator(ds)
-    perms = ev.to_indices(seq)[None]
+    perms = np.asarray(perms, dtype=np.int64)
     pos = positions(perms)
-    degree = ev.terms(perms, pos)[1]
-    return ev._objectives(perms, pos, degree)[0, OBJECTIVE_KEYS.index(key)]
+    return ev._objectives(perms, pos, ev.terms(perms, pos)[1])
+
+
+def objective(ds, seq, key):
+    """One objective of an id sequence, assuming it is available."""
+    perms = Evaluator(ds).to_indices(seq)[None]
+    return objective_rows(ds, perms)[0, OBJECTIVE_KEYS.index(key)]
+
+
+def efficiency(ds, perms):
+    return objective_rows(ds, perms)[:, OBJECTIVE_KEYS.index("e")]
+
+
+def tower(pitch):
+    """The 3-layer screw tower of seed 0 on a grid of ``pitch``."""
+    return build_dataset(*generate_synthetic(3, seed=0, pitch=pitch))
+
+
+def assert_efficiency_matches_oracle(ds, perms):
+    tab = oracle.extract(ds)
+    want = [oracle.objective_values(list(perm), tab)[1] for perm in perms]
+    assert efficiency(ds, perms) == pytest.approx(want, abs=1e-12)
 
 
 class TestDifficulty:
@@ -88,14 +109,30 @@ class TestEfficiency:
             assert objective(ds, list(perm), "e") < 0.5  # task term 0
 
 
-    def test_centres_too_far_apart_to_measure(self):
+    def test_centres_too_far_apart_to_square(self):
         # each centre is finite, but the square of their distance is not
         ds = custom_product([("graspable", False, (0, 0, 0)),
                              ("graspable", False, (1e155, 0, 0))])
-        with pytest.raises(DatasetError, match="too far apart to measure: "
-                                               "2 parts times the largest "
-                                               "distance inf"):
-            Evaluator(ds)
+        assert_efficiency_matches_oracle(ds, [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("pitch", [1e-200, 1e300, 2.0 ** -700,
+                                       2.0 ** 900])
+    def test_any_pitch_measures(self, pitch):
+        # at 1e-200 every squared difference underflows in input units, at
+        # 1e300 it overflows
+        ds = tower(pitch)
+        rng = np.random.default_rng(3)
+        assert_efficiency_matches_oracle(
+            ds, [rng.permutation(ds.matrices.n) for _ in range(50)])
+
+    @pytest.mark.parametrize("pitch", [2.0 ** -700, 2.0 ** 900])
+    def test_power_of_two_pitch_scores_as_pitch_one(self, pitch):
+        # scaling every centre by a power of two is exact
+        one, scaled = tower(1.0), tower(pitch)
+        rng = np.random.default_rng(4)
+        perms = [rng.permutation(one.matrices.n) for _ in range(50)]
+        assert (efficiency(one, perms).tobytes()
+                == efficiency(scaled, perms).tobytes())
 
 
 class TestPrioritization:
