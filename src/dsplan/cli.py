@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-synthetic, plan, init-bench, ablate, single-obj, validate.
+Every subcommand but validate takes ``--seed``, and the four that write a
+report directory (plan, init-bench, ablate, single-obj) take ``--out``.
 Exit codes: 0 success, 1 usage or output error, 2 dataset error.
 Sequences are printed in removal order (first removed first); the stored
 convention keeps the last-removed part at position 1.  Output files carry
@@ -34,7 +36,7 @@ from .constraints import MODES
 from .geomsim import build_dataset, generate_synthetic
 from .model import DatasetError, dataset_digest, load_dataset, save_dataset
 from .nsga3 import MATING_METHODS, SELECTION_METHODS, GaConfig, PlanResult, run
-from .objectives import OBJECTIVE_KEYS, Evaluator
+from .objectives import OBJECTIVE_KEYS, check_weight_budget
 
 log = logging.getLogger("dsplan")
 
@@ -57,14 +59,6 @@ class _Parser(argparse.ArgumentParser):
         # argparse exits here only after -h or --version, because ``error``
         # raises first
         raise _Printed
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="random seed (default: drawn from entropy, echoed)")
-    p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."),
-                   help=f"output directory (default: ${OUT_DIR_ENV} or .)")
-    p.add_argument("-v", "--verbose", action="store_true")
 
 
 def _seed(text: str) -> int:
@@ -91,7 +85,7 @@ def _objectives(text: str) -> tuple[str, ...]:
     return tuple(k for k in text.split(",") if k)
 
 
-def _add_ga_flags(p: argparse.ArgumentParser) -> None:
+def _add_ga_flags(p: argparse.ArgumentParser, objectives=True) -> None:
     """GA flags; each one's dest is the ``GaConfig`` field it sets."""
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
@@ -102,14 +96,12 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
                    metavar="CX,MUT,CAP,BAJ",
                    help="operator rates, comma separated")
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--objectives", type=_objectives, default=None,
-                   metavar="d,e,p,a", help="enabled objective subset")
+    if objectives:
+        p.add_argument("--objectives", type=_objectives, default=None,
+                       metavar="d,e,p,a", help="enabled objective subset")
     p.add_argument("--init", choices=INIT_METHODS, default=None)
     p.add_argument("--selection", choices=SELECTION_METHODS, default=None)
     p.add_argument("--mating", choices=MATING_METHODS, default=None)
-    p.add_argument("--parallel", action="store_true",
-                   help="recorded in the saved config only; every "
-                        "population is evaluated in one batch either way")
 
 
 def build_parser() -> _Parser:
@@ -118,8 +110,8 @@ def build_parser() -> _Parser:
                         version=f"dsplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-synthetic", parents=[], help="emit a synthetic "
-                       "screw-tower dataset file")
+    g = sub.add_parser("gen-synthetic",
+                       help="emit a synthetic screw-tower dataset file")
     g.add_argument("--layers", type=int, default=3)
     g.add_argument("--screws", type=int, default=2)
     g.add_argument("--manual-fraction", type=float, default=0.0)
@@ -130,34 +122,38 @@ def build_parser() -> _Parser:
     g.add_argument("--angle", type=float, default=5.0)
     g.add_argument("--dataset-out", required=True, metavar="FILE",
                    help="path of the dataset file to write")
-    _add_common(g)
 
     p = sub.add_parser("plan", help="optimize a removal sequence")
     p.add_argument("--dataset", required=True)
     _add_ga_flags(p)
-    _add_common(p)
 
     b = sub.add_parser("init-bench", help="compare initializer success rates")
     b.add_argument("--dataset", required=True)
     b.add_argument("--methods", default=",".join(INIT_METHODS))
     b.add_argument("--trials", type=int, default=1000)
     b.add_argument("--mode", choices=MODES, default="as-written")
-    _add_common(b)
 
     a = sub.add_parser("ablate", help="run the planner and its ablations")
     a.add_argument("--dataset", required=True)
     _add_ga_flags(a)
-    _add_common(a)
 
     s = sub.add_parser("single-obj", help="optimize one objective only")
     s.add_argument("--dataset", required=True)
     s.add_argument("--objective", required=True, choices=OBJECTIVE_KEYS)
-    _add_ga_flags(s)
-    _add_common(s)
+    _add_ga_flags(s, objectives=False)
 
     v = sub.add_parser("validate", help="load and validate a dataset file")
     v.add_argument("--dataset", required=True)
-    _add_common(v)
+
+    for cmd in (g, p, b, a, s):
+        cmd.add_argument(
+            "--seed", type=_seed, default=None,
+            help="random seed (default: drawn from entropy, echoed)")
+    # the commands that write a report directory
+    for cmd in (p, b, a, s):
+        cmd.add_argument(
+            "--out", default=os.environ.get(OUT_DIR_ENV, "."),
+            help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     return parser
 
 
@@ -178,12 +174,13 @@ def _ga_config(args) -> GaConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _log_provenance(seed: int, dataset_path: str | None,
+def _log_provenance(seed: int | None, dataset_path: str | None,
                     extra: dict) -> str | None:
-    """Log the run's version, seed, dataset digest and ``extra``; return
-    the digest (None without a dataset)."""
+    """Log the run's version, seed (unless None), dataset digest and
+    ``extra``; return the digest (None without a dataset)."""
     log.info("version %s", __version__)
-    log.info("seed %d", seed)
+    if seed is not None:
+        log.info("seed %d", seed)
     digest = None
     if dataset_path:
         digest = dataset_digest(dataset_path)
@@ -299,9 +296,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_single_obj(args) -> int:
-    if args.objectives is not None:
-        raise _UsageError("single-obj optimizes the one --objective; "
-                          "--objectives is not an option here")
     # the config that runs, and so the one logged
     args.objectives = (args.objective,)
     cfg = _ga_config(args)
@@ -313,13 +307,12 @@ def _cmd_single_obj(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    seed = _resolve_seed(args)
-    _log_provenance(seed, args.dataset, {})
+    _log_provenance(None, args.dataset, {})
     dataset = catalog, matrices, motions = load_dataset(args.dataset)
     # raises DisconnectedProduct: no stable removal order exists then
     build_ccg(catalog, matrices)
     # the weight budget that every planning command checks, in either mode
-    Evaluator(dataset)
+    check_weight_budget(dataset)
     n_motions = sum(len(v) for v in motions.motions.values())
     print(f"ok: {len(catalog)} parts, {matrices.n} non-ignored, "
           f"{n_motions} candidate motions")
@@ -339,10 +332,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.DEBUG if args.verbose else logging.INFO,
-            format="%(name)s: %(message)s")
+        logging.basicConfig(stream=sys.stderr, level=logging.INFO,
+                            format="%(name)s: %(message)s")
         return _COMMANDS[args.command](args)
     except _Printed:
         return 0

@@ -119,6 +119,21 @@ class Score(NamedTuple):
             None if v < 0 else (TERMS[v], int(self.position[i])))
 
 
+def check_weight_budget(dataset: Dataset) -> None:
+    """The rule, in either mode, that every ``Evaluator`` checks first: a
+    DatasetError when the strict weights, 4 * n * n * (M + 8) bytes for the
+    largest motion count M, would exceed ``MAX_POOL_BYTES``."""
+    order, motions = dataset.matrices.part_order, dataset.motions
+    # the strict weights: 6 order, M motion, stability and degree options
+    most = max(order, key=motions.count, default=None)
+    weight_bytes = 4 * len(order) ** 2 * (motions.count(most) + 8)
+    if weight_bytes > MAX_POOL_BYTES:
+        raise DatasetError(
+            f"part {most} has {motions.count(most)} motions, so the "
+            f"weights of {len(order)} parts take about {weight_bytes} bytes, "
+            f"more than {MAX_POOL_BYTES}")
+
+
 class Evaluator:
     """Precomputed tables for repeated sequence evaluation on one dataset.
 
@@ -132,25 +147,15 @@ class Evaluator:
     other objectives are gathers over the ``(P, n)`` index array, f_e's
     travel from ``dist``, the ``(n, n)`` table of centre-of-mass distances
     in a power-of-two scale, and ``d_max``, its largest entry.  The
-    single-sequence answers are row 0 of a population of one.  A
-    ``DatasetError`` rejects a dataset before anything is allocated when
-    the strict weights, 4 * n * n * (M + 8) bytes for the largest motion
-    count M, exceed ``MAX_POOL_BYTES``; both modes share that one rule.
+    single-sequence answers are row 0 of a population of one.
     """
 
     def __init__(self, dataset: Dataset, mode: str = "as-written"):
+        check_weight_budget(dataset)
         catalog, matrices, motions = dataset
         self.dataset = dataset
         self.part_order = order = matrices.part_order
         self.n = len(order)
-        # the strict weights: 6 order, M motion, stability and degree options
-        most = max(order, key=motions.count, default=None)
-        weight_bytes = 4 * self.n ** 2 * (motions.count(most) + 8)
-        if weight_bytes > MAX_POOL_BYTES:
-            raise DatasetError(
-                f"part {most} has {motions.count(most)} motions, so the "
-                f"weights of {self.n} parts take about {weight_bytes} bytes, "
-                f"more than {MAX_POOL_BYTES}")
         self._lookup = np.full(max(order, default=0) + 2, -1, dtype=np.int64)
         self._lookup[list(order)] = np.arange(self.n)
         blocks = (order_rows(matrices, mode), motion_rows(motions, order, mode),

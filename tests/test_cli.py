@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from dsplan import __version__, cli, geomsim, objectives
@@ -40,6 +40,15 @@ def dataset_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "tower.json"
     save_dataset(make_tower(2, 1, seed=7), path)
     return path
+
+
+# the commands that write a report directory, and so take --out
+WRITERS = ("plan", "init-bench", "ablate", "single-obj")
+
+
+def _out(command, path):
+    """``--out path`` for a command that takes it, else nothing."""
+    return ["--out", str(path)] if command in WRITERS else []
 
 
 class TestExitCodes:
@@ -74,7 +83,7 @@ class TestExitCodes:
         # read may end in a traceback
         for command in ("validate", "plan"):
             assert main([command, "--dataset", str(tmp_path),
-                         "--out", str(tmp_path / "out")]) == 2
+                         *_out(command, tmp_path / "out")]) == 2
             assert (f"dataset error: cannot read {tmp_path}"
                     in capsys.readouterr().err)
 
@@ -113,7 +122,7 @@ class TestExitCodes:
         doc["parts"][0]["com"] = [float("nan"), 0.0, 0.0]
         bad = tmp_path / "nan_com.json"
         bad.write_text(json.dumps(doc))
-        args = [command, "--dataset", str(bad), "--out", str(tmp_path)]
+        args = [command, "--dataset", str(bad), *_out(command, tmp_path)]
         assert main(args) == 2
         assert "part 1: com" in capsys.readouterr().err
 
@@ -125,7 +134,7 @@ class TestExitCodes:
         message = MALFORMED[mutation](doc)
         bad = tmp_path / "malformed.json"
         bad.write_text(json.dumps(doc))
-        args = [command, "--dataset", str(bad), "--out", str(tmp_path)]
+        args = [command, "--dataset", str(bad), *_out(command, tmp_path)]
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
@@ -193,12 +202,8 @@ class TestExitCodes:
                 "denied" in capsys.readouterr().err)
 
 
-SUBCOMMANDS = ("gen-synthetic", "plan", "init-bench", "ablate", "single-obj",
-               "validate")
-
-
 class TestBadArguments:
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("command", ("gen-synthetic", *WRITERS))
     def test_negative_seed_is_a_usage_error(self, dataset_file, tmp_path,
                                             capsys, command):
         inputs = {"gen-synthetic": ["--dataset-out", str(tmp_path / "t.json")],
@@ -206,7 +211,7 @@ class TestBadArguments:
                                  "--objective", "d"]}.get(
             command, ["--dataset", str(dataset_file)])
         assert main([command, *inputs, "--seed", "-1",
-                     "--out", str(tmp_path / "out")]) == 1
+                     *_out(command, tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert ("usage error: argument --seed: must be a non-negative "
                 "integer, got '-1'" in err)
@@ -233,23 +238,6 @@ class TestBadArguments:
         assert ("usage error: methods must name at least one initializer"
                 in capsys.readouterr().err)
         assert not (tmp_path / "ib").exists()
-
-    def test_single_obj_objectives_is_a_usage_error(
-            self, dataset_file, tmp_path, capsys, monkeypatch):
-        # single-obj runs its one --objective; a subset given beside it
-        # would be dropped without a word
-        def refuse(*args):
-            raise AssertionError("ran after a usage error")
-
-        monkeypatch.setattr(cli, "load_dataset", refuse)
-        monkeypatch.setattr(cli, "single_objective_run", refuse)
-        assert main(["single-obj", "--dataset", str(dataset_file),
-                     "--objective", "p", "--objectives", "d,e",
-                     "--out", str(tmp_path / "out")]) == 1
-        assert ("usage error: single-obj optimizes the one --objective; "
-                "--objectives is not an option here"
-                in capsys.readouterr().err)
-        assert not any(tmp_path.iterdir())
 
     def test_non_integer_pop_is_a_usage_error(self, dataset_file, tmp_path,
                                               capsys):
@@ -310,6 +298,16 @@ class TestBadArguments:
         assert not (tmp_path / "ib").exists()
 
 
+def _removed(command, *flags):
+    """A case of ``command`` with its required flags and the removed
+    ``flags``, which it rejects as unrecognized."""
+    required = {"gen-synthetic": ["--dataset-out", "t.json"],
+                "single-obj": ["--dataset", "t.json", "--objective", "d"]}
+    return pytest.param(
+        [command, *required.get(command, ["--dataset", "t.json"]), *flags],
+        " ".join(flags), id=f"{command} {flags[0]}")
+
+
 class TestGenSynthetic:
     def test_writes_valid_dataset(self, tmp_path):
         out = tmp_path / "gen.json"
@@ -368,10 +366,21 @@ class TestGenSynthetic:
             geomsim.build_dataset(*geomsim.generate_synthetic(2, seed=4)))
 
     @pytest.mark.parametrize("argv, unknown", [
-        (["gen-synthetic", "--config", "cfg.json", "--dataset-out", "t.json"],
-         "--config cfg.json"),
-        (["ablate", "--dataset", "t.json", "--trials", "2"], "--trials 2"),
-    ], ids=["gen-synthetic", "ablate"])
+        pytest.param(["gen-synthetic", "--config", "cfg.json",
+                      "--dataset-out", "t.json"], "--config cfg.json",
+                     id="gen-synthetic"),
+        pytest.param(["ablate", "--dataset", "t.json", "--trials", "2"],
+                     "--trials 2", id="ablate"),
+        *[_removed(command, "-v")
+          for command in ("gen-synthetic", *WRITERS, "validate")],
+        *[_removed(command, "--parallel")
+          for command in ("plan", "ablate", "single-obj")],
+        _removed("validate", "--seed", "1"),
+        _removed("validate", "--out", "out"),
+        _removed("gen-synthetic", "--out", "out"),
+        # single-obj runs its one --objective
+        _removed("single-obj", "--objectives", "d,e"),
+    ])
     def test_removed_flags_are_unrecognized(self, tmp_path, capsys,
                                             monkeypatch, argv, unknown):
         monkeypatch.chdir(tmp_path)
@@ -457,7 +466,7 @@ class TestPlan:
                      "--divisions", "3", "--rates", "0.1,0.2,0.3,0.4",
                      "--mode", "strict", "--objectives", "d,a",
                      "--init", "fr", "--selection", "crowding",
-                     "--mating", "random", "--parallel", "--seed", "4",
+                     "--mating", "random", "--seed", "4",
                      "--out", str(out)]) == 0
         config = json.loads((out / "plan_result.json").read_text())["config"]
         assert config == {
@@ -465,7 +474,7 @@ class TestPlan:
             "divisions": 3, "crossover_rate": 0.1, "mutation_rate": 0.2,
             "cut_paste_rate": 0.3, "break_join_rate": 0.4, "mode": "strict",
             "objectives": ["d", "a"], "init": "fr", "selection": "crowding",
-            "mating": "random", "parallel": True, "seed": 4,
+            "mating": "random", "parallel": False, "seed": 4,
             "adaptive_normalize": False}
 
 
@@ -556,7 +565,7 @@ class TestDegenerateProducts:
         path = tmp_path / "product.json"
         path.write_text(json.dumps(make_doc()))
         common = ["--dataset", str(path), "--seed", "1"]
-        assert main(["validate", *common]) == 0
+        assert main(["validate", "--dataset", str(path)]) == 0
         for mode in ("as-written", "strict"):
             capsys.readouterr()
             assert main(["plan", *common, "--mode", mode, "--pop", "8",
@@ -737,8 +746,8 @@ def _argv(command, *flags):
 
     @st.composite
     def build(draw):
-        broken = (draw(st.sampled_from(breakable)) if draw(st.booleans())
-                  else None)
+        broken = (draw(st.sampled_from(breakable))
+                  if breakable and draw(st.booleans()) else None)
         argv = [command]
         for flag in flags:
             if flag is broken:
@@ -760,11 +769,12 @@ def _one_of(*values):
     return st.sampled_from(values)
 
 
-_COMMON = (_Flag("--seed", st.integers(0, 2 ** 70), (-1, -3, "x")),
-           _Flag("-v", st.booleans()),
-           # help, or a subcommand's unknown --version, ends the command
-           # before it runs, so each is drawn rarely
-           _Flag("-h", _one_of(False, False, False, True)),
+_SEED = _Flag("--seed", st.integers(0, 2 ** 70), (-1, -3, "x"))
+# always given: the default is the working directory
+_OUT = _Flag("--out", st.just(OUT), given=True)
+# help, or a subcommand's unknown --version, ends the command before it
+# runs, so each is drawn rarely
+_COMMON = (_Flag("-h", _one_of(False, False, False, True)),
            _Flag("--version", _one_of(False, False, False, True)))
 _DATASET = _Flag("--dataset", st.just(DATASET),
                  (DATASET + "/missing.json", OUT, None), given=True)
@@ -778,50 +788,64 @@ _GA = (_Flag("--generations", st.integers(0, 3), (-1, "two"), given=True),
        _Flag("--rates", _one_of("0.9,0.3,0.2,0.2", "1,1,1,1", "0,0,0,0"),
              ("2,0,0,0", "nan,0,0,0", "0.5,0.5", "a,b,c,d")),
        _MODE,
-       _Flag("--objectives", _one_of("d", "e", "d,a", "p,a", "d,e,p,a"),
-             (",", "", "d,d", "x")),
        _Flag("--init", _one_of(*INIT_METHODS), ("nope",)),
        _Flag("--selection", _one_of(*SELECTION_METHODS), ("nope",)),
-       _Flag("--mating", _one_of(*MATING_METHODS), ("nope",)),
-       _Flag("--parallel", st.booleans()))
+       _Flag("--mating", _one_of(*MATING_METHODS), ("nope",)))
+_OBJECTIVES = _Flag("--objectives",
+                    _one_of("d", "e", "d,a", "p,a", "d,e,p,a"),
+                    (",", "", "d,d", "x"))
+
+_GENERATOR = (
+    _Flag("--layers", st.integers(1, 2), (0, -1), given=True),
+    _Flag("--screws", st.integers(0, 4), (5, -1)),
+    _Flag("--manual-fraction", _one_of(0, 0.5, 1), (2, "nan")),
+    _Flag("--priority-count", st.integers(0, 1), (3, -1)),
+    _Flag("--pitch", _one_of(1, 0.5), (0, -1, "nan", "1e308")),
+    _Flag("--clearance", _one_of(1, 3), (0.5, 0, "inf")),
+    _Flag("--angle", _one_of(5, 20, 90, 720), (0, -5, "nan", "inf")),
+    _Flag("--dataset-out", st.just(OUT + "/t.json"), (OUT, None),
+          given=True),
+    _SEED)
+# pitches whose squared centre distances leave the float range in input
+# units, and powers of two, which scale f_e exactly
+_PITCHES = (1, 1e-200, 1e300, 2.0 ** -700, 2.0 ** 900)
 
 _ARGV = st.one_of(
-    _argv("gen-synthetic",
-          _Flag("--layers", st.integers(1, 2), (0, -1), given=True),
-          _Flag("--screws", st.integers(0, 4), (5, -1)),
-          _Flag("--manual-fraction", _one_of(0, 0.5, 1), (2, "nan")),
-          _Flag("--priority-count", st.integers(0, 1), (3, -1)),
-          _Flag("--pitch", _one_of(1, 0.5), (0, -1, "nan", "1e308")),
-          _Flag("--clearance", _one_of(1, 3), (0.5, 0, "inf")),
-          _Flag("--angle", _one_of(5, 20, 90, 720), (0, -5, "nan", "inf")),
-          _Flag("--dataset-out", st.just(OUT + "/t.json"), (OUT, None),
-                given=True),
-          *_COMMON),
-    _argv("plan", _DATASET, *_GA, *_COMMON),
+    _argv("gen-synthetic", *_GENERATOR, *_COMMON),
+    _argv("plan", _DATASET, *_GA, _OBJECTIVES, _SEED, _OUT, *_COMMON),
     _argv("init-bench", _DATASET,
           _Flag("--methods", _one_of("ri", "fr,sfr", "ccgi", "ri,ccgi"),
                 (",", "", "nope", "ri,ri")),
           _Flag("--trials", st.integers(1, 20), (0, -1), given=True),
-          _MODE, *_COMMON),
-    _argv("ablate", _DATASET, *_GA, *_COMMON),
+          _MODE, _SEED, _OUT, *_COMMON),
+    _argv("ablate", _DATASET, *_GA, _OBJECTIVES, _SEED, _OUT, *_COMMON),
     _argv("single-obj", _DATASET,
           _Flag("--objective", _one_of(*OBJECTIVE_KEYS), ("z", None),
                 given=True),
-          *_GA, *_COMMON),
+          *_GA, _SEED, _OUT, *_COMMON),
     _argv("validate", _DATASET, *_COMMON))
+# gen-synthetic with good values only; --pitch is always given, from its
+# good values or the ladder
+_PRODUCTS = _argv("gen-synthetic", *(
+    flag._replace(bad=(), given=True,
+                  good=st.one_of(flag.good, _one_of(*_PITCHES)))
+    if flag.name == "--pitch" else flag._replace(bad=())
+    for flag in _GENERATOR))
 
 
 class TestArgvFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argv=_ARGV)
     @example(argv=["plan", "--dataset", DATASET, "--seed", "-1",
-                   "--pop", "8", "--generations", "1", "--iterations", "1"])
+                   "--pop", "8", "--generations", "1", "--iterations", "1",
+                   "--out", OUT])
     @example(argv=["ablate", "--dataset", DATASET, "--objectives", "d",
-                   "--pop", "8", "--generations", "1", "--iterations", "1"])
+                   "--pop", "8", "--generations", "1", "--iterations", "1",
+                   "--out", OUT])
     @example(argv=["init-bench", "--dataset", DATASET, "--methods", ",",
-                   "--trials", "5"])
+                   "--trials", "5", "--out", OUT])
     @example(argv=["init-bench", "--dataset", DATASET, "--methods", "ri,ri",
-                   "--trials", "5"])
+                   "--trials", "5", "--out", OUT])
     @example(argv=["--version"])
     @example(argv=["plan", "--dataset", DATASET, "-h"])
     def test_every_argv_exits_0_1_or_2(self, dataset_file, fuzz_dir, argv):
@@ -830,4 +854,17 @@ class TestArgvFuzz:
         with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
             argv = [a.replace(DATASET, str(dataset_file)).replace(OUT, tmp)
                     for a in argv]
-            assert main([*argv, "--out", tmp]) in (0, 1, 2)
+            assert main(argv) in (0, 1, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(argv=_PRODUCTS)
+    @example(argv=["gen-synthetic", "--layers", "2", "--pitch", "1e300",
+                   "--dataset-out", OUT + "/t.json"])
+    def test_generator_products_are_judged_alike(self, fuzz_dir, argv):
+        """``validate`` and a one-generation ``plan`` exit alike on every
+        product that ``gen-synthetic`` writes from good flag values."""
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+            argv = [a.replace(OUT, tmp) for a in argv]
+            assume(main(argv) == 0)
+            codes = _validate_and_plan(Path(tmp) / "t.json", Path(tmp))
+            assert codes[0] == codes[1]

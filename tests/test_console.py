@@ -38,7 +38,7 @@ def test_exit_code_without_traceback(tmp_path, case):
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "dsplan.cli",
-         *[a.format(tmp=tmp_path) for a in argv], "--out", str(tmp_path)],
+         *[a.format(tmp=tmp_path) for a in argv]],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr

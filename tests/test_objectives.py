@@ -110,10 +110,15 @@ class TestEfficiency:
 
 
     def test_centres_too_far_apart_to_square(self):
-        # each centre is finite, but the square of their distance is not
-        ds = custom_product([("graspable", False, (0, 0, 0)),
-                             ("graspable", False, (1e155, 0, 0))])
-        assert_efficiency_matches_oracle(ds, [[0, 1], [1, 0]])
+        # each centre is finite, but the square of their distance is not;
+        # the last two products span about 600 orders of magnitude
+        for coms in [[(0, 0, 0), (1e155, 0, 0)],
+                     [(0, 0, 0), (1e-300, 0, 0), (1e300, 0, 0)],
+                     [(-1e300, 1e-300, 0), (1e-300, 0, 3e-300),
+                      (0, 1e300, -1e300), (2e-300, 0, 0)]]:
+            ds = custom_product([("graspable", False, com) for com in coms])
+            assert_efficiency_matches_oracle(
+                ds, list(itertools.permutations(range(len(coms)))))
 
     @pytest.mark.parametrize("pitch", [1e-200, 1e300, 2.0 ** -700,
                                        2.0 ** 900])
